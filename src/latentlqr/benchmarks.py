@@ -2,7 +2,7 @@
 
 The cubic-lift family observes y = Rot @ [psi(x); phi(x)] where
 psi(z) = z + c z^3 is applied coordinate-wise (strictly increasing, so
-exactly invertible by a guarded cubic root solve), phi is a smooth lift
+exactly invertible by a guarded cubic root solve), phi is a linear lift
 to the remaining coordinates, and Rot is a fixed orthogonal matrix. The
 true decoder inverts psi on the first d_x coordinates of Rot' y.
 """

@@ -15,7 +15,7 @@ from . import rng as rngmod
 from .benchmarks import make_benchmark_instance
 from .control import optimal_policy
 from .errors import NumericalError, ValidationError
-from .evaluate import align_decoder, estimate_cost, estimate_gap
+from .evaluate import align_decoder, mean_stderr, trajectory_costs
 from .phase1 import collect_id_data, fit_coarse_decoder
 from .phase2 import run_sysid
 from .phase3 import compute_policy
@@ -140,11 +140,12 @@ def _cmd_eval(args) -> None:
         config.seed, rngmod.TAG_EVAL)
     t_h = min(config.t_horizon, learned.t_horizon)
     pi_opt = optimal_policy(spec, emission)
-    j_learned, j_se = estimate_cost(spec, emission, learned.policy(), t_h,
-                                    config.n_eval, eval_seed)
-    j_opt, j_opt_se = estimate_cost(spec, emission, pi_opt, t_h, config.n_eval, eval_seed)
-    gap, gap_se = estimate_gap(spec, emission, learned.policy(), pi_opt, t_h,
-                               config.n_eval, eval_seed)
+    costs_learned = trajectory_costs(spec, emission, learned.policy(), t_h,
+                                     config.n_eval, eval_seed)
+    costs_opt = trajectory_costs(spec, emission, pi_opt, t_h, config.n_eval, eval_seed)
+    j_learned, j_se = mean_stderr(costs_learned)
+    j_opt, j_opt_se = mean_stderr(costs_opt)
+    gap, gap_se = mean_stderr(costs_learned - costs_opt)
     rows = [("j_learned", float(j_learned)), ("j_learned_stderr", float(j_se)),
             ("j_optimal", float(j_opt)), ("j_optimal_stderr", float(j_opt_se)),
             ("gap", float(gap)), ("gap_stderr", float(gap_se)),

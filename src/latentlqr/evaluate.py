@@ -14,21 +14,34 @@ import numpy as np
 from .control import controllability_matrix, open_loop_state_cov
 from .errors import ValidationError
 from .phase1 import Phase1Output
-from .system import EmissionModel, PolicyDef, SystemSpec, rollout
+from .system import EmissionModel, PolicyDef, SystemSpec, rollout, rollout_columns
 
 
-def _per_step_costs(batch, t_horizon: int) -> np.ndarray:
-    return batch.costs[:, 1:t_horizon + 1].mean(axis=1)
+def trajectory_costs(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef,
+                     t_horizon: int, n_eval: int, seed: int) -> np.ndarray:
+    """Per-step cost (1/T) sum_{t=1..T} c_t of each of n_eval fresh rollouts.
+
+    Only the cost columns are recorded. Policies evaluated on the same seed
+    see identical noise streams, so differences of these vectors are
+    paired-seed gaps.
+    """
+    if n_eval < 2:
+        raise ValidationError("n_eval must be >= 2")
+    times = tuple(range(1, t_horizon + 1))
+    costs = rollout_columns(spec, emission, policy, horizon=t_horizon, n_traj=n_eval,
+                            base_seed=seed, cost_times=times)["costs"]
+    return np.stack([costs[t] for t in times], axis=1).mean(axis=1)
+
+
+def mean_stderr(per: np.ndarray) -> tuple[float, float]:
+    """Sample mean of per-trajectory values and its standard error."""
+    return float(per.mean()), float(per.std(ddof=1) / np.sqrt(per.shape[0]))
 
 
 def estimate_cost(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef,
                   t_horizon: int, n_eval: int, seed: int) -> tuple[float, float]:
     """Mean per-step cost (1/T) sum_{t=1..T} c_t and its standard error."""
-    if n_eval < 2:
-        raise ValidationError("n_eval must be >= 2")
-    batch = rollout(spec, emission, policy, horizon=t_horizon, n_traj=n_eval, base_seed=seed)
-    per = _per_step_costs(batch, t_horizon)
-    return float(per.mean()), float(per.std(ddof=1) / np.sqrt(n_eval))
+    return mean_stderr(trajectory_costs(spec, emission, policy, t_horizon, n_eval, seed))
 
 
 def estimate_gap(spec: SystemSpec, emission: EmissionModel, policy_a: PolicyDef,
@@ -40,12 +53,9 @@ def estimate_gap(spec: SystemSpec, emission: EmissionModel, policy_a: PolicyDef,
     exploration noise streams, so comparing a policy against itself gives a
     gap of exactly zero.
     """
-    if n_eval < 2:
-        raise ValidationError("n_eval must be >= 2")
-    batch_a = rollout(spec, emission, policy_a, horizon=t_horizon, n_traj=n_eval, base_seed=seed)
-    batch_b = rollout(spec, emission, policy_b, horizon=t_horizon, n_traj=n_eval, base_seed=seed)
-    delta = _per_step_costs(batch_a, t_horizon) - _per_step_costs(batch_b, t_horizon)
-    return float(delta.mean()), float(delta.std(ddof=1) / np.sqrt(n_eval))
+    costs_a = trajectory_costs(spec, emission, policy_a, t_horizon, n_eval, seed)
+    costs_b = trajectory_costs(spec, emission, policy_b, t_horizon, n_eval, seed)
+    return mean_stderr(costs_a - costs_b)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from . import rng as rngmod
 from .control import psd_project, solve_dare
 from .errors import IllConditionedCovarianceError, NumericalError, ValidationError
 from .regression import DecoderClass, FittedRegressor, StructuredClass, erm_fit, erm_fit_increment
-from .system import EmissionModel, PolicyDef, SystemSpec, TrajectoryBatch, rollout
+from .system import EmissionModel, PolicyDef, SystemSpec, TrajectoryBatch, rollout, rollout_columns
 from .phase2 import SysIdEstimates
 
 COV_GUARD = 1e-8
@@ -214,14 +214,6 @@ class DecoderStack:
             tilde[clipped] = 0.0
         return tilde
 
-    def values_through(self, observations: np.ndarray, t: int) -> np.ndarray:
-        """Decoder value f_t for every trajectory of an observation array."""
-        state = self.begin(observations.shape[0])
-        value = state.value
-        for tau in range(t + 1):
-            value, state = self.step(state, tau, observations[:, tau])
-        return value
-
     def values_all(self, observations: np.ndarray, t_max: int) -> np.ndarray:
         out = np.zeros((observations.shape[0], t_max + 1, self.d_x))
         state = self.begin(observations.shape[0])
@@ -246,15 +238,47 @@ def decoder_update(h_t: FittedRegressor, stack: DecoderStack) -> None:
     stack.residual_regressors.append(h_t)
 
 
+@dataclass
+class OnPolicyHalf:
+    """What the two-step regression at iteration t reads from one half of
+    an on-policy collection.
+
+    observations[:, k] is y_{t+k} for k = 0..kappa, injected[:, k] is the
+    sigma-scaled input noise nu_{t+k} for k = 0..kappa-1, and f_t is the
+    decoder value the roll-in policy acted on at time t.
+    """
+
+    observations: np.ndarray  # (n, kappa+1, d_y)
+    injected: np.ndarray      # (n, kappa, d_u)
+    f_t: np.ndarray           # (n, d_x)
+
+    @property
+    def n_traj(self) -> int:
+        return self.f_t.shape[0]
+
+
 def collect_onpolicy(spec: SystemSpec, emission: EmissionModel, stack: DecoderStack,
                      t: int, config: Phase3Config, seed: int
-                     ) -> tuple[TrajectoryBatch, TrajectoryBatch]:
+                     ) -> tuple[OnPolicyHalf, OnPolicyHalf]:
     """2 n_op trajectories rolling in with the policy through step t and out
-    with pure Gaussian inputs, split into disjoint halves."""
+    with pure Gaussian inputs, split into disjoint halves.
+
+    Each trajectory is simulated once, and only the columns the regression
+    reads are kept: y_{t..t+kappa}, nu_{t..t+kappa-1} and the roll-in value
+    f_t, so memory is O(n_op kappa) whatever t is.
+    """
+    kappa = config.kappa
     policy = PolicyDef.gain_decoder(stack.k_gain, stack, sigma=config.sigma)
-    batch = rollout(spec, emission, policy, horizon=t + config.kappa,
-                    n_traj=2 * config.n_op, base_seed=seed)
-    return _split(batch), _split(batch, second=True)
+    obs_times = tuple(range(t, t + kappa + 1))
+    cols = rollout_columns(spec, emission, policy, horizon=t + kappa,
+                           n_traj=2 * config.n_op, base_seed=seed, obs_times=obs_times,
+                           injected_times=obs_times[:-1], decoded_times=(t,))
+    observations = np.stack([cols["obs"][s] for s in obs_times], axis=1)
+    injected = np.stack([cols["injected"][s] for s in obs_times[:-1]], axis=1)
+    f_t = cols["decoded"][t]
+    n = config.n_op
+    return tuple(OnPolicyHalf(observations=observations[sl], injected=injected[sl], f_t=f_t[sl])
+                 for sl in (slice(0, n), slice(n, 2 * n)))
 
 
 def _split(batch: TrajectoryBatch, second: bool = False) -> TrajectoryBatch:
@@ -265,15 +289,16 @@ def _split(batch: TrajectoryBatch, second: bool = False) -> TrajectoryBatch:
                            noises=batch.noises[sl], costs=batch.costs[sl], seed=batch.seed)
 
 
-def fit_residual_regressors(halves: tuple[TrajectoryBatch, TrajectoryBatch],
+def fit_residual_regressors(halves: tuple[OnPolicyHalf, OnPolicyHalf],
                             stack: DecoderStack, shaping: NoiseShaping, t: int,
                             config: Phase3Config, decoder_class: DecoderClass
                             ) -> tuple[list[FittedRegressor], FittedRegressor]:
-    """Two-step regression at iteration t.
+    """Two-step regression at iteration t, on halves from collect_onpolicy.
 
     First half, per k: predict the injected-noise window nu_{t:t+k-1} from
     M_k (h(y_{t+k}) - A^k h(y_t) - A^{k-1} B K f_t). Second half: predict the
     stacked first-stage outputs from big_m (h(y_{t+1}) - A h(y_t) - B K f_t).
+    f_t is the roll-in value each half recorded, not a replay of the stack.
     """
     half1, half2 = halves
     a_hat, b_hat = stack.a_hat, stack.b_hat
@@ -281,34 +306,34 @@ def fit_residual_regressors(halves: tuple[TrajectoryBatch, TrajectoryBatch],
     h_op = StructuredClass(base=decoder_class, output_dim=d_x, radius=config.r_op)
     bk = b_hat @ stack.k_gain
 
-    f_t_1 = stack.values_through(half1.observations, t)
+    f_t_1 = half1.f_t
     first_stage = []
     for k in range(1, config.kappa + 1):
         m_k = shaping.m_k[k - 1]
         a_k = np.linalg.matrix_power(a_hat, k)
         a_km1 = np.linalg.matrix_power(a_hat, k - 1)
-        targets = half1.injected[:, t:t + k].reshape(half1.n_traj, -1)
+        targets = half1.injected[:, :k].reshape(half1.n_traj, -1)
         offsets = -(f_t_1 @ (m_k @ a_km1 @ bk).T)
-        reg = erm_fit_increment(h_op, obs_now=half1.observations[:, t],
-                                obs_next=half1.observations[:, t + k],
+        reg = erm_fit_increment(h_op, obs_now=half1.observations[:, 0],
+                                obs_next=half1.observations[:, k],
                                 left=m_k, shift=a_k, targets=targets, offsets=offsets)
         first_stage.append(reg)
 
-    f_t_2 = stack.values_through(half2.observations, t)
+    f_t_2 = half2.f_t
     phi_cols = []
     for k in range(1, config.kappa + 1):
         reg = first_stage[k - 1]
         m_k = shaping.m_k[k - 1]
         a_k = np.linalg.matrix_power(a_hat, k)
         a_km1 = np.linalg.matrix_power(a_hat, k - 1)
-        pred = (reg.predict(half2.observations[:, t + k])
-                - reg.predict(half2.observations[:, t]) @ a_k.T
+        pred = (reg.predict(half2.observations[:, k])
+                - reg.predict(half2.observations[:, 0]) @ a_k.T
                 - f_t_2 @ (a_km1 @ bk).T) @ m_k.T
         phi_cols.append(pred)
     phi = np.hstack(phi_cols)
     offsets2 = -(f_t_2 @ (shaping.big_m @ bk).T)
-    h_t = erm_fit_increment(h_op, obs_now=half2.observations[:, t],
-                            obs_next=half2.observations[:, t + 1],
+    h_t = erm_fit_increment(h_op, obs_now=half2.observations[:, 0],
+                            obs_next=half2.observations[:, 1],
                             left=shaping.big_m, shift=a_hat, targets=phi, offsets=offsets2)
     return first_stage, h_t
 
@@ -399,6 +424,9 @@ def compute_policy(spec: SystemSpec, emission: EmissionModel, estimates: SysIdEs
 
     Fresh data are collected at every iteration t (no reuse), so the sample
     budget is 2 n_op T + 2 n_init trajectories, reported on the result.
+    Each of them is simulated once: iteration t keeps O(n_op kappa) columns
+    and reads f_t from its own roll-in, so the learning clip statistics
+    count every on-policy trajectory once per decoder step.
     """
     q_hat = psd_project((estimates.q_hat + estimates.q_hat.T) / 2.0)
     if np.min(np.linalg.eigvalsh(q_hat)) < Q_REG_EPS:

@@ -20,8 +20,8 @@ from . import rng as rngmod
 from .benchmarks import make_benchmark_instance, parameter_bounds
 from .control import optimal_policy
 from .errors import ValidationError
-from .evaluate import (EvalReport, align_decoder, decoder_errors_by_time, estimate_cost,
-                       estimate_gap, similarity_from_ground_truth)
+from .evaluate import (EvalReport, align_decoder, decoder_errors_by_time, mean_stderr,
+                       similarity_from_ground_truth, trajectory_costs)
 from .phase1 import Phase1Config, collect_id_data, fit_coarse_decoder
 from .phase2 import run_sysid
 from .phase3 import (Phase3Config, compute_policy, default_clip_radius, sigma_from_epsilon)
@@ -182,14 +182,16 @@ def run_pipeline(config: ExperimentConfig, outdir: Path | None = None) -> Pipeli
 
     with _stage("evaluate"):
         pi_opt = optimal_policy(spec, emission)
-        pi_zero = PolicyDef.zero(spec.d_u)
         t_h = config.t_horizon
-        j_learned, j_learned_se = estimate_cost(spec, emission, learned.policy(), t_h,
-                                                config.n_eval, eval_seed)
-        j_opt, j_opt_se = estimate_cost(spec, emission, pi_opt, t_h, config.n_eval, eval_seed)
-        j_zero, j_zero_se = estimate_cost(spec, emission, pi_zero, t_h, config.n_eval, eval_seed)
-        gap, gap_se = estimate_gap(spec, emission, learned.policy(), pi_opt, t_h,
-                                   config.n_eval, eval_seed)
+        # one cost-only pass per policy on the eval streams; the gap pairs the
+        # learned and optimal per-trajectory costs of those same streams
+        costs_learned, costs_opt, costs_zero = (
+            trajectory_costs(spec, emission, policy, t_h, config.n_eval, eval_seed)
+            for policy in (learned.policy(), pi_opt, PolicyDef.zero(spec.d_u)))
+        j_learned, j_learned_se = mean_stderr(costs_learned)
+        j_opt, j_opt_se = mean_stderr(costs_opt)
+        j_zero, j_zero_se = mean_stderr(costs_zero)
+        gap, gap_se = mean_stderr(costs_learned - costs_opt)
         clip_fraction = learned.stack.clip_fraction()
         clip_events = sum(c for c, _ in learned.stack.clip_counts.values())
 

@@ -192,18 +192,25 @@ class PolicyDef:
             return self.decoders.begin(n)
         return None
 
-    def act(self, state, t: int, y: np.ndarray, nu: np.ndarray):
-        """Inputs for all trajectories at time t; nu is the sigma-scaled noise."""
-        n = y.shape[0]
+    @property
+    def reads_observations(self) -> bool:
+        return self.kind != "open-loop-gaussian"
+
+    def act(self, state, t: int, y: Optional[np.ndarray], nu: np.ndarray):
+        """Inputs for all trajectories at time t, the decoder value behind them
+        (None when open-loop), and the next decoder state.
+
+        nu is the sigma-scaled noise and fixes the batch size; open-loop
+        policies never read y, which may then be None.
+        """
+        n, d_u = nu.shape
         if self.kind == "open-loop-gaussian":
-            base = np.zeros((n, nu.shape[1])) if self.mean is None else np.broadcast_to(self.mean, (n, nu.shape[1]))
-            u = base + nu
-        else:
-            value, state = self.decoders.step(state, t, y)
-            if not np.all(np.isfinite(value)):
-                raise ValidationError(f"policy decoder produced non-finite output at t={t}")
-            u = value @ self.gain.T + nu
-        return u, state
+            base = np.zeros((n, d_u)) if self.mean is None else np.broadcast_to(self.mean, (n, d_u))
+            return base + nu, None, state
+        value, state = self.decoders.step(state, t, y)
+        if not np.all(np.isfinite(value)):
+            raise ValidationError(f"policy decoder produced non-finite output at t={t}")
+        return value @ self.gain.T + nu, value, state
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +288,23 @@ def rollout_columns(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef
                     horizon: int, n_traj: int, base_seed: int, *,
                     obs_times: tuple[int, ...] = (),
                     input_times: tuple[int, ...] = (),
-                    cost_times: tuple[int, ...] = ()) -> dict:
+                    injected_times: tuple[int, ...] = (),
+                    cost_times: tuple[int, ...] = (),
+                    decoded_times: tuple[int, ...] = ()) -> dict:
     """Memory-light rollout keeping only the requested columns.
 
-    Uses the identical stream derivation as rollout(), so kept columns are
-    bitwise equal to the corresponding slices of a full rollout.
+    Returns {"obs", "inputs", "injected", "costs", "decoded"}, each a dict
+    from time to an (n_traj, ...) column: y_t, u_t, the sigma-scaled noise
+    nu_t, c_t, and the value the policy's decoder produced at t. Uses the
+    identical stream derivation as rollout(), so kept columns are bitwise
+    equal to the corresponding slices of a full rollout (and decoded columns
+    to the decoder chain replayed over its observations). Costs are computed
+    only at cost_times, and an open-loop policy emits observations only at
+    obs_times.
     """
-    rec = _ColumnRecorder(spec, obs_times, input_times, cost_times)
+    if decoded_times and policy.decoders is None:
+        raise ValidationError("decoded_times needs a policy with decoders")
+    rec = _ColumnRecorder(obs_times, input_times, injected_times, cost_times, decoded_times)
     _drive(spec, emission, policy, horizon, n_traj, base_seed, rec)
     return rec.columns
 
@@ -305,11 +322,17 @@ class _FullRecorder:
             seed=seed,
         )
 
+    def wants_obs(self, t):
+        return True
+
+    def wants_cost(self, t):
+        return True
+
     def state(self, t, x, y):
         self.batch.states[:, t] = x
         self.batch.observations[:, t] = y
 
-    def input(self, t, u, nu, cost):
+    def input(self, t, u, nu, cost, value):
         self.batch.inputs[:, t] = u
         self.batch.injected[:, t] = nu
         self.batch.costs[:, t] = cost
@@ -319,43 +342,63 @@ class _FullRecorder:
 
 
 class _ColumnRecorder:
-    def __init__(self, spec, obs_times, input_times, cost_times):
-        self.obs_times = set(obs_times)
-        self.input_times = set(input_times)
-        self.cost_times = set(cost_times)
-        self.columns = {"obs": {}, "inputs": {}, "costs": {}}
+    def __init__(self, obs_times, input_times, injected_times, cost_times, decoded_times):
+        self.times = {"obs": set(obs_times), "inputs": set(input_times),
+                      "injected": set(injected_times), "costs": set(cost_times),
+                      "decoded": set(decoded_times)}
+        self.columns = {key: {} for key in self.times}
+
+    def _keep(self, key, t, column):
+        if t in self.times[key]:
+            self.columns[key][t] = column.copy()
+
+    def wants_obs(self, t):
+        return t in self.times["obs"]
+
+    def wants_cost(self, t):
+        return t in self.times["costs"]
 
     def state(self, t, x, y):
-        if t in self.obs_times:
-            self.columns["obs"][t] = y.copy()
+        self._keep("obs", t, y)
 
-    def input(self, t, u, nu, cost):
-        if t in self.input_times:
-            self.columns["inputs"][t] = u.copy()
-        if t in self.cost_times:
-            self.columns["costs"][t] = cost.copy()
+    def input(self, t, u, nu, cost, value):
+        self._keep("inputs", t, u)
+        self._keep("injected", t, nu)
+        self._keep("costs", t, cost)
+        self._keep("decoded", t, value)
 
     def noise(self, t, w):
         pass
 
 
 def _drive(spec, emission, policy, horizon, n, seed, rec) -> None:
+    """Advance n trajectories through t = 0..horizon, handing every step to rec.
+
+    Observations are emitted where the policy or the recorder reads them,
+    costs only where the recorder keeps them; neither feeds the dynamics.
+    """
     from .control import psd_sqrt
 
     l_w = psd_sqrt(spec.sigma_w)
     l_0 = psd_sqrt(spec.sigma_0)
+
+    def observe(t, x):
+        if policy.reads_observations or rec.wants_obs(t):
+            return emission.emit_batch(x)
+        return None
+
     x = rngmod.noise_block(seed, rngmod.ROLE_INIT_STATE, 0, n, spec.d_x) @ l_0.T
-    y = emission.emit_batch(x)
+    y = observe(0, x)
     pol_state = policy.begin(n)
     rec.state(0, x, y)
     for t in range(horizon + 1):
         nu = policy.sigma * rngmod.noise_block(seed, rngmod.ROLE_INPUT, t, n, spec.d_u)
-        u, pol_state = policy.act(pol_state, t, y, nu)
-        cost = _quad_rows(x, spec.q) + _quad_rows(u, spec.r)
-        rec.input(t, u, nu, cost)
+        u, value, pol_state = policy.act(pol_state, t, y, nu)
+        cost = _quad_rows(x, spec.q) + _quad_rows(u, spec.r) if rec.wants_cost(t) else None
+        rec.input(t, u, nu, cost, value)
         if t < horizon:
             w = rngmod.noise_block(seed, rngmod.ROLE_PROCESS, t, n, spec.d_x) @ l_w.T
             x = x @ spec.a.T + u @ spec.b.T + w
-            y = emission.emit_batch(x)
+            y = observe(t + 1, x)
             rec.noise(t, w)
             rec.state(t + 1, x, y)

@@ -60,8 +60,38 @@ class TestCollectOnPolicy:
         stack = stack_for(spec, est)
         cfg = Phase3Config(n_op=50, sigma=0.5, t_horizon=1, kappa=1, r_op=8.0)
         half1, half2 = collect_onpolicy(spec, emission, stack, 0, cfg, seed=3)
-        assert np.array_equal(half1.inputs, half1.injected)
+        # f_0 = 0, so the input K f_0 + nu_0 is the injected noise alone
+        assert np.array_equal(np.vstack([half1.f_t, half2.f_t]), np.zeros((100, 1)))
+        policy = PolicyDef.gain_decoder(stack.k_gain, stack, sigma=0.5)
+        full = rollout(spec, emission, policy, horizon=1, n_traj=100, base_seed=3)
+        assert np.array_equal(full.inputs[:, 0], full.injected[:, 0])
+        assert np.array_equal(np.vstack([half1.injected[:, 0], half2.injected[:, 0]]),
+                              full.injected[:, 0])
         assert half1.n_traj == half2.n_traj == 50
+
+    def test_columns_match_full_rollout(self):
+        spec, emission, cls = make_benchmark_instance("di-cubic-lift")
+        est = SysIdEstimates(a_hat=spec.a, b_hat=spec.b, sigma_w_hat=spec.sigma_w,
+                             q_hat=spec.q)
+        stack = stack_for(spec, est)
+        for scale in (1.0, 0.9):
+            decoder_update(FittedRegressor(candidate_index=0, m=scale * np.eye(spec.d_x),
+                                           empirical_loss=0.0, decoder_class=truth_only(cls)),
+                           stack)
+        t, kappa, n_op = 2, 2, 40
+        cfg = Phase3Config(n_op=n_op, sigma=0.3, t_horizon=3, kappa=kappa, r_op=8.0)
+        halves = collect_onpolicy(spec, emission, stack, t, cfg, seed=21)
+        policy = PolicyDef.gain_decoder(stack.k_gain, stack, sigma=0.3)
+        full = rollout(spec, emission, policy, horizon=t + kappa, n_traj=2 * n_op,
+                       base_seed=21)
+        values = stack.values_all(full.observations, t)
+        assert np.any(values[:, t] != 0.0)
+        for half, rows in zip(halves, (slice(0, n_op), slice(n_op, 2 * n_op))):
+            assert half.observations.shape == (n_op, kappa + 1, emission.d_y)
+            assert half.injected.shape == (n_op, kappa, spec.d_u)
+            assert np.array_equal(half.observations, full.observations[rows, t:t + kappa + 1])
+            assert np.array_equal(half.injected, full.injected[rows, t:t + kappa])
+            assert np.array_equal(half.f_t, values[rows, t])
 
     def test_deterministic_quiet_run(self):
         spec = SystemSpec(a=[[0.5]], b=[[1.0]], q=[[1.0]], r=[[1.0]],
@@ -123,6 +153,27 @@ class TestDecoderStack:
         vals = stack.values_all(batch.observations, 3)
         assert np.allclose(vals, 0.0)
 
+
+    def test_learning_clip_counts_by_hand(self):
+        spec, emission, cls, est = scalar_pieces()
+        stack = stack_for(spec, est, b_bar=1.0)
+        decoder_update(FittedRegressor(candidate_index=0, m=np.eye(1), empirical_loss=0.0,
+                                       decoder_class=truth_only(cls)), stack)
+        n_op, sigma = 500, 0.5
+        cfg = Phase3Config(n_op=n_op, sigma=sigma, t_horizon=2, kappa=1, r_op=8.0)
+        halves = collect_onpolicy(spec, emission, stack, 1, cfg, seed=31)
+        # with h = f_star and f_0 = 0 the unclipped f_1 is x_1 - A x_0 = B nu_0 + w_0,
+        # which an open-loop rollout on the same streams reproduces
+        ref = rollout(spec, emission, PolicyDef.open_loop_gaussian(sigma), horizon=1,
+                      n_traj=2 * n_op, base_seed=31)
+        tilde = ref.injected[:, 0] @ spec.b.T + ref.noises[:, 0]
+        clipped = np.linalg.norm(tilde, axis=1) > stack.b_bar
+        assert 0 < clipped.sum() < 2 * n_op
+        # each on-policy trajectory is counted once; f_0 and f_2 never clip
+        assert stack.clip_counts == {1: [int(clipped.sum()), 2 * n_op]}
+        f_1 = np.vstack([half.f_t for half in halves])
+        assert np.array_equal(f_1[clipped], np.zeros((int(clipped.sum()), 1)))
+        assert np.allclose(f_1[~clipped], tilde[~clipped], atol=1e-12)
 
 class TestResidualRegression:
     def test_kappa1_stack_equals_single_block(self):

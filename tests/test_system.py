@@ -2,11 +2,12 @@
 import numpy as np
 import pytest
 
-from latentlqr import (PolicyDef, SystemSpec, ValidationError, make_benchmark_instance,
-                       rollout, rollout_columns, step)
+from latentlqr import (EmissionModel, PolicyDef, SystemSpec, ValidationError,
+                       make_benchmark_instance, rollout, rollout_columns, step)
 from latentlqr.benchmarks import CATALOG, cubic_inverse
 from latentlqr.rng import ROLE_PROCESS, noise_block
 from latentlqr.serialize import export_trajectories_csv
+from latentlqr.system import CurrentObsDecoder
 
 
 def scalar_spec(a=0.5, b=1.0, q=1.0, r=1.0, sw=1.0, s0=1.0) -> SystemSpec:
@@ -93,12 +94,60 @@ class TestRollout:
         spec, emission, _ = make_benchmark_instance("di-cubic-lift")
         policy = PolicyDef.open_loop_gaussian(sigma=1.0)
         full = rollout(spec, emission, policy, horizon=6, n_traj=5, base_seed=11)
-        cols = rollout_columns(spec, emission, policy, horizon=6, n_traj=5, base_seed=11,
-                               obs_times=(2, 5), input_times=(1, 4), cost_times=(3,))
+        counted, emitted = counting_emission(emission)
+        cols = rollout_columns(spec, counted, policy, horizon=6, n_traj=5, base_seed=11,
+                               obs_times=(2, 5), input_times=(1, 4), injected_times=(0, 3),
+                               cost_times=(3,))
+        # an open-loop policy reads no observations, so only t = 2, 5 are emitted
+        assert emitted_times(emitted, full.states) == [2, 5]
         assert np.array_equal(cols["obs"][2], full.observations[:, 2])
         assert np.array_equal(cols["obs"][5], full.observations[:, 5])
         assert np.array_equal(cols["inputs"][4], full.inputs[:, 4])
+        assert np.array_equal(cols["injected"][0], full.injected[:, 0])
+        assert np.array_equal(cols["injected"][3], full.injected[:, 3])
         assert np.array_equal(cols["costs"][3], full.costs[:, 3])
+        assert sorted(cols["costs"]) == [3] and cols["decoded"] == {}
+
+    def test_columns_match_full_gain_decoder(self):
+        spec, emission, _ = make_benchmark_instance("di-cubic-lift")
+        gain = -0.3 * np.ones((spec.d_u, spec.d_x))
+        policy = PolicyDef.gain_decoder(gain, CurrentObsDecoder(emission.decode_batch),
+                                        sigma=0.5)
+        full = rollout(spec, emission, policy, horizon=6, n_traj=5, base_seed=12)
+        counted, emitted = counting_emission(emission)
+        cols = rollout_columns(spec, counted, policy, horizon=6, n_traj=5, base_seed=12,
+                               obs_times=(3,), injected_times=(1, 2), decoded_times=(0, 4))
+        # a closed-loop policy reads every observation
+        assert emitted_times(emitted, full.states) == list(range(7))
+        assert np.array_equal(cols["obs"][3], full.observations[:, 3])
+        assert np.array_equal(cols["injected"][2], full.injected[:, 2])
+        for t in (0, 4):
+            assert np.array_equal(cols["decoded"][t] @ gain.T + full.injected[:, t],
+                                  full.inputs[:, t])
+            assert np.allclose(cols["decoded"][t], full.states[:, t], atol=1e-9)
+
+    def test_decoded_times_need_decoders(self):
+        spec, emission, _ = make_benchmark_instance("scalar-identity")
+        with pytest.raises(ValidationError):
+            rollout_columns(spec, emission, PolicyDef.open_loop_gaussian(sigma=1.0), horizon=2,
+                            n_traj=3, base_seed=0, decoded_times=(1,))
+
+
+def counting_emission(emission: EmissionModel) -> tuple[EmissionModel, list]:
+    """The same emission, logging every batch of states it emits."""
+    emitted = []
+
+    def emit(x):
+        emitted.append(x.copy())
+        return emission.emit(x)
+
+    return EmissionModel(d_y=emission.d_y, emit=emit, true_decoder=emission.true_decoder), emitted
+
+
+def emitted_times(emitted: list, states: np.ndarray) -> list[int]:
+    """Time index of each logged batch, found in a full rollout's states."""
+    return [next(t for t in range(states.shape[1]) if np.array_equal(x, states[:, t]))
+            for x in emitted]
 
 
 class TestNoiseStreams:
