@@ -64,11 +64,16 @@ class ExperimentConfig:
     stability_witness: str = "lyapunov"
 
     def __post_init__(self):
-        for name in ("n_id", "n_op", "t_horizon", "n_eval"):
+        for name in ("n_id", "n_op", "t_horizon", "metric_rollouts"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be a positive integer")
-        if self.sigma is None and self.epsilon is None:
-            raise ValidationError("config must set sigma or epsilon")
+        if self.n_eval < 2:
+            raise ValidationError("n_eval must be >= 2: the standard errors need two rollouts")
+        for name in ("seed", "eval_seed"):
+            if getattr(self, name) is not None and getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0")
+        if (self.sigma is None) == (self.epsilon is None):
+            raise ValidationError("config must set exactly one of sigma and epsilon")
         if self.sigma is not None and not (0.0 < self.sigma <= 1.0):
             raise ValidationError("sigma must lie in (0, 1]")
 
@@ -85,10 +90,13 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key in _INT_KEYS:
-            values[key] = int(val)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(val)
+        if key in _INT_KEYS or key in _FLOAT_KEYS:
+            kind = int if key in _INT_KEYS else float
+            try:
+                values[key] = kind(val)
+            except ValueError:
+                raise ValidationError(f"config line {lineno}: {key} = {val!r} is not "
+                                      f"a valid {kind.__name__}") from None
         elif key in _STR_KEYS:
             values[key] = val
         elif key in _BOOL_KEYS:
@@ -196,13 +204,15 @@ def run_pipeline(config: ExperimentConfig, outdir: Path | None = None) -> Pipeli
         clip_events = sum(c for c, _ in learned.stack.clip_counts.values())
 
         s_id = similarity_from_ground_truth(phase1_out, spec, p1_config.kappa)
+        n_align = max(spec.d_x + 1, 2000)
         align_sample = rollout(spec, emission, PolicyDef.open_loop_gaussian(sigma=1.0),
-                               horizon=phase1_out.kappa1, n_traj=max(spec.d_x + 1, 2000),
+                               horizon=phase1_out.kappa1, n_traj=n_align,
                                base_seed=rngmod.derive_seed(eval_seed, rngmod.TAG_EVAL, 1))
         alignment = align_decoder(phase1_out.decode, emission.decode_batch,
                                   align_sample.observations[:, phase1_out.kappa1])
+        n_metric = min(config.metric_rollouts, config.n_eval)
         decoder_errors = decoder_errors_by_time(
-            spec, emission, learned, s_id, min(config.metric_rollouts, config.n_eval),
+            spec, emission, learned, s_id, n_metric,
             rngmod.derive_seed(eval_seed, rngmod.TAG_EVAL, 2))
 
     report = EvalReport(
@@ -217,7 +227,7 @@ def run_pipeline(config: ExperimentConfig, outdir: Path | None = None) -> Pipeli
         clip_fraction=clip_fraction, clip_events=clip_events,
         trajectories_phase12=3 * config.n_id,
         trajectories_phase3=learned.trajectories_used,
-        trajectories_eval=4 * config.n_eval,
+        trajectories_eval=3 * config.n_eval + n_align + n_metric,
         kappa0=phase1_out.kappa0, kappa1=phase1_out.kappa1,
         wall_clock_seconds=time.perf_counter() - started,
         extra={"alignment_s": alignment.s, "s_id": s_id},

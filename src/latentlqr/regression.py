@@ -30,10 +30,8 @@ class DecoderClass:
     """Finite ordered set of candidate decoders, observation -> R^{d_x}."""
 
     candidates: tuple[Callable[[np.ndarray], np.ndarray], ...]
-    growth_bound: float = 1.0
     contains_truth: Optional[int] = None
     names: Optional[tuple[str, ...]] = None
-    growth_seed: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.candidates)

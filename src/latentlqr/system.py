@@ -117,19 +117,6 @@ def step(spec: SystemSpec, x: np.ndarray, u: np.ndarray,
 # Decoders usable inside policies
 
 
-class ZeroDecoder:
-    """Maps every observation history to the zero state estimate."""
-
-    def __init__(self, d_x: int):
-        self.d_x = d_x
-
-    def begin(self, n: int):
-        return None
-
-    def step(self, state, t: int, y: np.ndarray):
-        return np.zeros((y.shape[0], self.d_x)), state
-
-
 class CurrentObsDecoder:
     """Applies a fixed map to the current observation only (e.g. the true decoder)."""
 

@@ -20,8 +20,7 @@ def random_spd(rng: np.random.Generator, d: int, floor: float = 1.0) -> np.ndarr
 def truth_only(cls: DecoderClass) -> DecoderClass:
     """Restrict a decoder class to the true decoder."""
     assert cls.contains_truth is not None
-    return DecoderClass(candidates=(cls.candidates[cls.contains_truth],),
-                        growth_bound=cls.growth_bound, contains_truth=0,
+    return DecoderClass(candidates=(cls.candidates[cls.contains_truth],), contains_truth=0,
                         names=("truth",))
 
 

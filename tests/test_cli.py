@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 from pathlib import Path
 
+import pytest
+
 from latentlqr.cli import main
 
 
@@ -52,6 +54,29 @@ class TestExitCodes:
     def test_missing_policy_for_eval_is_2(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg")
         assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "empty")]) == 2
+
+    @pytest.mark.parametrize("overrides", [
+        dict(n_id="1e4"),
+        dict(seed=-5),
+        dict(eval_seed=-1),
+        dict(epsilon=0.1),
+        dict(n_eval=1),
+        dict(metric_rollouts=0),
+    ], ids=["unparsable-int", "negative-seed", "negative-eval-seed", "sigma-and-epsilon",
+            "one-eval-rollout", "no-metric-rollouts"])
+    def test_bad_config_is_2_before_simulating(self, tmp_path, capsys, monkeypatch, overrides):
+        import latentlqr.system as system
+
+        def no_simulation(*args):
+            raise AssertionError("simulated before the config was validated")
+
+        monkeypatch.setattr(system, "_drive", no_simulation)
+        cfg = write_config(tmp_path / "bad.cfg", **overrides)
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "report.csv").exists()
+        if "n_id" in overrides:
+            assert "config line 2" in capsys.readouterr().err
 
     def test_numerical_failure_is_3(self, tmp_path):
         # sigma so small the initial-state covariance trips the inversion guard

@@ -176,6 +176,24 @@ class TestPipeline:
         assert decoder_lines[0] == "t,mse"
         assert len(decoder_lines) == 4
 
+    def test_trajectories_eval_counts_simulated(self, monkeypatch):
+        import latentlqr.system as system
+
+        simulated = []
+        drive = system._drive
+
+        def counting_drive(spec, emission, policy, horizon, n, *rest):
+            simulated.append(n)
+            return drive(spec, emission, policy, horizon, n, *rest)
+
+        monkeypatch.setattr(system, "_drive", counting_drive)
+        rep = run_pipeline(self._config()).report
+        # three cost passes of n_eval = 400, 2000 alignment rollouts and
+        # min(metric_rollouts = 2000, n_eval) decoder-error rollouts
+        assert rep.trajectories_eval == 3 * 400 + 2000 + 400
+        assert sum(simulated) == (rep.trajectories_phase12 + rep.trajectories_phase3
+                                  + rep.trajectories_eval)
+
     def test_artifacts_written(self, tmp_path):
         run_pipeline(self._config(), outdir=tmp_path)
         for rel in ("report.csv", "decoder_errors.csv", "phase1/h_id.csv",

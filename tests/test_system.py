@@ -1,10 +1,11 @@
 """Simulator: stepping, rollouts, emissions, catalog, determinism, export."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latentlqr import (EmissionModel, PolicyDef, SystemSpec, ValidationError,
                        make_benchmark_instance, rollout, rollout_columns, step)
-from latentlqr.benchmarks import CATALOG, cubic_inverse
+from latentlqr.benchmarks import CATALOG, cubic_forward, cubic_inverse, estimate_growth_bound
 from latentlqr.rng import ROLE_PROCESS, noise_block
 from latentlqr.serialize import export_trajectories_csv
 from latentlqr.system import CurrentObsDecoder
@@ -210,13 +211,76 @@ class TestEmissions:
 
     def test_growth_bound_holds(self):
         spec, emission, cls = make_benchmark_instance("di-cubic-lift")
+        growth_bound = estimate_growth_bound(cls, spec, emission.emit, seed=7)
         rng = np.random.default_rng(8)
         x = rng.standard_normal((2_000, 2))
         y = emission.emit_batch(x)
         denom = np.maximum(1.0, np.linalg.norm(x, axis=1))
         for f in cls.candidates:
             ratio = np.linalg.norm(f(y), axis=1) / denom
-            assert np.max(ratio) <= cls.growth_bound * (1 + 1e-6)
+            assert np.max(ratio) <= growth_bound * (1 + 1e-6)
+
+
+def pow_forward(z, c):
+    return z + c * z**3
+
+
+def pow_inverse(w, c):
+    """Cardano plus two Newton steps, cubes and squares through ** (libm pow)."""
+    p = 1.0 / c
+    q = -w / c
+    disc = np.sqrt((q / 2.0) ** 2 + (p / 3.0) ** 3)
+    z = np.cbrt(-q / 2.0 + disc) + np.cbrt(-q / 2.0 - disc)
+    for _ in range(2):
+        z = z - (z + c * z**3 - w) / (1.0 + 3.0 * c * z**2)
+    return z
+
+
+# signed values whose magnitudes spread log-uniformly over 1e-3 .. 1e6
+wide_values = st.lists(st.tuples(st.floats(-3.0, 6.0), st.booleans()), min_size=1,
+                       max_size=64).map(lambda pairs: np.array(
+                           [(-1.0 if neg else 1.0) * 10.0**e for e, neg in pairs]))
+coefficients = st.floats(0.05, 2.0)
+latent_states = st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+                         min_size=1, max_size=64).map(np.array)
+kernel_settings = settings(max_examples=60, deadline=None)
+
+
+class TestCubicKernels:
+    @kernel_settings
+    @given(z=wide_values, c=coefficients)
+    def test_round_trip(self, z, c):
+        back = cubic_inverse(cubic_forward(z, c), c)
+        assert np.all(np.abs(back - z) <= 1e-12 * np.abs(z))
+
+    @kernel_settings
+    @given(w=wide_values, c=coefficients)
+    def test_match_pow_reference(self, w, c):
+        for kernel, reference in ((cubic_forward, pow_forward), (cubic_inverse, pow_inverse)):
+            ref = reference(w, c)
+            assert np.all(np.abs(kernel(w, c) - ref) <= 4 * np.spacing(np.abs(ref)))
+
+    @pytest.mark.parametrize("name", ["di-cubic-lift", "stable2x1-lift5"])
+    @kernel_settings
+    @given(x=latent_states)
+    def test_decode_inverts_emit(self, name, x):
+        _, emission, _ = make_benchmark_instance(name)
+        back = emission.decode_batch(emission.emit_batch(x))
+        scale = np.maximum(1.0, np.max(np.abs(x), axis=1, keepdims=True))
+        assert np.all(np.abs(back - x) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("name", ["di-cubic-lift", "stable2x1-lift5"])
+    @kernel_settings
+    @given(x=latent_states.filter(lambda x: x.shape[0] >= 2))
+    def test_projected_decode_equals_full_rotation(self, name, x):
+        # bitwise on batches; a single row goes through BLAS's vector
+        # product, whose summation order differs in the last bit
+        _, emission, cls = make_benchmark_instance(name)
+        y = emission.emit_batch(x)
+        for f in cls.candidates:
+            fam = f.__self__
+            full = cubic_inverse((y @ fam.rot)[:, : fam.d_x], fam.c)
+            assert np.array_equal(f(y), full)
 
 
 class TestExport:
