@@ -27,8 +27,8 @@ from .phase3 import (DecoderStack, LearnedPolicy, NoiseShaping, OnPolicyHalf, Ph
 from .pipeline import ExperimentConfig, PipelineResult, load_config, parse_config, run_pipeline
 from .regression import (DecoderClass, FittedRegressor, StructuredClass, erm_fit,
                          erm_fit_increment, fit_linear_map)
-from .system import (EmissionModel, PolicyDef, SystemSpec, Trajectory, TrajectoryBatch,
-                     rollout, rollout_columns, step)
+from .system import (EmissionModel, PolicyDef, SystemSpec, TrajectoryBatch, rollout,
+                     rollout_columns)
 
 __version__ = "0.1.0"
 

@@ -147,6 +147,7 @@ class InitialStatePieces:
 class _StackState:
     value: np.ndarray
     prev_obs: Optional[np.ndarray]
+    offset: int  # trajectory index of the first row, so clip events are global
 
 
 @dataclass
@@ -158,6 +159,10 @@ class DecoderStack:
     where clip zeroes any value with norm above b_bar. Values beyond the
     learned depth are zero, which makes the same object drive both the
     roll-in/roll-out collection policy and the final learned policy.
+
+    clip_counts maps t to [clipped rows, rows stepped]; clip_events lists
+    (t, trajectory index, norm), the index counted from the first row of
+    the rollout (begin's offset), in the order the rows were stepped.
     """
 
     a_hat: np.ndarray
@@ -180,8 +185,8 @@ class DecoderStack:
         """Number of defined decoders f_0..f_depth-1."""
         return len(self.residual_regressors) + 1
 
-    def begin(self, n: int) -> _StackState:
-        return _StackState(value=np.zeros((n, self.d_x)), prev_obs=None)
+    def begin(self, n: int, offset: int = 0) -> _StackState:
+        return _StackState(value=np.zeros((n, self.d_x)), prev_obs=None, offset=offset)
 
     def step(self, state: _StackState, t: int, y: np.ndarray):
         n = y.shape[0]
@@ -195,10 +200,10 @@ class DecoderStack:
             else:
                 carry = state.value @ self.a_hat.T
             tilde = base + carry
-            value = self._clip(tilde, t)
-        return value, _StackState(value=value, prev_obs=y)
+            value = self._clip(tilde, t, state.offset)
+        return value, _StackState(value=value, prev_obs=y, offset=state.offset)
 
-    def _clip(self, tilde: np.ndarray, t: int) -> np.ndarray:
+    def _clip(self, tilde: np.ndarray, t: int, offset: int = 0) -> np.ndarray:
         norms = np.linalg.norm(tilde, axis=1)
         keep = norms <= self.b_bar
         clipped = np.flatnonzero(~keep)
@@ -208,7 +213,7 @@ class DecoderStack:
         for i in clipped:
             if len(self.clip_events) >= CLIP_EVENT_CAP:
                 break
-            self.clip_events.append((t, int(i), float(norms[i])))
+            self.clip_events.append((t, offset + int(i), float(norms[i])))
         if clipped.size:
             tilde = tilde.copy()
             tilde[clipped] = 0.0
@@ -461,7 +466,7 @@ def compute_policy(spec: SystemSpec, emission: EmissionModel, estimates: SysIdEs
             decoder_update(h_t, stack)
 
     learn_frac = stack.clip_fraction()
-    learn_events = tuple(stack.clip_events)
+    learn_events = tuple(sorted(stack.clip_events))
     stack.reset_clip_stats()
     budget = 2 * config.n_op * config.t_horizon + 2 * config.n_init_effective
     return LearnedPolicy(stack=stack, sigma=config.sigma, trajectories_used=budget,

@@ -1,12 +1,13 @@
 """Deterministic random-stream derivation for reproducible simulation.
 
 Every source of randomness is a named substream keyed by
-(base seed, role, time index). A block of standard normal draws for all
-trajectories at one (role, time) is generated in a single call; trajectory
-i always reads row i of that block. Because the generator fills arrays in
-a fixed element order, row i is identical no matter how many trajectories
-are requested or how collection is scheduled, which is what makes batched
-and paired-seed runs reproducible.
+(base seed, role, time index). Trajectory i reads the i-th row of draws of
+each (role, time) substream. A Generator fills arrays in a fixed element
+order, and consecutive fills continue where the last one stopped, so row i
+is the same whether the rows come in one block (noise_block) or in row
+chunks from one Generator (substream, as rollouts read them), whatever the
+number of trajectories or the chunk size. That is what makes batched and
+paired-seed runs reproducible.
 """
 from __future__ import annotations
 
@@ -32,8 +33,13 @@ def noise_block(base_seed: int, role: int, time: int, n: int, dim: int) -> np.nd
     """
     if dim == 0:
         return np.zeros((n, 0))
-    seq = np.random.SeedSequence(entropy=base_seed, spawn_key=(role, time))
-    return np.random.default_rng(seq).standard_normal((n, dim))
+    return substream(base_seed, role, time).standard_normal((n, dim))
+
+
+def substream(base_seed: int, role: int, time: int) -> np.random.Generator:
+    """The Generator of one (role, time) substream; its k-th row of draws is row k
+    of noise_block for the same key."""
+    return generator(base_seed, role, time)
 
 
 def derive_seed(base_seed: int, *tags: int) -> int:

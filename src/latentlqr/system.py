@@ -1,12 +1,14 @@
 """Ground-truth latent linear system, decodable emissions, and rollouts.
 
-The simulator is vectorized across trajectories: a rollout advances all n
-trajectories in lockstep, one time step per iteration, drawing each noise
-block from a named substream so results are reproducible and independent
-of batch size (see rng.py).
+The simulator is vectorized across trajectories: a rollout advances a chunk
+of rows one time step per iteration, reading each noise block from a named
+substream so results are reproducible and independent of batch size and
+chunking (see rng.py and _drive).
 """
 from __future__ import annotations
 
+import queue
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -98,21 +100,6 @@ class EmissionModel:
         return err
 
 
-def step(spec: SystemSpec, x: np.ndarray, u: np.ndarray,
-         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One transition: returns (A x + B u + w, w) with w ~ N(0, Sigma_w)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if x.shape[0] != spec.d_x:
-        raise ValidationError(f"state has dim {x.shape[0]}, expected {spec.d_x}")
-    if u.shape[0] != spec.d_u:
-        raise ValidationError(f"input has dim {u.shape[0]}, expected {spec.d_u}")
-    from .control import psd_sqrt
-
-    w = psd_sqrt(spec.sigma_w) @ rng.standard_normal(spec.d_x)
-    return spec.a @ x + spec.b @ u + w, w
-
-
 # ---------------------------------------------------------------------------
 # Decoders usable inside policies
 
@@ -123,7 +110,7 @@ class CurrentObsDecoder:
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
         self.fn = fn
 
-    def begin(self, n: int):
+    def begin(self, n: int, offset: int = 0):
         return None
 
     def step(self, state, t: int, y: np.ndarray):
@@ -174,9 +161,10 @@ class PolicyDef:
                          gain=np.atleast_2d(np.asarray(gain, dtype=float)),
                          decoders=CurrentObsDecoder(emission.decode_batch))
 
-    def begin(self, n: int):
+    def begin(self, n: int, offset: int = 0):
+        """Decoder state for n trajectories whose first row is trajectory offset."""
         if self.decoders is not None:
-            return self.decoders.begin(n)
+            return self.decoders.begin(n, offset)
         return None
 
     @property
@@ -206,7 +194,7 @@ class PolicyDef:
 
 @dataclass
 class TrajectoryBatch:
-    """n trajectories advanced in lockstep.
+    """The n trajectories of one rollout.
 
     Indexing: states/observations cover t = 0..H; inputs and injected noises
     cover t = 0..H (the final input is executed but not propagated, matching
@@ -230,28 +218,21 @@ class TrajectoryBatch:
     def horizon(self) -> int:
         return self.states.shape[1] - 1
 
-    def trajectory(self, i: int) -> "Trajectory":
-        return Trajectory(states=self.states[i], observations=self.observations[i],
-                          inputs=self.inputs[i], injected=self.injected[i],
-                          noises=self.noises[i], costs=self.costs[i], seed=self.seed, index=i)
-
-
-@dataclass
-class Trajectory:
-    """Single-trajectory view of a batch."""
-
-    states: np.ndarray
-    observations: np.ndarray
-    inputs: np.ndarray
-    injected: np.ndarray
-    noises: np.ndarray
-    costs: np.ndarray
-    seed: int
-    index: int
-
 
 def _quad_rows(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    return np.einsum("ni,ij,nj->n", x, m, x)
+    """x_n' m x_n for every row, summed term by term in (i, j) order.
+
+    This is the order np.einsum("ni,ij,nj->n") takes on large batches, but
+    einsum picks another on some small ones (two rows of two columns), and
+    a row of the result must not depend on how many rows come with it.
+    """
+    d = m.shape[0]
+    total = None
+    for i in range(d):
+        for j in range(d):
+            term = x[:, i] * m[i, j] * x[:, j]
+            total = term if total is None else total + term
+    return np.zeros(x.shape[0]) if total is None else total
 
 
 def rollout(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef,
@@ -259,8 +240,8 @@ def rollout(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef,
     """Simulate n_traj independent trajectories of the given horizon.
 
     Fully deterministic in (spec, emission, policy, horizon, base_seed):
-    trajectory i draws row i of each (role, time) noise block regardless of
-    n_traj or scheduling.
+    trajectory i is the i-th row of draws of each (role, time) substream,
+    whatever n_traj (for n_traj >= 2; see _drive).
     """
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
@@ -291,7 +272,8 @@ def rollout_columns(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef
     """
     if decoded_times and policy.decoders is None:
         raise ValidationError("decoded_times needs a policy with decoders")
-    rec = _ColumnRecorder(obs_times, input_times, injected_times, cost_times, decoded_times)
+    rec = _ColumnRecorder(n_traj, obs_times, input_times, injected_times, cost_times,
+                          decoded_times)
     _drive(spec, emission, policy, horizon, n_traj, base_seed, rec)
     return rec.columns
 
@@ -315,29 +297,33 @@ class _FullRecorder:
     def wants_cost(self, t):
         return True
 
-    def state(self, t, x, y):
-        self.batch.states[:, t] = x
-        self.batch.observations[:, t] = y
+    def state(self, rows, t, x, y):
+        self.batch.states[rows, t] = x
+        self.batch.observations[rows, t] = y
 
-    def input(self, t, u, nu, cost, value):
-        self.batch.inputs[:, t] = u
-        self.batch.injected[:, t] = nu
-        self.batch.costs[:, t] = cost
+    def input(self, rows, t, u, nu, cost, value):
+        self.batch.inputs[rows, t] = u
+        self.batch.injected[rows, t] = nu
+        self.batch.costs[rows, t] = cost
 
-    def noise(self, t, w):
-        self.batch.noises[:, t] = w
+    def noise(self, rows, t, w):
+        self.batch.noises[rows, t] = w
 
 
 class _ColumnRecorder:
-    def __init__(self, obs_times, input_times, injected_times, cost_times, decoded_times):
+    def __init__(self, n, obs_times, input_times, injected_times, cost_times, decoded_times):
+        self.n = n
         self.times = {"obs": set(obs_times), "inputs": set(input_times),
                       "injected": set(injected_times), "costs": set(cost_times),
                       "decoded": set(decoded_times)}
         self.columns = {key: {} for key in self.times}
 
-    def _keep(self, key, t, column):
+    def _keep(self, key, rows, t, part):
         if t in self.times[key]:
-            self.columns[key][t] = column.copy()
+            column = self.columns[key].get(t)
+            if column is None:
+                column = self.columns[key][t] = np.empty((self.n,) + part.shape[1:], part.dtype)
+            column[rows] = part
 
     def wants_obs(self, t):
         return t in self.times["obs"]
@@ -345,47 +331,146 @@ class _ColumnRecorder:
     def wants_cost(self, t):
         return t in self.times["costs"]
 
-    def state(self, t, x, y):
-        self._keep("obs", t, y)
+    def state(self, rows, t, x, y):
+        self._keep("obs", rows, t, y)
 
-    def input(self, t, u, nu, cost, value):
-        self._keep("inputs", t, u)
-        self._keep("injected", t, nu)
-        self._keep("costs", t, cost)
-        self._keep("decoded", t, value)
+    def input(self, rows, t, u, nu, cost, value):
+        self._keep("inputs", rows, t, u)
+        self._keep("injected", rows, t, nu)
+        self._keep("costs", rows, t, cost)
+        self._keep("decoded", rows, t, value)
 
-    def noise(self, t, w):
+    def noise(self, rows, t, w):
         pass
+
+
+# Rows a rollout simulates together; the noise blocks and per-step arrays in
+# flight are O(CHUNK_ROWS), whatever the number of trajectories.
+CHUNK_ROWS = 65_536
+
+
+def _row_chunks(n: int) -> list[tuple[int, int]]:
+    """[lo, hi) row ranges of CHUNK_ROWS rows in order; a one-row remainder joins
+    the range before it, because a one-row matrix product takes BLAS's vector
+    path, whose rounding differs from the batched one."""
+    starts = list(range(0, n, CHUNK_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+class _DrawAhead:
+    """Standard normal blocks drawn on one worker thread, in the order a rollout
+    reads them.
+
+    plan lists (generator, rows, dim) in consumption order. The worker fills
+    a ring of SLOTS preallocated buffers and so runs up to SLOTS - 1 blocks
+    ahead; a block that take() returns stays valid until the next take().
+    The worker calls nothing but Generator and queue methods. Leaving the
+    with block joins the worker, so no draw runs past it, whichever side
+    raised.
+    """
+
+    SLOTS = 3
+
+    def __init__(self, plan: list):
+        self._plan = plan
+        size = max((rows * dim for _, rows, dim in plan), default=0)
+        self._ring = [np.empty(size) for _ in range(self.SLOTS)]
+        self._free = queue.SimpleQueue()
+        self._ready = queue.SimpleQueue()
+        self._held = None
+        self._stop = False
+        self._thread = threading.Thread(target=self._work, name="latentlqr-draws", daemon=True)
+
+    def __enter__(self) -> "_DrawAhead":
+        for slot in range(self.SLOTS):
+            self._free.put(slot)
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stop = True
+        self._free.put(0)  # wakes a worker that waits for a slot
+        self._thread.join()
+
+    def _work(self) -> None:
+        failure = None
+        try:
+            for gen, rows, dim in self._plan:
+                slot = self._free.get()
+                if self._stop:
+                    return
+                block = self._ring[slot][: rows * dim].reshape(rows, dim)
+                gen.standard_normal(out=block)
+                self._ready.put((slot, block))
+        except Exception as exc:  # re-raised by take() on the simulating thread
+            failure = exc
+        finally:
+            self._ready.put((None, failure))
+
+    def take(self) -> np.ndarray:
+        if self._held is not None:
+            self._free.put(self._held)
+        self._held, block = self._ready.get()
+        if self._held is None:
+            raise block if block is not None else RuntimeError("read past the draw plan")
+        return block
 
 
 def _drive(spec, emission, policy, horizon, n, seed, rec) -> None:
     """Advance n trajectories through t = 0..horizon, handing every step to rec.
 
+    Rows run in chunks (_row_chunks), each chunk through every t before the
+    next one starts. Each (role, time) substream is one Generator, read in
+    chunk order, so row i is the i-th draw of its substream whatever n or
+    the chunk size, and every matrix product has at least two rows (n = 1
+    is the exception: its one row takes BLAS's vector path). One worker
+    thread draws the next noise blocks while this thread simulates. A
+    policy with sigma = 0 creates no input substream and acts on zero noise.
+
     Observations are emitted where the policy or the recorder reads them,
     costs only where the recorder keeps them; neither feeds the dynamics.
+    The recorder receives each chunk's row slice with its values.
     """
     from .control import psd_sqrt
 
     l_w = psd_sqrt(spec.sigma_w)
     l_0 = psd_sqrt(spec.sigma_0)
+    chunks = _row_chunks(n)
+    init = rngmod.substream(seed, rngmod.ROLE_INIT_STATE, 0)
+    process = [rngmod.substream(seed, rngmod.ROLE_PROCESS, t) for t in range(horizon)]
+    inputs = ([rngmod.substream(seed, rngmod.ROLE_INPUT, t) for t in range(horizon + 1)]
+              if policy.sigma > 0 else None)
+    plan = []
+    for lo, hi in chunks:
+        plan.append((init, hi - lo, spec.d_x))
+        for t in range(horizon + 1):
+            if inputs:
+                plan.append((inputs[t], hi - lo, spec.d_u))
+            if t < horizon:
+                plan.append((process[t], hi - lo, spec.d_x))
 
     def observe(t, x):
         if policy.reads_observations or rec.wants_obs(t):
             return emission.emit_batch(x)
         return None
 
-    x = rngmod.noise_block(seed, rngmod.ROLE_INIT_STATE, 0, n, spec.d_x) @ l_0.T
-    y = observe(0, x)
-    pol_state = policy.begin(n)
-    rec.state(0, x, y)
-    for t in range(horizon + 1):
-        nu = policy.sigma * rngmod.noise_block(seed, rngmod.ROLE_INPUT, t, n, spec.d_u)
-        u, value, pol_state = policy.act(pol_state, t, y, nu)
-        cost = _quad_rows(x, spec.q) + _quad_rows(u, spec.r) if rec.wants_cost(t) else None
-        rec.input(t, u, nu, cost, value)
-        if t < horizon:
-            w = rngmod.noise_block(seed, rngmod.ROLE_PROCESS, t, n, spec.d_x) @ l_w.T
-            x = x @ spec.a.T + u @ spec.b.T + w
-            y = observe(t + 1, x)
-            rec.noise(t, w)
-            rec.state(t + 1, x, y)
+    with _DrawAhead(plan) as draws:
+        for lo, hi in chunks:
+            rows = slice(lo, hi)
+            x = draws.take() @ l_0.T
+            y = observe(0, x)
+            pol_state = policy.begin(hi - lo, lo)
+            rec.state(rows, 0, x, y)
+            for t in range(horizon + 1):
+                nu = policy.sigma * draws.take() if inputs else np.zeros((hi - lo, spec.d_u))
+                u, value, pol_state = policy.act(pol_state, t, y, nu)
+                cost = _quad_rows(x, spec.q) + _quad_rows(u, spec.r) if rec.wants_cost(t) else None
+                rec.input(rows, t, u, nu, cost, value)
+                if t < horizon:
+                    w = draws.take() @ l_w.T
+                    x = x @ spec.a.T + u @ spec.b.T + w
+                    y = observe(t + 1, x)
+                    rec.noise(rows, t, w)
+                    rec.state(rows, t + 1, x, y)

@@ -8,6 +8,7 @@ from latentlqr import (Phase3Config, SystemSpec, SysIdEstimates, ValidationError
                        make_benchmark_instance, rollout, solve_dare)
 from latentlqr.phase3 import DecoderStack, _split, default_clip_radius
 from latentlqr.regression import FittedRegressor
+from latentlqr import system
 from latentlqr.system import PolicyDef
 
 from helpers import truth_only
@@ -154,7 +155,7 @@ class TestDecoderStack:
         assert np.allclose(vals, 0.0)
 
 
-    def test_learning_clip_counts_by_hand(self):
+    def test_learning_clip_counts_by_hand(self, monkeypatch):
         spec, emission, cls, est = scalar_pieces()
         stack = stack_for(spec, est, b_bar=1.0)
         decoder_update(FittedRegressor(candidate_index=0, m=np.eye(1), empirical_loss=0.0,
@@ -174,6 +175,16 @@ class TestDecoderStack:
         f_1 = np.vstack([half.f_t for half in halves])
         assert np.array_equal(f_1[clipped], np.zeros((int(clipped.sum()), 1)))
         assert np.allclose(f_1[~clipped], tilde[~clipped], atol=1e-12)
+        # events carry trajectory indices of the whole rollout, so a rollout run
+        # in 7-row chunks records the same counts and events
+        counts, events = stack.clip_counts, stack.clip_events
+        assert [i for _, i, _ in events] == list(np.flatnonzero(clipped))
+        stack.reset_clip_stats()
+        monkeypatch.setattr(system, "CHUNK_ROWS", 7)
+        chunked = collect_onpolicy(spec, emission, stack, 1, cfg, seed=31)
+        assert stack.clip_counts == counts and stack.clip_events == events
+        assert np.array_equal(np.vstack([half.f_t for half in chunked]), f_1)
+
 
 class TestResidualRegression:
     def test_kappa1_stack_equals_single_block(self):

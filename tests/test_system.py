@@ -1,14 +1,23 @@
 """Simulator: stepping, rollouts, emissions, catalog, determinism, export."""
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latentlqr import (EmissionModel, PolicyDef, SystemSpec, ValidationError,
-                       make_benchmark_instance, rollout, rollout_columns, step)
+from latentlqr import (DecoderStack, EmissionModel, FittedRegressor, PolicyDef, SystemSpec,
+                       ValidationError, decoder_update, make_benchmark_instance,
+                       optimal_policy, rollout, rollout_columns, solve_dare)
+from latentlqr import rng as rngmod
+from latentlqr import system
 from latentlqr.benchmarks import CATALOG, cubic_forward, cubic_inverse, estimate_growth_bound
-from latentlqr.rng import ROLE_PROCESS, noise_block
+from latentlqr.control import psd_sqrt
+from latentlqr.rng import ROLE_INIT_STATE, ROLE_INPUT, ROLE_PROCESS, noise_block
 from latentlqr.serialize import export_trajectories_csv
 from latentlqr.system import CurrentObsDecoder
+
+from helpers import truth_only
 
 
 def scalar_spec(a=0.5, b=1.0, q=1.0, r=1.0, sw=1.0, s0=1.0) -> SystemSpec:
@@ -16,27 +25,42 @@ def scalar_spec(a=0.5, b=1.0, q=1.0, r=1.0, sw=1.0, s0=1.0) -> SystemSpec:
 
 
 class TestStep:
+    """One transition x_1 = A x_0 + B u_0 + w_0, read off vectorized rollouts."""
+
     def test_noiseless_scalar(self):
-        rng = np.random.default_rng(0)
-        nxt, w = step(scalar_spec(a=0.0, sw=0.0, s0=0.0), [0.0], [1.0], rng)
-        assert nxt[0] == 1.0 and w[0] == 0.0
+        spec = scalar_spec(a=0.0, sw=0.0, s0=0.0)
+        _, emission, _ = make_benchmark_instance("scalar-identity")
+        policy = PolicyDef.open_loop_gaussian(sigma=0.0, mean=[1.0])
+        batch = rollout(spec, emission, policy, horizon=1, n_traj=2, base_seed=0)
+        assert np.all(batch.states[:, 1] == 1.0) and np.all(batch.noises == 0.0)
 
     def test_identity_drift_no_input(self):
         spec = SystemSpec(a=np.eye(2), b=np.zeros((2, 0)), q=np.eye(2), r=np.zeros((0, 0)),
-                          sigma_w=np.zeros((2, 2)), sigma_0=np.zeros((2, 2)))
-        nxt, _ = step(spec, [1.0, 2.0], [], np.random.default_rng(0))
-        assert np.allclose(nxt, [1.0, 2.0])
+                          sigma_w=np.zeros((2, 2)), sigma_0=np.eye(2))
+        emission = EmissionModel(d_y=2, emit=lambda x: x, true_decoder=lambda y: y)
+        batch = rollout(spec, emission, PolicyDef.open_loop_gaussian(sigma=1.0), horizon=3,
+                        n_traj=4, base_seed=0)
+        assert batch.inputs.shape == (4, 4, 0)
+        assert np.any(batch.states[:, 0] != 0.0)
+        assert np.array_equal(batch.states, np.repeat(batch.states[:, :1], 4, axis=1))
 
     def test_dimension_mismatch(self):
+        # rollouts take no state or input arguments: their shapes come from the spec
         with pytest.raises(ValidationError):
-            step(scalar_spec(), [0.0, 1.0], [0.0], np.random.default_rng(0))
+            SystemSpec(a=[[0.5]], b=[[1.0], [0.0]], q=[[1.0]], r=[[1.0]], sigma_w=[[1.0]],
+                       sigma_0=[[1.0]])
 
     def test_monte_carlo_moments(self):
-        spec = scalar_spec(a=0.5, b=1.0, sw=1.0)
-        rng = np.random.default_rng(7)
-        draws = np.array([step(spec, [2.0], [0.0], rng)[0][0] for _ in range(100_000)])
-        assert abs(draws.mean() - 1.0) <= 0.02
-        assert abs(draws.var() - 1.0) <= 0.05
+        spec = scalar_spec(a=0.5, b=1.0, sw=1.0, s0=4.0)
+        _, emission, _ = make_benchmark_instance("scalar-identity")
+        policy = PolicyDef.open_loop_gaussian(sigma=0.0, mean=[1.0])
+        batch = rollout(spec, emission, policy, horizon=1, n_traj=100_000, base_seed=7)
+        x0, x1 = batch.states[:, 0, 0], batch.states[:, 1, 0]
+        # given x_0, x_1 has mean A x_0 + B u_0 = 0.5 x_0 + 1 and variance Sigma_w = 1
+        increment = x1 - 0.5 * x0
+        assert abs(increment.mean() - 1.0) <= 0.02
+        assert abs(increment.var() - 1.0) <= 0.05
+        assert abs(x1.var() - 2.0) <= 0.1  # 0.25 Sigma_0 + Sigma_w
 
 
 class TestRollout:
@@ -75,12 +99,10 @@ class TestRollout:
         spec, emission, _ = make_benchmark_instance("di-cubic-lift")
         policy = PolicyDef.open_loop_gaussian(sigma=1.0)
         batch = rollout(spec, emission, policy, horizon=6, n_traj=4, base_seed=3)
-        for i in range(4):
-            traj = batch.trajectory(i)
-            x = traj.states[0]
-            for t in range(6):
-                x = spec.a @ x + spec.b @ traj.inputs[t] + traj.noises[t]
-                assert np.allclose(x, traj.states[t + 1], atol=1e-12)
+        x = batch.states[:, 0]
+        for t in range(6):
+            x = x @ spec.a.T + batch.inputs[:, t] @ spec.b.T + batch.noises[:, t]
+            assert np.array_equal(x, batch.states[:, t + 1])
 
     def test_cost_oracle_exact(self):
         spec, emission, _ = make_benchmark_instance("di-cubic-lift")
@@ -149,6 +171,187 @@ def emitted_times(emitted: list, states: np.ndarray) -> list[int]:
     """Time index of each logged batch, found in a full rollout's states."""
     return [next(t for t in range(states.shape[1]) if np.array_equal(x, states[:, t]))
             for x in emitted]
+
+
+def stack_policy(name: str, sigma: float) -> tuple:
+    """An instance and a gain-decoder policy on a two-regressor decoder stack."""
+    spec, emission, cls = make_benchmark_instance(name)
+    sol = solve_dare(spec.a, spec.b, spec.q, spec.r)
+    stack = DecoderStack(a_hat=spec.a, b_hat=spec.b, k_gain=sol.k, p_hat=sol.p, b_bar=50.0)
+    for scale in (1.0, 0.9):
+        decoder_update(FittedRegressor(candidate_index=0, m=scale * np.eye(spec.d_x),
+                                       empirical_loss=0.0, decoder_class=truth_only(cls)),
+                       stack)
+    return spec, emission, PolicyDef.gain_decoder(sol.k, stack, sigma=sigma)
+
+
+def reference_rollout(spec, emission, policy, horizon, n, seed) -> dict:
+    """Every column of a rollout run as one batch of n rows, each (role, time)
+    block drawn whole by noise_block: the loop rollouts ran before row chunks."""
+    l_w, l_0 = psd_sqrt(spec.sigma_w), psd_sqrt(spec.sigma_0)
+    cols = {key: [] for key in ("states", "observations", "inputs", "injected", "noises",
+                                "costs", "decoded")}
+    x = noise_block(seed, ROLE_INIT_STATE, 0, n, spec.d_x) @ l_0.T
+    y = emission.emit_batch(x)
+    state = policy.begin(n)
+    for t in range(horizon + 1):
+        nu = policy.sigma * noise_block(seed, ROLE_INPUT, t, n, spec.d_u)
+        u, value, state = policy.act(state, t, y, nu)
+        cost = system._quad_rows(x, spec.q) + system._quad_rows(u, spec.r)
+        for key, column in (("states", x), ("observations", y), ("inputs", u),
+                            ("injected", nu), ("costs", cost), ("decoded", value)):
+            cols[key].append(column)
+        if t < horizon:
+            w = noise_block(seed, ROLE_PROCESS, t, n, spec.d_x) @ l_w.T
+            cols["noises"].append(w)
+            x = x @ spec.a.T + u @ spec.b.T + w
+            y = emission.emit_batch(x)
+    return {key: np.stack(column, axis=1) for key, column in cols.items()
+            if column and column[0] is not None}
+
+
+def all_columns(spec, emission, policy, horizon, n, seed) -> dict:
+    """rollout_columns keeping every time of every column it has, stacked along t."""
+    times = tuple(range(horizon + 1))
+    cols = rollout_columns(spec, emission, policy, horizon=horizon, n_traj=n, base_seed=seed,
+                           obs_times=times, input_times=times, injected_times=times,
+                           cost_times=times,
+                           decoded_times=times if policy.decoders is not None else ())
+    return {key: np.stack([cols[key][t] for t in times], axis=1) for key in cols if cols[key]}
+
+
+BATCH_FIELDS = ("states", "observations", "inputs", "injected", "noises", "costs")
+COLUMN_FIELDS = {"obs": "observations", "inputs": "inputs", "injected": "injected",
+                 "costs": "costs", "decoded": "decoded"}
+
+
+class TestChunkedRollout:
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(["scalar-identity", "di-cubic-lift"]),
+           n=st.integers(2, 30), extra=st.integers(0, 9), chunk=st.sampled_from([2, 3, 7]),
+           horizon=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_rows_invariant_to_n_and_chunking(self, name, n, extra, chunk, horizon, seed):
+        """Every recorded column is bitwise equal across n, across row chunks of
+        2, 3 or 7 rows against the default, and against the unchunked reference loop.
+
+        n = 1 is the exception: a one-row matrix product takes BLAS's vector
+        path, whose last bit differs from the batched product's (so no chunk
+        ever has one row when n >= 2).
+        """
+        spec, emission, policy = stack_policy(name, sigma=0.3)
+        args = (spec, emission, policy, horizon)
+        ref = reference_rollout(*args, n, seed)
+        full = rollout(*args, n, seed)
+        wider = rollout(*args, n + extra, seed)
+        cols = all_columns(*args, n, seed)
+        with mock.patch.object(system, "CHUNK_ROWS", chunk):
+            bounds = system._row_chunks(n)
+            small = rollout(*args, n, seed)
+            small_cols = all_columns(*args, n, seed)
+        assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+        assert bounds[-1][1] == n and all(hi - lo == chunk for lo, hi in bounds[:-1])
+        assert 2 <= bounds[-1][1] - bounds[-1][0] <= chunk + 1
+        for key in BATCH_FIELDS:
+            for batch in (full, small):
+                assert np.array_equal(getattr(batch, key), ref[key]), key
+            assert np.array_equal(getattr(wider, key)[:n], ref[key]), key
+        for key, ref_key in COLUMN_FIELDS.items():
+            for columns in (cols, small_cols):
+                assert np.array_equal(columns[key], ref[ref_key]), key
+
+    @pytest.mark.parametrize("make_policy", [
+        lambda spec, emission: PolicyDef.zero(spec.d_u),
+        lambda spec, emission: optimal_policy(spec, emission),
+        lambda spec, emission: stack_policy("di-cubic-lift", sigma=0.0)[2],
+    ], ids=["zero", "optimal", "greedy"])
+    def test_sigma_zero_reads_no_input_substream(self, make_policy, monkeypatch):
+        spec, emission, _ = make_benchmark_instance("di-cubic-lift")
+        policy = make_policy(spec, emission)
+        created = []
+        substream = rngmod.substream
+
+        def counting(base_seed, role, time):
+            created.append((role, time))
+            return substream(base_seed, role, time)
+
+        monkeypatch.setattr(rngmod, "substream", counting)
+        monkeypatch.setattr(system, "CHUNK_ROWS", 4)
+        cols = all_columns(spec, emission, policy, 4, 11, 5)
+        assert sorted(created) == [(ROLE_INIT_STATE, 0)] + [(ROLE_PROCESS, t) for t in range(4)]
+        assert np.array_equal(cols["injected"], np.zeros((11, 5, spec.d_u)))
+        ref = reference_rollout(spec, emission, policy, 4, 11, 5)
+        assert len(cols) == (5 if policy.decoders is not None else 4)
+        for key in cols:
+            assert np.array_equal(cols[key], ref[COLUMN_FIELDS[key]]), key
+        created.clear()
+        rollout(spec, emission, PolicyDef.open_loop_gaussian(0.5), 4, 11, 5)
+        assert sorted(t for role, t in created if role == ROLE_INPUT) == list(range(5))
+
+    def test_quad_rows_matches_einsum(self):
+        rng = np.random.default_rng(3)
+        for d in (1, 2, 3):
+            x = rng.standard_normal((1_000, d))
+            g = rng.standard_normal((d, d))
+            m = g @ g.T + np.eye(d)
+            rows = system._quad_rows(x, m)
+            assert np.array_equal(rows, np.einsum("ni,ij,nj->n", x, m, x))
+            assert all(np.array_equal(system._quad_rows(x[i:i + 2], m), rows[i:i + 2])
+                       for i in range(0, 1_000, 2))
+
+
+class FailingDecoder:
+    """The true decoder until time fail_at, where one row turns NaN."""
+
+    def __init__(self, emission, fail_at):
+        self.emission, self.fail_at = emission, fail_at
+
+    def begin(self, n, offset=0):
+        return None
+
+    def step(self, state, t, y):
+        value = self.emission.decode_batch(y)
+        if t == self.fail_at:
+            value[-1] = np.nan
+        return value, state
+
+
+class FailingStream:
+    """A generator whose draws fail from the k-th call on."""
+
+    def __init__(self, gen, calls):
+        self.gen, self.calls = gen, calls
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls -= 1
+        if self.calls < 0:
+            raise RuntimeError("draw failed")
+        return self.gen.standard_normal(*args, **kwargs)
+
+
+class TestDrawWorker:
+    def test_failures_leave_no_worker_and_no_state(self, monkeypatch):
+        spec, emission, _ = make_benchmark_instance("di-cubic-lift")
+        gain = -0.3 * np.ones((spec.d_u, spec.d_x))
+        good = PolicyDef.gain_decoder(gain, CurrentObsDecoder(emission.decode_batch), 0.5)
+        bad = PolicyDef.gain_decoder(gain, FailingDecoder(emission, fail_at=3), 0.5)
+        monkeypatch.setattr(system, "CHUNK_ROWS", 8)
+        fresh = rollout(spec, emission, good, horizon=6, n_traj=50, base_seed=17)
+        threads = threading.active_count()
+        for _ in range(20):
+            with pytest.raises(ValidationError, match="t=3"):
+                rollout(spec, emission, bad, horizon=6, n_traj=50, base_seed=17)
+        assert threading.active_count() == threads
+        substream = rngmod.substream
+        monkeypatch.setattr(rngmod, "substream",
+                            lambda *key: FailingStream(substream(*key), calls=2))
+        for _ in range(20):
+            with pytest.raises(RuntimeError, match="draw failed"):
+                rollout(spec, emission, good, horizon=6, n_traj=50, base_seed=17)
+        assert threading.active_count() == threads
+        monkeypatch.setattr(rngmod, "substream", substream)
+        again = rollout(spec, emission, good, horizon=6, n_traj=50, base_seed=17)
+        for key in BATCH_FIELDS:
+            assert np.array_equal(getattr(again, key), getattr(fresh, key)), key
 
 
 class TestNoiseStreams:
