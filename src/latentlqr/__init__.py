@@ -24,7 +24,8 @@ from .phase3 import (DecoderStack, LearnedPolicy, NoiseShaping, OnPolicyHalf, Ph
                      build_noise_shaping, collect_onpolicy, compute_policy,
                      decoder_update, default_clip_radius, fit_residual_regressors,
                      learn_initial_state, sigma_from_epsilon)
-from .pipeline import ExperimentConfig, PipelineResult, load_config, parse_config, run_pipeline
+from .pipeline import (ExperimentConfig, PipelineResult, evaluate_policy, load_config,
+                       parse_config, run_pipeline)
 from .regression import (DecoderClass, FittedRegressor, StructuredClass, erm_fit,
                          erm_fit_increment, fit_linear_map)
 from .system import (EmissionModel, PolicyDef, SystemSpec, TrajectoryBatch, rollout,

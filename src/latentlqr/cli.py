@@ -11,17 +11,12 @@ import sys
 import time
 from pathlib import Path
 
-from . import rng as rngmod
 from .benchmarks import make_benchmark_instance
 from .control import optimal_policy
 from .errors import NumericalError, ValidationError
-from .evaluate import align_decoder, mean_stderr, trajectory_costs
-from .phase1 import collect_id_data, fit_coarse_decoder
-from .phase2 import run_sysid
-from .phase3 import compute_policy
-from .pipeline import load_config, run_pipeline, _resolve
-from .serialize import (export_trajectories_csv, load_phase1, load_policy, save_phase1,
-                        save_policy, save_sysid, save_key_values)
+from .pipeline import evaluate_policy, load_config, run_pipeline
+from .serialize import (export_trajectories_csv, load_phase1, load_policy,
+                        write_decoder_errors_csv, write_report_csv)
 from .system import PolicyDef, rollout
 
 
@@ -89,93 +84,66 @@ def _cmd_simulate(args) -> None:
     print(f"wrote {out / 'trajectories.csv'} ({args.n_traj} trajectories, horizon {args.horizon})")
 
 
-def _run_phases(args, upto: str) -> None:
+def _cmd_phases(args) -> None:
+    """phase1, phase2, phase3: the pipeline stopped after that stage."""
     out = _require_out(args)
     config = _load(args)
-    spec, emission, decoder_class, p1_config, p3_config = _resolve(config)
     started = time.perf_counter()
-    data = collect_id_data(spec, emission, p1_config,
-                           rngmod.derive_seed(config.seed, rngmod.TAG_PHASE1))
-    phase1_out = fit_coarse_decoder(data.batch1, data.batch2, decoder_class, p1_config)
-    save_phase1(out / "phase1", phase1_out)
+    result = run_pipeline(config, outdir=out, stop_after=args.command)
+    phase1_out = result.phase1_out
     print(f"phase1 done: kappa0={phase1_out.kappa0} kappa1={phase1_out.kappa1} "
           f"candidate={phase1_out.h_id.candidate_index}")
-    if upto == "phase1":
-        print(f"elapsed {time.perf_counter() - started:.1f}s")
-        return
-    estimates = run_sysid(data.batch3, phase1_out.decode, spec.r, spec.d_x)
-    save_sysid(out / "sysid", estimates)
-    print("phase2 done: estimates saved")
-    if upto == "phase2":
-        print(f"elapsed {time.perf_counter() - started:.1f}s")
-        return
-    learned = compute_policy(spec, emission, estimates, decoder_class, p3_config, config.seed)
-    save_policy(out / "policy", learned)
-    print(f"phase3 done: horizon {learned.t_horizon}, "
-          f"{learned.trajectories_used} trajectories used")
+    if result.estimates is not None:
+        print("phase2 done: estimates saved")
+    if result.learned is not None:
+        print(f"phase3 done: horizon {result.learned.t_horizon}, "
+              f"{result.learned.trajectories_used} trajectories used")
     print(f"elapsed {time.perf_counter() - started:.1f}s")
 
 
-def _cmd_pipeline(args) -> None:
-    out = _require_out(args)
-    config = _load(args)
-    result = run_pipeline(config, outdir=out)
-    rep = result.report
+def _print_costs(rep) -> None:
     print(f"J(learned) = {rep.j_learned:.4f} +- {rep.j_learned_stderr:.4f}")
     print(f"J(optimal) = {rep.j_optimal:.4f} +- {rep.j_optimal_stderr:.4f}")
     print(f"gap        = {rep.gap:.4f} +- {rep.gap_stderr:.4f} (zero-policy gap {rep.gap_zero:.4f})")
     print(f"clip fraction = {rep.clip_fraction:.4g}")
-    print(f"wall clock = {rep.wall_clock_seconds:.1f}s; report at {out / 'report.csv'}")
+
+
+def _cmd_pipeline(args) -> None:
+    out = _require_out(args)
+    result = run_pipeline(_load(args), outdir=out)
+    _print_costs(result.report)
+    print(f"wall clock = {result.report.wall_clock_seconds:.1f}s; report at {out / 'report.csv'}")
 
 
 def _cmd_eval(args) -> None:
+    """The pipeline's evaluate stage, run on the phase1/ and policy/ under --out."""
     out = _require_out(args)
     config = _load(args)
     spec, emission, decoder_class = make_benchmark_instance(config.instance)
-    policy_dir = out / "policy"
-    if not policy_dir.exists():
-        raise ValidationError(f"no saved policy under {policy_dir}; run phase3 or pipeline first")
-    learned = load_policy(policy_dir, decoder_class)
-    eval_seed = config.eval_seed if config.eval_seed is not None else rngmod.derive_seed(
-        config.seed, rngmod.TAG_EVAL)
-    t_h = min(config.t_horizon, learned.t_horizon)
-    pi_opt = optimal_policy(spec, emission)
-    costs_learned = trajectory_costs(spec, emission, learned.policy(), t_h,
-                                     config.n_eval, eval_seed)
-    costs_opt = trajectory_costs(spec, emission, pi_opt, t_h, config.n_eval, eval_seed)
-    j_learned, j_se = mean_stderr(costs_learned)
-    j_opt, j_opt_se = mean_stderr(costs_opt)
-    gap, gap_se = mean_stderr(costs_learned - costs_opt)
-    rows = [("j_learned", float(j_learned)), ("j_learned_stderr", float(j_se)),
-            ("j_optimal", float(j_opt)), ("j_optimal_stderr", float(j_opt_se)),
-            ("gap", float(gap)), ("gap_stderr", float(gap_se)),
-            ("clip_fraction", float(learned.stack.clip_fraction()))]
-    save_key_values(out / "eval_report.csv", rows)
-    print(f"J(learned) = {j_learned:.4f} +- {j_se:.4f}; gap = {gap:.4f} +- {gap_se:.4f}")
-    phase1_dir = out / "phase1"
-    if phase1_dir.exists():
-        phase1_out = load_phase1(phase1_dir, decoder_class)
-        sample = rollout(spec, emission, PolicyDef.open_loop_gaussian(sigma=1.0),
-                         horizon=phase1_out.kappa1, n_traj=2000,
-                         base_seed=rngmod.derive_seed(eval_seed, rngmod.TAG_EVAL, 1))
-        res = align_decoder(phase1_out.decode, emission.decode_batch,
-                            sample.observations[:, phase1_out.kappa1])
-        print(f"coarse-decoder alignment residual = {res.residual:.4g}")
+    for folder, stage in (("phase1", "phase1"), ("policy", "phase3")):
+        if not (out / folder).exists():
+            raise ValidationError(f"no saved {folder} under {out}; run {stage} or pipeline first")
+    learned = load_policy(out / "policy", decoder_class)
+    if learned.t_horizon != config.t_horizon:
+        raise ValidationError(f"config t_horizon = {config.t_horizon}, but the saved policy "
+                              f"has horizon {learned.t_horizon}")
+    phase1_out = load_phase1(out / "phase1", decoder_class)
+    report = evaluate_policy(config, spec, emission, learned, phase1_out,
+                             kappa=phase1_out.kappa1 - phase1_out.kappa0)
+    write_report_csv(out / "eval_report.csv", report)
+    write_decoder_errors_csv(out / "eval_decoder_errors.csv", report.decoder_errors)
+    _print_costs(report)
+    print(f"report at {out / 'eval_report.csv'}")
+
+
+_COMMANDS = {"simulate": _cmd_simulate, "phase1": _cmd_phases, "phase2": _cmd_phases,
+             "phase3": _cmd_phases, "pipeline": _cmd_pipeline, "eval": _cmd_eval}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            _cmd_simulate(args)
-        elif args.command in ("phase1", "phase2", "phase3"):
-            _run_phases(args, args.command)
-        elif args.command == "pipeline":
-            _cmd_pipeline(args)
-        elif args.command == "eval":
-            _cmd_eval(args)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValidationError(f"unknown command {args.command!r}")
+        _COMMANDS[args.command](args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

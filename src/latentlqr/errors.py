@@ -4,6 +4,7 @@ Validation errors cover bad user input (dimensions, config values);
 numerical errors cover solver and conditioning failures discovered at
 run time. The CLI maps the former to exit code 2 and the latter to 3.
 """
+from contextlib import contextmanager
 
 
 class LatentLqrError(Exception):
@@ -36,3 +37,13 @@ class IllConditionedCovarianceError(NumericalError):
 
 class InfeasibleBurnInError(ValidationError):
     """Burn-in computed from the parameter bounds exceeds the configured cap."""
+
+
+@contextmanager
+def tagged(label: str):
+    """Prefix the message of an exception escaping the block with [label]."""
+    try:
+        yield
+    except Exception as exc:
+        exc.args = (f"[{label}] {exc}",) + exc.args[1:]
+        raise

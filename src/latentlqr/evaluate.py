@@ -14,7 +14,7 @@ import numpy as np
 from .control import controllability_matrix, open_loop_state_cov
 from .errors import ValidationError
 from .phase1 import Phase1Output
-from .system import EmissionModel, PolicyDef, SystemSpec, rollout, rollout_columns
+from .system import EmissionModel, PolicyDef, SystemSpec, rollout_columns
 
 
 def trajectory_costs(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef,
@@ -103,17 +103,19 @@ def decoder_errors_by_time(spec: SystemSpec, emission: EmissionModel, learned,
                            s_id: np.ndarray, n_eval: int, seed: int) -> np.ndarray:
     """Mean squared error of each per-time decoder against S_id f_star.
 
-    Evaluated on fresh rollouts under the learned (exploring) policy;
-    returns one value per t = 1..T.
+    Evaluated on fresh rollouts under the learned (exploring) policy, each
+    decoder value read from the rollout step that produced it; returns one
+    value per t = 1..T.
     """
     t_horizon = learned.t_horizon
-    batch = rollout(spec, emission, learned.policy(), horizon=t_horizon,
-                    n_traj=n_eval, base_seed=seed)
-    values = learned.stack.values_all(batch.observations, t_horizon)
+    times = tuple(range(1, t_horizon + 1))
+    cols = rollout_columns(spec, emission, learned.policy(), horizon=t_horizon,
+                           n_traj=n_eval, base_seed=seed, obs_times=times,
+                           decoded_times=times)
     errors = np.zeros(t_horizon)
-    for t in range(1, t_horizon + 1):
-        truth = emission.decode_batch(batch.observations[:, t]) @ s_id.T
-        errors[t - 1] = float(np.mean(np.sum((values[:, t] - truth) ** 2, axis=1)))
+    for t in times:
+        truth = emission.decode_batch(cols["obs"][t]) @ s_id.T
+        errors[t - 1] = float(np.mean(np.sum((cols["decoded"][t] - truth) ** 2, axis=1)))
     return errors
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -57,16 +56,23 @@ def burn_in_kappa0(config: Phase1Config) -> int:
 
     ceil( (1-gamma)^-1 * ln( 84 psi^5 alpha^4 d_x (1-gamma)^-2 ln(1000 n_id) ) ),
     evaluated exactly as written. A configured override (test mode) skips the
-    formula; values beyond the cap raise InfeasibleBurnInError.
+    formula; values beyond the cap, or a formula that overflows or is not
+    finite, raise InfeasibleBurnInError.
     """
     if config.kappa0_override is not None:
         if config.kappa0_override < 0:
             raise ValidationError("kappa0 override must be >= 0")
         return config.kappa0_override
     one_minus = 1.0 - config.gamma_star
-    inner = (84.0 * config.psi_star**5 * config.alpha_star**4 * config.d_x
-             * one_minus**-2 * math.log(1000.0 * config.n_id))
-    kappa0 = math.ceil(math.log(inner) / one_minus)
+    try:  # a power that overflows, or ceil of inf or nan, raises
+        inner = (84.0 * config.psi_star**5 * config.alpha_star**4 * config.d_x
+                 * one_minus**-2 * math.log(1000.0 * config.n_id))
+        kappa0 = math.ceil(math.log(inner) / one_minus)
+    except (OverflowError, ValueError):
+        raise InfeasibleBurnInError(
+            f"burn-in formula is not finite at psi_star={config.psi_star}, "
+            f"alpha_star={config.alpha_star}, gamma_star={config.gamma_star}; "
+            "tighten the bounds or set kappa0_override") from None
     if kappa0 > config.kappa0_cap:
         raise InfeasibleBurnInError(
             f"burn-in {kappa0} exceeds cap {config.kappa0_cap}; tighten the bounds "
@@ -144,10 +150,6 @@ class Phase1Output:
 
     def decode(self, observations: np.ndarray) -> np.ndarray:
         return self.h_id.predict(observations) @ self.v_id
-
-    @property
-    def decoder(self) -> Callable[[np.ndarray], np.ndarray]:
-        return self.decode
 
 
 def _sign_convention(v: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ increment estimation. A separate subroutine handles the initial state.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .control import psd_project, solve_dare
-from .errors import IllConditionedCovarianceError, NumericalError, ValidationError
+from .errors import IllConditionedCovarianceError, NumericalError, ValidationError, tagged
 from .regression import DecoderClass, FittedRegressor, StructuredClass, erm_fit, erm_fit_increment
 from .system import EmissionModel, PolicyDef, SystemSpec, TrajectoryBatch, rollout, rollout_columns
 from .phase2 import SysIdEstimates
@@ -291,7 +290,7 @@ def _split(batch: TrajectoryBatch, second: bool = False) -> TrajectoryBatch:
     sl = slice(n, 2 * n) if second else slice(0, n)
     return TrajectoryBatch(states=batch.states[sl], observations=batch.observations[sl],
                            inputs=batch.inputs[sl], injected=batch.injected[sl],
-                           noises=batch.noises[sl], costs=batch.costs[sl], seed=batch.seed)
+                           noises=batch.noises[sl], costs=batch.costs[sl])
 
 
 def fit_residual_regressors(halves: tuple[OnPolicyHalf, OnPolicyHalf],
@@ -390,14 +389,6 @@ class LearnedPolicy:
     learning_clip_events: tuple = ()
 
     @property
-    def k_gain(self) -> np.ndarray:
-        return self.stack.k_gain
-
-    @property
-    def p_hat(self) -> np.ndarray:
-        return self.stack.p_hat
-
-    @property
     def b_bar(self) -> float:
         return self.stack.b_bar
 
@@ -411,15 +402,6 @@ class LearnedPolicy:
     def greedy_policy(self) -> PolicyDef:
         """Same decoders with no injected exploration noise."""
         return PolicyDef.gain_decoder(self.stack.k_gain, self.stack, sigma=0.0)
-
-
-@contextmanager
-def _stage(t: int, name: str):
-    try:
-        yield
-    except Exception as exc:
-        exc.args = (f"[phase3 t={t} stage={name}] {exc}",) + exc.args[1:]
-        raise
 
 
 def compute_policy(spec: SystemSpec, emission: EmissionModel, estimates: SysIdEstimates,
@@ -445,15 +427,15 @@ def compute_policy(spec: SystemSpec, emission: EmissionModel, estimates: SysIdEs
                          k_gain=sol.k, p_hat=sol.p, b_bar=b_bar)
 
     for t in range(config.t_horizon):
-        with _stage(t, "collect"):
+        with tagged(f"phase3 t={t} stage=collect"):
             halves = collect_onpolicy(spec, emission, stack, t, config,
                                       rngmod.derive_seed(seed, rngmod.TAG_PHASE3_LOOP, t))
-        with _stage(t, "regress"):
+        with tagged(f"phase3 t={t} stage=regress"):
             first_stage, h_t = fit_residual_regressors(halves, stack, shaping, t,
                                                        config, decoder_class)
         stack.first_stage[t] = first_stage
         if t == 0:
-            with _stage(t, "initial-state"):
+            with tagged(f"phase3 t={t} stage=initial-state"):
                 n_init = config.n_init_effective
                 init_batch = rollout(spec, emission,
                                      PolicyDef.open_loop_gaussian(sigma=config.sigma),
@@ -462,7 +444,7 @@ def compute_policy(spec: SystemSpec, emission: EmissionModel, estimates: SysIdEs
                 pieces = learn_initial_state((_split(init_batch), _split(init_batch, second=True)),
                                              h_t, estimates, config, decoder_class)
                 stack.initial = pieces
-        with _stage(t, "update"):
+        with tagged(f"phase3 t={t} stage=update"):
             decoder_update(h_t, stack)
 
     learn_frac = stack.clip_fraction()

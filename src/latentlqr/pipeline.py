@@ -4,12 +4,13 @@ Configs are flat key = value text with explicit seeds; unknown keys are
 errors. The pipeline runs the three learning phases, evaluates the learned
 policy against the ground-truth benchmark with paired seeds, and writes
 report CSVs plus serialized models. Identical configs produce byte-identical
-reports.
+reports. run_pipeline alone sequences the stages and can stop after any of
+them; evaluate_policy is its evaluate stage, also run on saved policies.
 """
 from __future__ import annotations
 
+import math
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -19,7 +20,7 @@ import numpy as np
 from . import rng as rngmod
 from .benchmarks import make_benchmark_instance, parameter_bounds
 from .control import optimal_policy
-from .errors import ValidationError
+from .errors import ValidationError, tagged
 from .evaluate import (EvalReport, align_decoder, decoder_errors_by_time, mean_stderr,
                        similarity_from_ground_truth, trajectory_costs)
 from .phase1 import Phase1Config, collect_id_data, fit_coarse_decoder
@@ -64,6 +65,10 @@ class ExperimentConfig:
     stability_witness: str = "lyapunov"
 
     def __post_init__(self):
+        for name in sorted(_FLOAT_KEYS):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         for name in ("n_id", "n_op", "t_horizon", "metric_rollouts"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be a positive integer")
@@ -118,13 +123,19 @@ def load_config(path: Path, overrides: dict | None = None) -> ExperimentConfig:
     return parse_config(Path(path).read_text(), overrides)
 
 
+# Stage names in run order; run_pipeline stops after the one it is given.
+STAGES = ("phase1", "phase2", "phase3", "evaluate")
+
+
 @dataclass
 class PipelineResult:
-    report: EvalReport
-    learned: object
+    """What a run produced; fields of stages after its stop_after are None."""
+
     phase1_out: object
-    estimates: object
-    s_id: np.ndarray
+    estimates: object = None
+    learned: object = None
+    report: Optional[EvalReport] = None
+    s_id: Optional[np.ndarray] = None
 
 
 def _resolve(config: ExperimentConfig):
@@ -142,80 +153,113 @@ def _resolve(config: ExperimentConfig):
         spec.d_x, spec.d_u, config.n_op)
     sigma = config.sigma if config.sigma is not None else sigma_from_epsilon(
         config.epsilon, b_bar)
-    r_op = config.r_op if config.r_op is not None else psi**3
+    try:
+        r_op = config.r_op if config.r_op is not None else psi**3
+    except OverflowError:
+        raise ValidationError(f"psi_star = {psi} is too large: the default r_op = "
+                              "psi_star**3 overflows") from None
     p3 = Phase3Config(n_op=config.n_op, sigma=sigma, t_horizon=config.t_horizon,
                       kappa=kappa, r_op=r_op, n_init=config.n_init, b_bar=b_bar)
     return spec, emission, decoder_class, p1, p3
 
 
-@contextmanager
-def _stage(name: str):
-    """Tag escaping exceptions with the pipeline stage for provenance."""
-    try:
-        yield
-    except Exception as exc:
-        exc.args = (f"[pipeline stage={name}] {exc}",) + exc.args[1:]
-        raise
+def _eval_seed(config: ExperimentConfig) -> int:
+    return config.eval_seed if config.eval_seed is not None else rngmod.derive_seed(
+        config.seed, rngmod.TAG_EVAL)
 
 
-def run_pipeline(config: ExperimentConfig, outdir: Path | None = None) -> PipelineResult:
+def run_pipeline(config: ExperimentConfig, outdir: Path | None = None,
+                 stop_after: str = "evaluate") -> PipelineResult:
     """Phases I -> II -> III, then paired-seed evaluation and reporting.
 
-    When an output directory is given, each phase's artifacts are written as
-    soon as they exist, so a failure in a later stage retains the earlier ones.
+    stop_after names the last stage to run, one of STAGES. When an output
+    directory is given, each phase's artifacts are written as soon as they
+    exist, so a failure in a later stage retains the earlier ones.
     """
+    if stop_after not in STAGES:
+        raise ValidationError(f"stop_after must be one of {', '.join(STAGES)}, "
+                              f"got {stop_after!r}")
     started = time.perf_counter()
     spec, emission, decoder_class, p1_config, p3_config = _resolve(config)
-    seed = config.seed
-    eval_seed = config.eval_seed if config.eval_seed is not None else rngmod.derive_seed(
-        seed, rngmod.TAG_EVAL)
     if outdir is not None:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
 
-    with _stage("phase1"):
+    with tagged("pipeline stage=phase1"):
         data = collect_id_data(spec, emission, p1_config,
-                               rngmod.derive_seed(seed, rngmod.TAG_PHASE1))
+                               rngmod.derive_seed(config.seed, rngmod.TAG_PHASE1))
         phase1_out = fit_coarse_decoder(data.batch1, data.batch2, decoder_class, p1_config)
     if outdir is not None:
         save_phase1(outdir / "phase1", phase1_out)
-    with _stage("phase2"):
+    if stop_after == "phase1":
+        return PipelineResult(phase1_out)
+    with tagged("pipeline stage=phase2"):
         estimates = run_sysid(data.batch3, phase1_out.decode, spec.r, spec.d_x)
     if outdir is not None:
         save_sysid(outdir / "sysid", estimates)
-    with _stage("phase3"):
-        learned = compute_policy(spec, emission, estimates, decoder_class, p3_config, seed)
+    if stop_after == "phase2":
+        return PipelineResult(phase1_out, estimates)
+    with tagged("pipeline stage=phase3"):
+        learned = compute_policy(spec, emission, estimates, decoder_class, p3_config,
+                                 config.seed)
     if outdir is not None:
         save_policy(outdir / "policy", learned)
+    if stop_after == "phase3":
+        return PipelineResult(phase1_out, estimates, learned)
 
-    with _stage("evaluate"):
-        pi_opt = optimal_policy(spec, emission)
-        t_h = config.t_horizon
-        # one cost-only pass per policy on the eval streams; the gap pairs the
-        # learned and optimal per-trajectory costs of those same streams
-        costs_learned, costs_opt, costs_zero = (
-            trajectory_costs(spec, emission, policy, t_h, config.n_eval, eval_seed)
-            for policy in (learned.policy(), pi_opt, PolicyDef.zero(spec.d_u)))
-        j_learned, j_learned_se = mean_stderr(costs_learned)
-        j_opt, j_opt_se = mean_stderr(costs_opt)
-        j_zero, j_zero_se = mean_stderr(costs_zero)
-        gap, gap_se = mean_stderr(costs_learned - costs_opt)
-        clip_fraction = learned.stack.clip_fraction()
-        clip_events = sum(c for c, _ in learned.stack.clip_counts.values())
+    with tagged("pipeline stage=evaluate"):
+        report = evaluate_policy(config, spec, emission, learned, phase1_out, p1_config.kappa)
+    report.wall_clock_seconds = time.perf_counter() - started
 
-        s_id = similarity_from_ground_truth(phase1_out, spec, p1_config.kappa)
-        n_align = max(spec.d_x + 1, 2000)
-        align_sample = rollout(spec, emission, PolicyDef.open_loop_gaussian(sigma=1.0),
-                               horizon=phase1_out.kappa1, n_traj=n_align,
-                               base_seed=rngmod.derive_seed(eval_seed, rngmod.TAG_EVAL, 1))
-        alignment = align_decoder(phase1_out.decode, emission.decode_batch,
-                                  align_sample.observations[:, phase1_out.kappa1])
-        n_metric = min(config.metric_rollouts, config.n_eval)
-        decoder_errors = decoder_errors_by_time(
-            spec, emission, learned, s_id, n_metric,
-            rngmod.derive_seed(eval_seed, rngmod.TAG_EVAL, 2))
+    if outdir is not None:
+        write_report_csv(outdir / "report.csv", report)
+        write_decoder_errors_csv(outdir / "decoder_errors.csv", report.decoder_errors)
+        if config.export_trajectories:
+            sample = rollout(spec, emission, learned.policy(), horizon=config.t_horizon,
+                             n_traj=min(50, config.n_eval), base_seed=_eval_seed(config))
+            export_trajectories_csv(outdir / "trajectories.csv", sample)
+    return PipelineResult(phase1_out, estimates, learned, report, report.extra["s_id"])
 
-    report = EvalReport(
+
+def evaluate_policy(config: ExperimentConfig, spec, emission, learned, phase1_out,
+                    kappa: int) -> EvalReport:
+    """Paired-seed evaluation of a learned policy on the config's eval streams.
+
+    The learned, optimal and zero policies each make one cost-only pass over
+    the same n_eval streams; the coarse decoder is aligned to the true one
+    on fresh open-loop data, and each per-step decoder is scored against
+    S_id f_star. The clip statistics are those of the learned policy's cost
+    pass: the stack's counts are reset first.
+    """
+    pi_opt = optimal_policy(spec, emission)
+    learned.stack.reset_clip_stats()
+    eval_seed = _eval_seed(config)
+    t_h = config.t_horizon
+    # one cost-only pass per policy on the eval streams; the gap pairs the
+    # learned and optimal per-trajectory costs of those same streams
+    costs_learned, costs_opt, costs_zero = (
+        trajectory_costs(spec, emission, policy, t_h, config.n_eval, eval_seed)
+        for policy in (learned.policy(), pi_opt, PolicyDef.zero(spec.d_u)))
+    j_learned, j_learned_se = mean_stderr(costs_learned)
+    j_opt, j_opt_se = mean_stderr(costs_opt)
+    j_zero, j_zero_se = mean_stderr(costs_zero)
+    gap, gap_se = mean_stderr(costs_learned - costs_opt)
+    clip_fraction = learned.stack.clip_fraction()
+    clip_events = sum(c for c, _ in learned.stack.clip_counts.values())
+
+    s_id = similarity_from_ground_truth(phase1_out, spec, kappa)
+    n_align = max(spec.d_x + 1, 2000)
+    align_sample = rollout(spec, emission, PolicyDef.open_loop_gaussian(sigma=1.0),
+                           horizon=phase1_out.kappa1, n_traj=n_align,
+                           base_seed=rngmod.derive_seed(eval_seed, rngmod.TAG_EVAL, 1))
+    alignment = align_decoder(phase1_out.decode, emission.decode_batch,
+                              align_sample.observations[:, phase1_out.kappa1])
+    n_metric = min(config.metric_rollouts, config.n_eval)
+    decoder_errors = decoder_errors_by_time(
+        spec, emission, learned, s_id, n_metric,
+        rngmod.derive_seed(eval_seed, rngmod.TAG_EVAL, 2))
+
+    return EvalReport(
         j_learned=j_learned, j_learned_stderr=j_learned_se,
         j_optimal=j_opt, j_optimal_stderr=j_opt_se,
         gap=gap, gap_stderr=gap_se,
@@ -229,17 +273,5 @@ def run_pipeline(config: ExperimentConfig, outdir: Path | None = None) -> Pipeli
         trajectories_phase3=learned.trajectories_used,
         trajectories_eval=3 * config.n_eval + n_align + n_metric,
         kappa0=phase1_out.kappa0, kappa1=phase1_out.kappa1,
-        wall_clock_seconds=time.perf_counter() - started,
         extra={"alignment_s": alignment.s, "s_id": s_id},
     )
-
-    if outdir is not None:
-        write_report_csv(outdir / "report.csv", report)
-        write_decoder_errors_csv(outdir / "decoder_errors.csv", report.decoder_errors)
-        if config.export_trajectories:
-            sample = rollout(spec, emission, learned.policy(), horizon=t_h,
-                             n_traj=min(50, config.n_eval), base_seed=eval_seed)
-            export_trajectories_csv(outdir / "trajectories.csv", sample)
-
-    return PipelineResult(report=report, learned=learned, phase1_out=phase1_out,
-                          estimates=estimates, s_id=s_id)

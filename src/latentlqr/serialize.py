@@ -23,16 +23,13 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def save_matrix(path: Path, m: np.ndarray) -> None:
+def _matrix_lines(m: np.ndarray) -> list[str]:
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    lines = [f"{m.shape[0]},{m.shape[1]}"]
-    for row in m:
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    return [f"{m.shape[0]},{m.shape[1]}"] + [",".join(_fmt(v) for v in row) for row in m]
 
 
-def load_matrix(path: Path) -> np.ndarray:
-    lines = Path(path).read_text().strip().splitlines()
+def _parse_matrix(path: Path, lines: list[str]) -> np.ndarray:
+    """The matrix whose "rows,cols" header is lines[0]."""
     rows, cols = (int(v) for v in lines[0].split(","))
     data = np.array([[float(v) for v in line.split(",")] for line in lines[1:1 + rows]])
     if data.shape != (rows, cols):
@@ -40,11 +37,16 @@ def load_matrix(path: Path) -> np.ndarray:
     return data
 
 
+def save_matrix(path: Path, m: np.ndarray) -> None:
+    Path(path).write_text("\n".join(_matrix_lines(m)) + "\n")
+
+
+def load_matrix(path: Path) -> np.ndarray:
+    return _parse_matrix(path, Path(path).read_text().strip().splitlines())
+
+
 def save_regressor(path: Path, reg: FittedRegressor) -> None:
-    m = np.atleast_2d(reg.m)
-    lines = [f"candidate,{reg.candidate_index}", f"{m.shape[0]},{m.shape[1]}"]
-    for row in m:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [f"candidate,{reg.candidate_index}"] + _matrix_lines(reg.m)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -53,12 +55,8 @@ def load_regressor(path: Path, decoder_class: DecoderClass) -> FittedRegressor:
     tag, idx = lines[0].split(",")
     if tag != "candidate":
         raise ValidationError(f"{path}: expected a candidate header")
-    rows, cols = (int(v) for v in lines[1].split(","))
-    m = np.array([[float(v) for v in line.split(",")] for line in lines[2:2 + rows]])
-    if m.shape != (rows, cols):
-        raise ValidationError(f"{path}: header says {rows}x{cols}, data is {m.shape}")
-    return FittedRegressor(candidate_index=int(idx), m=m, empirical_loss=float("nan"),
-                           decoder_class=decoder_class)
+    return FittedRegressor(candidate_index=int(idx), m=_parse_matrix(path, lines[1:]),
+                           empirical_loss=float("nan"), decoder_class=decoder_class)
 
 
 def save_key_values(path: Path, pairs: list[tuple[str, object]]) -> None:

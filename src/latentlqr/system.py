@@ -208,7 +208,6 @@ class TrajectoryBatch:
     injected: np.ndarray     # (n, H+1, d_u)
     noises: np.ndarray       # (n, H, d_x)
     costs: np.ndarray        # (n, H+1); column 0 is c_0, reported costs are 1..H
-    seed: int
 
     @property
     def n_traj(self) -> int:
@@ -247,7 +246,7 @@ def rollout(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef,
         raise ValidationError("horizon must be >= 1")
     if n_traj < 1:
         raise ValidationError("n_traj must be >= 1")
-    rec = _FullRecorder(spec, emission, horizon, n_traj, base_seed)
+    rec = _FullRecorder(spec, emission, horizon, n_traj)
     _drive(spec, emission, policy, horizon, n_traj, base_seed, rec)
     return rec.batch
 
@@ -279,7 +278,7 @@ def rollout_columns(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef
 
 
 class _FullRecorder:
-    def __init__(self, spec, emission, horizon, n, seed):
+    def __init__(self, spec, emission, horizon, n):
         h = horizon
         self.batch = TrajectoryBatch(
             states=np.zeros((n, h + 1, spec.d_x)),
@@ -288,7 +287,6 @@ class _FullRecorder:
             injected=np.zeros((n, h + 1, spec.d_u)),
             noises=np.zeros((n, h, spec.d_x)),
             costs=np.zeros((n, h + 1)),
-            seed=seed,
         )
 
     def wants_obs(self, t):

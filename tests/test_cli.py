@@ -7,11 +7,18 @@ from latentlqr.cli import main
 
 
 def write_config(path: Path, **overrides) -> Path:
+    """A small scalar-identity config; an override of None drops that key."""
     values = dict(instance="scalar-identity", n_id=1200, n_op=500, t_horizon=2,
                   n_eval=200, seed=3, sigma=0.3, kappa0_override=4)
     values.update(overrides)
-    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items() if v is not None))
     return path
+
+
+def files_under(root: Path) -> dict:
+    """Relative path -> bytes of every file below root."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
 
 
 class TestSubcommands:
@@ -36,6 +43,32 @@ class TestSubcommands:
         assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "eval_report.csv").exists()
 
+    @pytest.mark.parametrize("instance", ["scalar-identity", "di-cubic-lift"])
+    def test_eval_reproduces_pipeline_report(self, tmp_path, instance):
+        # eval reloads phase1/ and policy/ and runs the pipeline's evaluate
+        # stage on them, so its files equal the pipeline's byte for byte
+        cfg = write_config(tmp_path / "run.cfg", instance=instance)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "eval_report.csv").read_bytes() == (out / "report.csv").read_bytes()
+        assert ((out / "eval_decoder_errors.csv").read_bytes()
+                == (out / "decoder_errors.csv").read_bytes())
+
+    def test_phase_commands_stop_the_pipeline(self, tmp_path):
+        cfg = write_config(tmp_path / "run.cfg")
+        runs = {}
+        for command in ("phase1", "phase2", "phase3", "pipeline"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+            runs[command] = files_under(tmp_path / command)
+        learned = {k: v for k, v in runs["pipeline"].items()
+                   if k.split("/")[0] in ("phase1", "sysid", "policy")}
+        assert runs["phase3"] == learned
+        assert runs["phase2"] == {k: v for k, v in learned.items()
+                                  if not k.startswith("policy/")}
+        assert runs["phase1"] == {k: v for k, v in learned.items()
+                                  if k.startswith("phase1/")}
+
 
 class TestExitCodes:
     def test_validation_error_is_2(self, tmp_path):
@@ -55,6 +88,33 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "run.cfg")
         assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "empty")]) == 2
 
+    def test_missing_phase1_for_eval_is_2(self, tmp_path, capsys):
+        import shutil
+
+        cfg = write_config(tmp_path / "run.cfg")
+        out = tmp_path / "run"
+        assert main(["phase3", "--config", str(cfg), "--out", str(out)]) == 0
+        shutil.rmtree(out / "phase1")
+        assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "phase1" in capsys.readouterr().err
+        assert not (out / "eval_report.csv").exists()
+
+    def test_eval_horizon_mismatch_is_2(self, tmp_path, capsys, monkeypatch):
+        import latentlqr.system as system
+
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "run.cfg")
+        assert main(["phase3", "--config", str(cfg), "--out", str(out)]) == 0
+
+        def no_simulation(*args):
+            raise AssertionError("simulated before the horizon was checked")
+
+        monkeypatch.setattr(system, "_drive", no_simulation)
+        longer = write_config(tmp_path / "longer.cfg", t_horizon=3)
+        assert main(["eval", "--config", str(longer), "--out", str(out)]) == 2
+        assert "t_horizon" in capsys.readouterr().err
+        assert not (out / "eval_report.csv").exists()
+
     @pytest.mark.parametrize("overrides", [
         dict(n_id="1e4"),
         dict(seed=-5),
@@ -62,8 +122,17 @@ class TestExitCodes:
         dict(epsilon=0.1),
         dict(n_eval=1),
         dict(metric_rollouts=0),
+        dict(psi_star="nan"),
+        dict(alpha_star="inf", kappa0_override=None),
+        dict(psi_star="1e100", kappa0_override=None),
+        dict(epsilon="nan", sigma=None),
+        dict(b_bar="nan"),
+        dict(r_op="inf"),
+        dict(psi_star="1e150"),
     ], ids=["unparsable-int", "negative-seed", "negative-eval-seed", "sigma-and-epsilon",
-            "one-eval-rollout", "no-metric-rollouts"])
+            "one-eval-rollout", "no-metric-rollouts", "nan-psi", "inf-alpha",
+            "overflowing-psi-burn-in", "nan-epsilon", "nan-clip-radius", "inf-r-op",
+            "overflowing-psi-cube"])
     def test_bad_config_is_2_before_simulating(self, tmp_path, capsys, monkeypatch, overrides):
         import latentlqr.system as system
 
@@ -75,8 +144,11 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "report.csv").exists()
+        err = capsys.readouterr().err
+        # the message names the offending key
+        assert all(key in err for key, value in overrides.items() if value is not None)
         if "n_id" in overrides:
-            assert "config line 2" in capsys.readouterr().err
+            assert "config line 2" in err
 
     def test_numerical_failure_is_3(self, tmp_path):
         # sigma so small the initial-state covariance trips the inversion guard

@@ -153,6 +153,17 @@ class TestConfigParsing:
             ExperimentConfig(instance="scalar-identity", n_id=10, n_op=10, t_horizon=2,
                              n_eval=10, seed=0)
 
+    @pytest.mark.parametrize("key", ["epsilon", "b_bar", "psi_star", "alpha_star",
+                                     "gamma_star", "r_id", "r_op"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_float_rejected(self, key, value):
+        base = dict(instance="scalar-identity", n_id=10, n_op=10, t_horizon=2,
+                    n_eval=10, seed=0, sigma=0.5)
+        if key == "epsilon":
+            del base["sigma"]
+        with pytest.raises(ValidationError, match=key):
+            ExperimentConfig(**base, **{key: value})
+
 
 class TestPipeline:
     def _config(self, seed=5):
@@ -194,6 +205,35 @@ class TestPipeline:
         assert sum(simulated) == (rep.trajectories_phase12 + rep.trajectories_phase3
                                   + rep.trajectories_eval)
 
+    def test_stop_after(self, tmp_path):
+        config = self._config()
+        full = run_pipeline(config)
+        for stage, present in (("phase1", 1), ("phase2", 2), ("phase3", 3)):
+            result = run_pipeline(config, outdir=tmp_path / stage, stop_after=stage)
+            fields = (result.phase1_out, result.estimates, result.learned, result.report,
+                      result.s_id)
+            assert all(f is not None for f in fields[:present])
+            assert all(f is None for f in fields[present:])
+            assert not (tmp_path / stage / "report.csv").exists()
+        assert np.array_equal(result.learned.stack.a_hat, full.learned.stack.a_hat)
+        assert full.s_id is full.report.extra["s_id"]
+        with pytest.raises(ValidationError, match="stop_after"):
+            run_pipeline(config, stop_after="phase4")
+
+    def test_evaluate_policy_again_gives_the_same_report(self):
+        # a clip radius this small clips some decoder steps; a second
+        # evaluation of the same policy must not pool the first one's clips
+        from latentlqr import evaluate_policy
+
+        config = ExperimentConfig(instance="scalar-identity", n_id=1200, n_op=500,
+                                  t_horizon=3, n_eval=400, seed=3, sigma=0.3,
+                                  kappa0_override=4, b_bar=1.0)
+        result = run_pipeline(config)
+        assert result.report.clip_events > 0
+        spec, emission, _ = make_benchmark_instance(config.instance)
+        again = evaluate_policy(config, spec, emission, result.learned, result.phase1_out, 1)
+        assert again.rows() == result.report.rows()
+
     def test_artifacts_written(self, tmp_path):
         run_pipeline(self._config(), outdir=tmp_path)
         for rel in ("report.csv", "decoder_errors.csv", "phase1/h_id.csv",
@@ -215,3 +255,34 @@ class TestPipeline:
         assert (tmp_path / "phase1" / "h_id.csv").exists()
         assert (tmp_path / "sysid" / "a_hat.csv").exists()
         assert not (tmp_path / "report.csv").exists()
+
+
+class TestDecoderErrors:
+    @pytest.mark.parametrize("name", ["di-cubic-lift", "stable2x1-lift5"])
+    def test_match_values_all_replay(self, name):
+        # each step's value comes from the rollout that produced it; the
+        # reference replays the stack over a full rollout's observations.
+        # A tight clip radius makes some steps clip.
+        from latentlqr import (DecoderStack, FittedRegressor, LearnedPolicy,
+                               decoder_errors_by_time, decoder_update, rollout)
+
+        from helpers import truth_only
+
+        spec, emission, cls = make_benchmark_instance(name)
+        sol = solve_dare(spec.a, spec.b, spec.q, spec.r)
+        stack = DecoderStack(a_hat=spec.a, b_hat=spec.b, k_gain=sol.k, p_hat=sol.p,
+                             b_bar=3.0)
+        for scale in (1.0, 0.9, 1.1):
+            decoder_update(FittedRegressor(candidate_index=0, m=scale * np.eye(spec.d_x),
+                                           empirical_loss=0.0, decoder_class=truth_only(cls)),
+                           stack)
+        learned = LearnedPolicy(stack=stack, sigma=0.3, trajectories_used=0)
+        s_id = np.random.default_rng(8).standard_normal((spec.d_x, spec.d_x))
+        errors = decoder_errors_by_time(spec, emission, learned, s_id, 500, seed=17)
+        assert sum(c for c, _ in stack.clip_counts.values()) > 0
+
+        batch = rollout(spec, emission, learned.policy(), horizon=3, n_traj=500, base_seed=17)
+        values = stack.values_all(batch.observations, 3)
+        expected = [np.mean(np.sum((values[:, t] - emission.decode_batch(
+            batch.observations[:, t]) @ s_id.T) ** 2, axis=1)) for t in (1, 2, 3)]
+        assert np.array_equal(errors, expected)

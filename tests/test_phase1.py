@@ -43,6 +43,13 @@ class TestBurnIn:
         with pytest.raises(InfeasibleBurnInError):
             burn_in_kappa0(config(gamma_star=0.99999))
 
+    @pytest.mark.parametrize("bounds", [dict(psi_star=1e100), dict(alpha_star=1e100),
+                                        dict(psi_star=math.inf), dict(alpha_star=math.nan)])
+    def test_overflow_is_infeasible(self, bounds):
+        # psi**5 overflows a float, or the formula is not finite
+        with pytest.raises(InfeasibleBurnInError, match="not finite"):
+            burn_in_kappa0(config(**bounds))
+
     def test_override(self):
         assert burn_in_kappa0(config(kappa0_override=0)) == 0
 
