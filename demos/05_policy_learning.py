@@ -27,9 +27,11 @@ print()
 print(f"learning decoders for T = {config.t_horizon} steps "
       f"(budget: {2 * config.n_op * config.t_horizon + 2 * config.n_op} trajectories) ...")
 learned = compute_policy(spec, emission, estimates, decoders, config, seed=21)
+clipped = sum(c for c, _ in learned.learning_clip_counts.values())
+checked = sum(n for _, n in learned.learning_clip_counts.values())
 print(f"decoder stack depth {learned.stack.depth} (f_0..f_T), "
       f"clip radius {learned.b_bar:.1f}, "
-      f"clips during learning: {len(learned.learning_clip_events)}")
+      f"clips during learning: {clipped} of {checked} decoder steps")
 
 print()
 print("per-time decoder error on fresh on-policy rollouts (no compounding):")

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .control import (controllability, psd_sqrt, solve_dare, solve_lyapunov,
-                      strong_stability_cert)
+from .control import controllability, solve_dare, strong_stability_cert
 from .errors import ValidationError
 from .regression import DecoderClass
 from .system import EmissionModel, SystemSpec
@@ -125,21 +124,6 @@ def _cubic_decoder_class(fam: CubicLiftFamily, seed: int) -> DecoderClass:
     candidates = tuple(v.decode for _, v in variants)
     return DecoderClass(candidates=candidates, contains_truth=names.index("truth"),
                        names=names)
-
-
-def estimate_growth_bound(decoder_class: DecoderClass, spec: SystemSpec, emit, seed: int,
-                          n: int = 100_000) -> float:
-    """Growth bound L = max ||f(y)|| / max(1, ||x||) over the candidates f,
-    estimated on n sampled open-loop latent states."""
-    stationary = solve_lyapunov(spec.a, spec.sigma_w + spec.b @ spec.b.T)
-    g = rngmod.generator(seed, rngmod.TAG_INSTANCE, 2)
-    x = g.standard_normal((n, spec.d_x)) @ psd_sqrt(stationary + spec.sigma_0).T
-    y = emit(x)
-    denom = np.maximum(1.0, np.linalg.norm(x, axis=1))
-    growth = 1.0
-    for f in decoder_class.candidates:
-        growth = max(growth, float(np.max(np.linalg.norm(f(y), axis=1) / denom)))
-    return growth
 
 
 def make_benchmark_instance(name: str) -> tuple[SystemSpec, EmissionModel, DecoderClass]:

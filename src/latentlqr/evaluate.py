@@ -18,19 +18,22 @@ from .system import EmissionModel, PolicyDef, SystemSpec, rollout_columns
 
 
 def trajectory_costs(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef,
-                     t_horizon: int, n_eval: int, seed: int) -> np.ndarray:
-    """Per-step cost (1/T) sum_{t=1..T} c_t of each of n_eval fresh rollouts.
+                     t_horizon: int, n_eval: int, seed: int) -> tuple[np.ndarray, int, int]:
+    """Per-step cost (1/T) sum_{t=1..T} c_t of each of n_eval fresh rollouts,
+    with the number of decoder steps the pass clipped and checked.
 
-    Only the cost columns are recorded. Policies evaluated on the same seed
-    see identical noise streams, so differences of these vectors are
-    paired-seed gaps.
+    Only the cost columns and clip masks are recorded. Policies evaluated on
+    the same seed see identical noise streams, so differences of these cost
+    vectors are paired-seed gaps.
     """
     if n_eval < 2:
         raise ValidationError("n_eval must be >= 2")
     times = tuple(range(1, t_horizon + 1))
-    costs = rollout_columns(spec, emission, policy, horizon=t_horizon, n_traj=n_eval,
-                            base_seed=seed, cost_times=times)["costs"]
-    return np.stack([costs[t] for t in times], axis=1).mean(axis=1)
+    cols = rollout_columns(spec, emission, policy, horizon=t_horizon, n_traj=n_eval,
+                           base_seed=seed, cost_times=times, clipped_times=times)
+    masks = cols["clipped"].values()
+    return (np.stack([cols["costs"][t] for t in times], axis=1).mean(axis=1),
+            sum(int(m.sum()) for m in masks), sum(m.size for m in masks))
 
 
 def mean_stderr(per: np.ndarray) -> tuple[float, float]:
@@ -41,7 +44,7 @@ def mean_stderr(per: np.ndarray) -> tuple[float, float]:
 def estimate_cost(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef,
                   t_horizon: int, n_eval: int, seed: int) -> tuple[float, float]:
     """Mean per-step cost (1/T) sum_{t=1..T} c_t and its standard error."""
-    return mean_stderr(trajectory_costs(spec, emission, policy, t_horizon, n_eval, seed))
+    return mean_stderr(trajectory_costs(spec, emission, policy, t_horizon, n_eval, seed)[0])
 
 
 def estimate_gap(spec: SystemSpec, emission: EmissionModel, policy_a: PolicyDef,
@@ -53,8 +56,8 @@ def estimate_gap(spec: SystemSpec, emission: EmissionModel, policy_a: PolicyDef,
     exploration noise streams, so comparing a policy against itself gives a
     gap of exactly zero.
     """
-    costs_a = trajectory_costs(spec, emission, policy_a, t_horizon, n_eval, seed)
-    costs_b = trajectory_costs(spec, emission, policy_b, t_horizon, n_eval, seed)
+    costs_a = trajectory_costs(spec, emission, policy_a, t_horizon, n_eval, seed)[0]
+    costs_b = trajectory_costs(spec, emission, policy_b, t_horizon, n_eval, seed)[0]
     return mean_stderr(costs_a - costs_b)
 
 

@@ -18,13 +18,12 @@ from . import rng as rngmod
 from .control import psd_project, solve_dare
 from .errors import IllConditionedCovarianceError, NumericalError, ValidationError, tagged
 from .regression import DecoderClass, FittedRegressor, StructuredClass, erm_fit, erm_fit_increment
-from .system import EmissionModel, PolicyDef, SystemSpec, TrajectoryBatch, rollout, rollout_columns
+from .system import EmissionModel, PolicyDef, SystemSpec, rollout_columns
 from .phase2 import SysIdEstimates
 
 COV_GUARD = 1e-8
 Q_REG_EPS = 1e-9
 LAMBDA_WARN = 1e-8
-CLIP_EVENT_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,6 @@ class InitialStatePieces:
 class _StackState:
     value: np.ndarray
     prev_obs: Optional[np.ndarray]
-    offset: int  # trajectory index of the first row, so clip events are global
 
 
 @dataclass
@@ -159,9 +157,9 @@ class DecoderStack:
     learned depth are zero, which makes the same object drive both the
     roll-in/roll-out collection policy and the final learned policy.
 
-    clip_counts maps t to [clipped rows, rows stepped]; clip_events lists
-    (t, trajectory index, norm), the index counted from the first row of
-    the rollout (begin's offset), in the order the rows were stepped.
+    Stepping is pure: step returns the value, the mask of rows it clipped
+    (None where no radius check runs) and the next state, and leaves the
+    stack as it was, so concurrent rollouts may share one stack.
     """
 
     a_hat: np.ndarray
@@ -172,8 +170,6 @@ class DecoderStack:
     residual_regressors: list = field(default_factory=list)
     first_stage: dict = field(default_factory=dict)
     initial: Optional[InitialStatePieces] = None
-    clip_counts: dict = field(default_factory=dict)
-    clip_events: list = field(default_factory=list)
 
     @property
     def d_x(self) -> int:
@@ -184,13 +180,13 @@ class DecoderStack:
         """Number of defined decoders f_0..f_depth-1."""
         return len(self.residual_regressors) + 1
 
-    def begin(self, n: int, offset: int = 0) -> _StackState:
-        return _StackState(value=np.zeros((n, self.d_x)), prev_obs=None, offset=offset)
+    def begin(self, n: int) -> _StackState:
+        return _StackState(value=np.zeros((n, self.d_x)), prev_obs=None)
 
     def step(self, state: _StackState, t: int, y: np.ndarray):
         n = y.shape[0]
         if t == 0 or t > len(self.residual_regressors):
-            value = np.zeros((n, self.d_x))
+            value, clipped = np.zeros((n, self.d_x)), None
         else:
             h = self.residual_regressors[t - 1]
             base = h.predict(y) - h.predict(state.prev_obs) @ self.a_hat.T
@@ -198,41 +194,17 @@ class DecoderStack:
                 carry = self.initial.f_a0(state.prev_obs)
             else:
                 carry = state.value @ self.a_hat.T
-            tilde = base + carry
-            value = self._clip(tilde, t, state.offset)
-        return value, _StackState(value=value, prev_obs=y, offset=state.offset)
-
-    def _clip(self, tilde: np.ndarray, t: int, offset: int = 0) -> np.ndarray:
-        norms = np.linalg.norm(tilde, axis=1)
-        keep = norms <= self.b_bar
-        clipped = np.flatnonzero(~keep)
-        count = self.clip_counts.setdefault(t, [0, 0])
-        count[0] += int(clipped.size)
-        count[1] += int(tilde.shape[0])
-        for i in clipped:
-            if len(self.clip_events) >= CLIP_EVENT_CAP:
-                break
-            self.clip_events.append((t, offset + int(i), float(norms[i])))
-        if clipped.size:
-            tilde = tilde.copy()
-            tilde[clipped] = 0.0
-        return tilde
+            value = base + carry
+            clipped = ~(np.linalg.norm(value, axis=1) <= self.b_bar)
+            value[clipped] = 0.0
+        return value, clipped, _StackState(value=value, prev_obs=y)
 
     def values_all(self, observations: np.ndarray, t_max: int) -> np.ndarray:
         out = np.zeros((observations.shape[0], t_max + 1, self.d_x))
         state = self.begin(observations.shape[0])
         for tau in range(t_max + 1):
-            out[:, tau], state = self.step(state, tau, observations[:, tau])
+            out[:, tau], _, state = self.step(state, tau, observations[:, tau])
         return out
-
-    def clip_fraction(self) -> float:
-        clipped = sum(c for c, _ in self.clip_counts.values())
-        total = sum(n for _, n in self.clip_counts.values())
-        return clipped / total if total else 0.0
-
-    def reset_clip_stats(self) -> None:
-        self.clip_counts = {}
-        self.clip_events = []
 
 
 def decoder_update(h_t: FittedRegressor, stack: DecoderStack) -> None:
@@ -263,9 +235,10 @@ class OnPolicyHalf:
 
 def collect_onpolicy(spec: SystemSpec, emission: EmissionModel, stack: DecoderStack,
                      t: int, config: Phase3Config, seed: int
-                     ) -> tuple[OnPolicyHalf, OnPolicyHalf]:
+                     ) -> tuple[tuple[OnPolicyHalf, OnPolicyHalf], dict]:
     """2 n_op trajectories rolling in with the policy through step t and out
-    with pure Gaussian inputs, split into disjoint halves.
+    with pure Gaussian inputs, split into disjoint halves, and the roll-in's
+    clip masks {tau: (2 n_op,) bool} for the steps tau that check the radius.
 
     Each trajectory is simulated once, and only the columns the regression
     reads are kept: y_{t..t+kappa}, nu_{t..t+kappa-1} and the roll-in value
@@ -276,21 +249,15 @@ def collect_onpolicy(spec: SystemSpec, emission: EmissionModel, stack: DecoderSt
     obs_times = tuple(range(t, t + kappa + 1))
     cols = rollout_columns(spec, emission, policy, horizon=t + kappa,
                            n_traj=2 * config.n_op, base_seed=seed, obs_times=obs_times,
-                           injected_times=obs_times[:-1], decoded_times=(t,))
+                           injected_times=obs_times[:-1], decoded_times=(t,),
+                           clipped_times=tuple(range(1, t + 1)))
     observations = np.stack([cols["obs"][s] for s in obs_times], axis=1)
     injected = np.stack([cols["injected"][s] for s in obs_times[:-1]], axis=1)
     f_t = cols["decoded"][t]
     n = config.n_op
-    return tuple(OnPolicyHalf(observations=observations[sl], injected=injected[sl], f_t=f_t[sl])
-                 for sl in (slice(0, n), slice(n, 2 * n)))
-
-
-def _split(batch: TrajectoryBatch, second: bool = False) -> TrajectoryBatch:
-    n = batch.n_traj // 2
-    sl = slice(n, 2 * n) if second else slice(0, n)
-    return TrajectoryBatch(states=batch.states[sl], observations=batch.observations[sl],
-                           inputs=batch.inputs[sl], injected=batch.injected[sl],
-                           noises=batch.noises[sl], costs=batch.costs[sl])
+    halves = tuple(OnPolicyHalf(observations=observations[sl], injected=injected[sl],
+                                f_t=f_t[sl]) for sl in (slice(0, n), slice(n, 2 * n)))
+    return halves, cols["clipped"]
 
 
 def fit_residual_regressors(halves: tuple[OnPolicyHalf, OnPolicyHalf],
@@ -342,30 +309,31 @@ def fit_residual_regressors(halves: tuple[OnPolicyHalf, OnPolicyHalf],
     return first_stage, h_t
 
 
-def learn_initial_state(batches: tuple[TrajectoryBatch, TrajectoryBatch],
+def learn_initial_state(y0: np.ndarray, y1: np.ndarray, nu0: np.ndarray,
                         h_0: FittedRegressor, estimates: SysIdEstimates,
                         config: Phase3Config, decoder_class: DecoderClass
                         ) -> InitialStatePieces:
-    """Initial-state subroutine on fresh open-loop data.
+    """Initial-state subroutine on fresh open-loop data: y_0, y_1 and the
+    injected noise nu_0 of 2n trajectories, fitting on the first n rows and
+    then on the last n.
 
     h_ol1 learns the noise estimate h_0(y_1) - A h_0(y_0) - B nu_0 as a
     function of y_1; its second-moment matrix estimates
     Sigma_w Sigma_1^{-1} Sigma_w, which is inverted (with a hard guard, no
     eigenvalue clipping) to back the predictor of A x_0 out of h_ol0.
     """
-    batch_a, batch_b = batches
     a_hat, b_hat = estimates.a_hat, estimates.b_hat
     d_x = a_hat.shape[0]
     h_op = StructuredClass(base=decoder_class, output_dim=d_x, radius=config.r_op)
+    n = y0.shape[0] // 2
+    first, second = slice(0, n), slice(n, 2 * n)
 
-    y0_a, y1_a = batch_a.observations[:, 0], batch_a.observations[:, 1]
-    noise_est = (h_0.predict(y1_a) - h_0.predict(y0_a) @ a_hat.T
-                 - batch_a.injected[:, 0] @ b_hat.T)
-    h_ol1 = erm_fit(h_op, y1_a, noise_est)
+    noise_est = (h_0.predict(y1[first]) - h_0.predict(y0[first]) @ a_hat.T
+                 - nu0[first] @ b_hat.T)
+    h_ol1 = erm_fit(h_op, y1[first], noise_est)
 
-    y0_b, y1_b = batch_b.observations[:, 0], batch_b.observations[:, 1]
-    vals = h_ol1.predict(y1_b)
-    sigma_cov = vals.T @ vals / batch_b.n_traj
+    vals = h_ol1.predict(y1[second])
+    sigma_cov = vals.T @ vals / n
     sigma_cov = (sigma_cov + sigma_cov.T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(sigma_cov)
     if np.min(eigvals) < COV_GUARD:
@@ -373,20 +341,23 @@ def learn_initial_state(batches: tuple[TrajectoryBatch, TrajectoryBatch],
             f"initial-state covariance has smallest eigenvalue {np.min(eigvals):.3e} "
             f"below the {COV_GUARD:.0e} guard; increase n_init or sigma")
     inv_cov = (eigvecs / eigvals) @ eigvecs.T
-    h_ol0 = erm_fit(h_op, y0_b, vals)
+    h_ol0 = erm_fit(h_op, y0[second], vals)
     gain = estimates.sigma_w_hat @ inv_cov
     return InitialStatePieces(h_ol1=h_ol1, sigma_cov=sigma_cov, h_ol0=h_ol0, gain=gain)
 
 
 @dataclass
 class LearnedPolicy:
-    """Gain, per-time decoders, exploration level, and clip radius."""
+    """Gain, per-time decoders, exploration level, and clip radius.
+
+    learning_clip_counts maps t to (clipped rows, checked rows), summed over
+    the roll-ins of every phase-3 collection.
+    """
 
     stack: DecoderStack
     sigma: float
     trajectories_used: int
-    learning_clip_fraction: float = 0.0
-    learning_clip_events: tuple = ()
+    learning_clip_counts: dict = field(default_factory=dict)
 
     @property
     def b_bar(self) -> float:
@@ -412,8 +383,8 @@ def compute_policy(spec: SystemSpec, emission: EmissionModel, estimates: SysIdEs
     Fresh data are collected at every iteration t (no reuse), so the sample
     budget is 2 n_op T + 2 n_init trajectories, reported on the result.
     Each of them is simulated once: iteration t keeps O(n_op kappa) columns
-    and reads f_t from its own roll-in, so the learning clip statistics
-    count every on-policy trajectory once per decoder step.
+    and reads f_t and its clip masks from its own roll-in, so the learning
+    clip counts count every on-policy trajectory once per decoder step.
     """
     q_hat = psd_project((estimates.q_hat + estimates.q_hat.T) / 2.0)
     if np.min(np.linalg.eigvalsh(q_hat)) < Q_REG_EPS:
@@ -426,10 +397,15 @@ def compute_policy(spec: SystemSpec, emission: EmissionModel, estimates: SysIdEs
     stack = DecoderStack(a_hat=estimates.a_hat, b_hat=estimates.b_hat,
                          k_gain=sol.k, p_hat=sol.p, b_bar=b_bar)
 
+    learning_counts = {}
     for t in range(config.t_horizon):
         with tagged(f"phase3 t={t} stage=collect"):
-            halves = collect_onpolicy(spec, emission, stack, t, config,
-                                      rngmod.derive_seed(seed, rngmod.TAG_PHASE3_LOOP, t))
+            halves, masks = collect_onpolicy(
+                spec, emission, stack, t, config,
+                rngmod.derive_seed(seed, rngmod.TAG_PHASE3_LOOP, t))
+        for tau, mask in masks.items():
+            clipped, checked = learning_counts.get(tau, (0, 0))
+            learning_counts[tau] = (clipped + int(mask.sum()), checked + mask.size)
         with tagged(f"phase3 t={t} stage=regress"):
             first_stage, h_t = fit_residual_regressors(halves, stack, shaping, t,
                                                        config, decoder_class)
@@ -437,20 +413,17 @@ def compute_policy(spec: SystemSpec, emission: EmissionModel, estimates: SysIdEs
         if t == 0:
             with tagged(f"phase3 t={t} stage=initial-state"):
                 n_init = config.n_init_effective
-                init_batch = rollout(spec, emission,
-                                     PolicyDef.open_loop_gaussian(sigma=config.sigma),
-                                     horizon=1, n_traj=2 * n_init,
-                                     base_seed=rngmod.derive_seed(seed, rngmod.TAG_PHASE3_INIT))
-                pieces = learn_initial_state((_split(init_batch), _split(init_batch, second=True)),
-                                             h_t, estimates, config, decoder_class)
-                stack.initial = pieces
+                init = rollout_columns(spec, emission,
+                                       PolicyDef.open_loop_gaussian(sigma=config.sigma),
+                                       horizon=1, n_traj=2 * n_init,
+                                       base_seed=rngmod.derive_seed(seed, rngmod.TAG_PHASE3_INIT),
+                                       obs_times=(0, 1), injected_times=(0,))
+                stack.initial = learn_initial_state(init["obs"][0], init["obs"][1],
+                                                    init["injected"][0], h_t, estimates,
+                                                    config, decoder_class)
         with tagged(f"phase3 t={t} stage=update"):
             decoder_update(h_t, stack)
 
-    learn_frac = stack.clip_fraction()
-    learn_events = tuple(sorted(stack.clip_events))
-    stack.reset_clip_stats()
     budget = 2 * config.n_op * config.t_horizon + 2 * config.n_init_effective
     return LearnedPolicy(stack=stack, sigma=config.sigma, trajectories_used=budget,
-                         learning_clip_fraction=learn_frac,
-                         learning_clip_events=learn_events)
+                         learning_clip_counts=learning_counts)

@@ -28,7 +28,7 @@ from .phase2 import run_sysid
 from .phase3 import (Phase3Config, compute_policy, default_clip_radius, sigma_from_epsilon)
 from .serialize import (export_trajectories_csv, save_phase1, save_policy, save_sysid,
                         write_decoder_errors_csv, write_report_csv)
-from .system import PolicyDef, rollout
+from .system import PolicyDef, rollout, rollout_columns
 
 _INT_KEYS = {"n_id", "n_op", "n_init", "t_horizon", "kappa", "kappa0_override",
              "n_eval", "seed", "eval_seed", "metric_rollouts"}
@@ -228,32 +228,31 @@ def evaluate_policy(config: ExperimentConfig, spec, emission, learned, phase1_ou
     The learned, optimal and zero policies each make one cost-only pass over
     the same n_eval streams; the coarse decoder is aligned to the true one
     on fresh open-loop data, and each per-step decoder is scored against
-    S_id f_star. The clip statistics are those of the learned policy's cost
-    pass: the stack's counts are reset first.
+    S_id f_star. The clip statistics are the masks recorded by the learned
+    policy's cost pass.
     """
     pi_opt = optimal_policy(spec, emission)
-    learned.stack.reset_clip_stats()
     eval_seed = _eval_seed(config)
     t_h = config.t_horizon
     # one cost-only pass per policy on the eval streams; the gap pairs the
     # learned and optimal per-trajectory costs of those same streams
-    costs_learned, costs_opt, costs_zero = (
+    (costs_learned, clipped, checked), (costs_opt, _, _), (costs_zero, _, _) = (
         trajectory_costs(spec, emission, policy, t_h, config.n_eval, eval_seed)
         for policy in (learned.policy(), pi_opt, PolicyDef.zero(spec.d_u)))
     j_learned, j_learned_se = mean_stderr(costs_learned)
     j_opt, j_opt_se = mean_stderr(costs_opt)
     j_zero, j_zero_se = mean_stderr(costs_zero)
     gap, gap_se = mean_stderr(costs_learned - costs_opt)
-    clip_fraction = learned.stack.clip_fraction()
-    clip_events = sum(c for c, _ in learned.stack.clip_counts.values())
+    clip_fraction = clipped / checked if checked else 0.0
 
     s_id = similarity_from_ground_truth(phase1_out, spec, kappa)
     n_align = max(spec.d_x + 1, 2000)
-    align_sample = rollout(spec, emission, PolicyDef.open_loop_gaussian(sigma=1.0),
-                           horizon=phase1_out.kappa1, n_traj=n_align,
-                           base_seed=rngmod.derive_seed(eval_seed, rngmod.TAG_EVAL, 1))
-    alignment = align_decoder(phase1_out.decode, emission.decode_batch,
-                              align_sample.observations[:, phase1_out.kappa1])
+    kappa1 = phase1_out.kappa1
+    align_obs = rollout_columns(spec, emission, PolicyDef.open_loop_gaussian(sigma=1.0),
+                               horizon=kappa1, n_traj=n_align,
+                               base_seed=rngmod.derive_seed(eval_seed, rngmod.TAG_EVAL, 1),
+                               obs_times=(kappa1,))["obs"][kappa1]
+    alignment = align_decoder(phase1_out.decode, emission.decode_batch, align_obs)
     n_metric = min(config.metric_rollouts, config.n_eval)
     decoder_errors = decoder_errors_by_time(
         spec, emission, learned, s_id, n_metric,
@@ -268,7 +267,7 @@ def evaluate_policy(config: ExperimentConfig, spec, emission, learned, phase1_ou
         decoder_align_residual=alignment.residual,
         decoder_align_sigma_min=float(np.linalg.svd(s_id, compute_uv=False)[-1]),
         decoder_errors=decoder_errors,
-        clip_fraction=clip_fraction, clip_events=clip_events,
+        clip_fraction=clip_fraction, clip_events=clipped,
         trajectories_phase12=3 * config.n_id,
         trajectories_phase3=learned.trajectories_used,
         trajectories_eval=3 * config.n_eval + n_align + n_metric,

@@ -7,6 +7,7 @@ chunking (see rng.py and _drive).
 """
 from __future__ import annotations
 
+import math
 import queue
 import threading
 from dataclasses import dataclass
@@ -110,11 +111,11 @@ class CurrentObsDecoder:
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
         self.fn = fn
 
-    def begin(self, n: int, offset: int = 0):
+    def begin(self, n: int):
         return None
 
     def step(self, state, t: int, y: np.ndarray):
-        return np.asarray(self.fn(y), dtype=float), state
+        return np.asarray(self.fn(y), dtype=float), None, state
 
 
 @dataclass(frozen=True)
@@ -136,8 +137,8 @@ class PolicyDef:
     def __post_init__(self):
         if self.kind not in ("open-loop-gaussian", "gain-times-decoder", "optimal-ground-truth"):
             raise ValidationError(f"unknown policy kind {self.kind!r}")
-        if self.sigma < 0:
-            raise ValidationError("sigma must be >= 0")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValidationError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.kind != "open-loop-gaussian" and self.gain is None:
             raise ValidationError(f"{self.kind} policy requires a gain")
 
@@ -161,10 +162,10 @@ class PolicyDef:
                          gain=np.atleast_2d(np.asarray(gain, dtype=float)),
                          decoders=CurrentObsDecoder(emission.decode_batch))
 
-    def begin(self, n: int, offset: int = 0):
-        """Decoder state for n trajectories whose first row is trajectory offset."""
+    def begin(self, n: int):
+        """Decoder state for n trajectories."""
         if self.decoders is not None:
-            return self.decoders.begin(n, offset)
+            return self.decoders.begin(n)
         return None
 
     @property
@@ -173,7 +174,8 @@ class PolicyDef:
 
     def act(self, state, t: int, y: Optional[np.ndarray], nu: np.ndarray):
         """Inputs for all trajectories at time t, the decoder value behind them
-        (None when open-loop), and the next decoder state.
+        and its clip mask (each None when there is none), and the next
+        decoder state.
 
         nu is the sigma-scaled noise and fixes the batch size; open-loop
         policies never read y, which may then be None.
@@ -181,11 +183,11 @@ class PolicyDef:
         n, d_u = nu.shape
         if self.kind == "open-loop-gaussian":
             base = np.zeros((n, d_u)) if self.mean is None else np.broadcast_to(self.mean, (n, d_u))
-            return base + nu, None, state
-        value, state = self.decoders.step(state, t, y)
+            return base + nu, None, None, state
+        value, clipped, state = self.decoders.step(state, t, y)
         if not np.all(np.isfinite(value)):
             raise ValidationError(f"policy decoder produced non-finite output at t={t}")
-        return value @ self.gain.T + nu, value, state
+        return value @ self.gain.T + nu, value, clipped, state
 
 
 # ---------------------------------------------------------------------------
@@ -240,106 +242,66 @@ def rollout(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef,
 
     Fully deterministic in (spec, emission, policy, horizon, base_seed):
     trajectory i is the i-th row of draws of each (role, time) substream,
-    whatever n_traj (for n_traj >= 2; see _drive).
+    whatever n_traj (for n_traj >= 2; see _drive). This is rollout_columns
+    recording every time of every column.
     """
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
     if n_traj < 1:
         raise ValidationError("n_traj must be >= 1")
-    rec = _FullRecorder(spec, emission, horizon, n_traj)
-    _drive(spec, emission, policy, horizon, n_traj, base_seed, rec)
-    return rec.batch
+    every = tuple(range(horizon + 1))
+    cols = rollout_columns(spec, emission, policy, horizon, n_traj, base_seed,
+                           state_times=every, obs_times=every, input_times=every,
+                           injected_times=every, noise_times=every[:-1], cost_times=every)
+
+    def stacked(key):  # frees each field's columns once they are stacked
+        by_time = cols.pop(key)
+        return np.stack([by_time[t] for t in sorted(by_time)], axis=1)
+
+    return TrajectoryBatch(states=stacked("states"), observations=stacked("obs"),
+                           inputs=stacked("inputs"), injected=stacked("injected"),
+                           noises=stacked("noises"), costs=stacked("costs"))
 
 
 def rollout_columns(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef,
                     horizon: int, n_traj: int, base_seed: int, *,
+                    state_times: tuple[int, ...] = (),
                     obs_times: tuple[int, ...] = (),
                     input_times: tuple[int, ...] = (),
                     injected_times: tuple[int, ...] = (),
+                    noise_times: tuple[int, ...] = (),
                     cost_times: tuple[int, ...] = (),
-                    decoded_times: tuple[int, ...] = ()) -> dict:
-    """Memory-light rollout keeping only the requested columns.
+                    decoded_times: tuple[int, ...] = (),
+                    clipped_times: tuple[int, ...] = ()) -> dict:
+    """A rollout that keeps only the requested columns.
 
-    Returns {"obs", "inputs", "injected", "costs", "decoded"}, each a dict
-    from time to an (n_traj, ...) column: y_t, u_t, the sigma-scaled noise
-    nu_t, c_t, and the value the policy's decoder produced at t. Uses the
-    identical stream derivation as rollout(), so kept columns are bitwise
-    equal to the corresponding slices of a full rollout (and decoded columns
-    to the decoder chain replayed over its observations). Costs are computed
-    only at cost_times, and an open-loop policy emits observations only at
-    obs_times.
+    Returns {"states", "obs", "inputs", "injected", "noises", "costs",
+    "decoded", "clipped"}, each a dict from time to an (n_traj, ...) column:
+    x_t, y_t, u_t, the sigma-scaled noise nu_t, the process noise w_t that
+    drives x_{t+1}, c_t, the value the policy's decoder produced at t, and
+    the boolean mask of rows whose decoder value was clipped at t (kept only
+    where the decoder checks the radius). Row i of every column is the same
+    whatever n_traj (for n_traj >= 2; see _drive). Costs are
+    computed only at cost_times, and an open-loop policy emits observations
+    only at obs_times.
     """
     if decoded_times and policy.decoders is None:
         raise ValidationError("decoded_times needs a policy with decoders")
-    rec = _ColumnRecorder(n_traj, obs_times, input_times, injected_times, cost_times,
-                          decoded_times)
-    _drive(spec, emission, policy, horizon, n_traj, base_seed, rec)
-    return rec.columns
+    times = {"states": set(state_times), "obs": set(obs_times), "inputs": set(input_times),
+             "injected": set(injected_times), "noises": set(noise_times),
+             "costs": set(cost_times), "decoded": set(decoded_times),
+             "clipped": set(clipped_times)}
+    columns = {key: {} for key in times}
 
-
-class _FullRecorder:
-    def __init__(self, spec, emission, horizon, n):
-        h = horizon
-        self.batch = TrajectoryBatch(
-            states=np.zeros((n, h + 1, spec.d_x)),
-            observations=np.zeros((n, h + 1, emission.d_y)),
-            inputs=np.zeros((n, h + 1, spec.d_u)),
-            injected=np.zeros((n, h + 1, spec.d_u)),
-            noises=np.zeros((n, h, spec.d_x)),
-            costs=np.zeros((n, h + 1)),
-        )
-
-    def wants_obs(self, t):
-        return True
-
-    def wants_cost(self, t):
-        return True
-
-    def state(self, rows, t, x, y):
-        self.batch.states[rows, t] = x
-        self.batch.observations[rows, t] = y
-
-    def input(self, rows, t, u, nu, cost, value):
-        self.batch.inputs[rows, t] = u
-        self.batch.injected[rows, t] = nu
-        self.batch.costs[rows, t] = cost
-
-    def noise(self, rows, t, w):
-        self.batch.noises[rows, t] = w
-
-
-class _ColumnRecorder:
-    def __init__(self, n, obs_times, input_times, injected_times, cost_times, decoded_times):
-        self.n = n
-        self.times = {"obs": set(obs_times), "inputs": set(input_times),
-                      "injected": set(injected_times), "costs": set(cost_times),
-                      "decoded": set(decoded_times)}
-        self.columns = {key: {} for key in self.times}
-
-    def _keep(self, key, rows, t, part):
-        if t in self.times[key]:
-            column = self.columns[key].get(t)
+    def keep(key, rows, t, part):
+        if part is not None and t in times[key]:
+            column = columns[key].get(t)
             if column is None:
-                column = self.columns[key][t] = np.empty((self.n,) + part.shape[1:], part.dtype)
+                column = columns[key][t] = np.empty((n_traj,) + part.shape[1:], part.dtype)
             column[rows] = part
 
-    def wants_obs(self, t):
-        return t in self.times["obs"]
-
-    def wants_cost(self, t):
-        return t in self.times["costs"]
-
-    def state(self, rows, t, x, y):
-        self._keep("obs", rows, t, y)
-
-    def input(self, rows, t, u, nu, cost, value):
-        self._keep("inputs", rows, t, u)
-        self._keep("injected", rows, t, nu)
-        self._keep("costs", rows, t, cost)
-        self._keep("decoded", rows, t, value)
-
-    def noise(self, rows, t, w):
-        pass
+    _drive(spec, emission, policy, horizon, n_traj, base_seed, times, keep)
+    return columns
 
 
 # Rows a rollout simulates together; the noise blocks and per-step arrays in
@@ -416,8 +378,9 @@ class _DrawAhead:
         return block
 
 
-def _drive(spec, emission, policy, horizon, n, seed, rec) -> None:
-    """Advance n trajectories through t = 0..horizon, handing every step to rec.
+def _drive(spec, emission, policy, horizon, n, seed, times, keep) -> None:
+    """Advance n trajectories through t = 0..horizon, handing each chunk's
+    columns to keep(key, rows, t, part).
 
     Rows run in chunks (_row_chunks), each chunk through every t before the
     next one starts. Each (role, time) substream is one Generator, read in
@@ -427,9 +390,9 @@ def _drive(spec, emission, policy, horizon, n, seed, rec) -> None:
     thread draws the next noise blocks while this thread simulates. A
     policy with sigma = 0 creates no input substream and acts on zero noise.
 
-    Observations are emitted where the policy or the recorder reads them,
-    costs only where the recorder keeps them; neither feeds the dynamics.
-    The recorder receives each chunk's row slice with its values.
+    Observations are emitted where the policy reads them or times["obs"]
+    holds t, costs only where times["costs"] does; neither feeds the
+    dynamics.
     """
     from .control import psd_sqrt
 
@@ -449,26 +412,30 @@ def _drive(spec, emission, policy, horizon, n, seed, rec) -> None:
             if t < horizon:
                 plan.append((process[t], hi - lo, spec.d_x))
 
-    def observe(t, x):
-        if policy.reads_observations or rec.wants_obs(t):
-            return emission.emit_batch(x)
+    def observe(rows, t, x):
+        keep("states", rows, t, x)
+        if policy.reads_observations or t in times["obs"]:
+            y = emission.emit_batch(x)
+            keep("obs", rows, t, y)
+            return y
         return None
 
     with _DrawAhead(plan) as draws:
         for lo, hi in chunks:
             rows = slice(lo, hi)
             x = draws.take() @ l_0.T
-            y = observe(0, x)
-            pol_state = policy.begin(hi - lo, lo)
-            rec.state(rows, 0, x, y)
+            y = observe(rows, 0, x)
+            pol_state = policy.begin(hi - lo)
             for t in range(horizon + 1):
                 nu = policy.sigma * draws.take() if inputs else np.zeros((hi - lo, spec.d_u))
-                u, value, pol_state = policy.act(pol_state, t, y, nu)
-                cost = _quad_rows(x, spec.q) + _quad_rows(u, spec.r) if rec.wants_cost(t) else None
-                rec.input(rows, t, u, nu, cost, value)
+                u, value, clipped, pol_state = policy.act(pol_state, t, y, nu)
+                if t in times["costs"]:
+                    keep("costs", rows, t, _quad_rows(x, spec.q) + _quad_rows(u, spec.r))
+                for key, part in (("inputs", u), ("injected", nu), ("decoded", value),
+                                  ("clipped", clipped)):
+                    keep(key, rows, t, part)
                 if t < horizon:
                     w = draws.take() @ l_w.T
+                    keep("noises", rows, t, w)
                     x = x @ spec.a.T + u @ spec.b.T + w
-                    y = observe(t + 1, x)
-                    rec.noise(rows, t, w)
-                    rec.state(rows, t + 1, x, y)
+                    y = observe(rows, t + 1, x)

@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from latentlqr import DecoderClass
+from latentlqr import DecoderClass, SystemSpec, solve_lyapunov
+from latentlqr import rng as rngmod
+from latentlqr.control import psd_sqrt
 
 
 def random_stable(rng: np.random.Generator, d: int, rho: float = 0.9) -> np.ndarray:
@@ -30,3 +32,18 @@ def principal_angle(u: np.ndarray, v: np.ndarray) -> float:
     qv, _ = np.linalg.qr(v)
     s = np.linalg.svd(qu.T @ qv, compute_uv=False)
     return float(np.arccos(np.clip(s[-1], -1.0, 1.0)))
+
+
+def estimate_growth_bound(decoder_class: DecoderClass, spec: SystemSpec, emit, seed: int,
+                          n: int = 100_000) -> float:
+    """Growth bound L = max ||f(y)|| / max(1, ||x||) over the candidates f,
+    estimated on n sampled open-loop latent states."""
+    stationary = solve_lyapunov(spec.a, spec.sigma_w + spec.b @ spec.b.T)
+    g = rngmod.generator(seed, rngmod.TAG_INSTANCE, 2)
+    x = g.standard_normal((n, spec.d_x)) @ psd_sqrt(stationary + spec.sigma_0).T
+    y = emit(x)
+    denom = np.maximum(1.0, np.linalg.norm(x, axis=1))
+    growth = 1.0
+    for f in decoder_class.candidates:
+        growth = max(growth, float(np.max(np.linalg.norm(f(y), axis=1) / denom)))
+    return growth

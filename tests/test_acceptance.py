@@ -13,10 +13,11 @@ from latentlqr import (ExperimentConfig, Phase1Config, Phase3Config, SystemSpec,
                        collect_id_data, collect_onpolicy, fit_coarse_decoder,
                        fit_residual_regressors, learn_initial_state,
                        make_benchmark_instance, parameter_bounds, psd_project,
-                       rollout, run_pipeline, run_sysid, similarity_from_ground_truth,
+                       rollout, rollout_columns, run_pipeline, run_sysid,
+                       similarity_from_ground_truth,
                        solve_dare, strong_stability_cert)
 from latentlqr.phase1 import bayes_map
-from latentlqr.phase3 import DecoderStack, _split
+from latentlqr.phase3 import DecoderStack
 from latentlqr.system import PolicyDef
 
 from helpers import random_spd, random_stable, truth_only
@@ -229,7 +230,7 @@ def test_criterion_7_noise_shaping_and_increment_fidelity():
         stack = DecoderStack(a_hat=spec.a, b_hat=spec.b, k_gain=sol.k, p_hat=sol.p,
                              b_bar=50.0)
         config = Phase3Config(n_op=20_000, sigma=1.0, t_horizon=1, kappa=1, r_op=8.0)
-        halves = collect_onpolicy(spec, emission, stack, 0, config, seed=71)
+        halves, _ = collect_onpolicy(spec, emission, stack, 0, config, seed=71)
         _, h_t = fit_residual_regressors(halves, stack, shaping, 0, config,
                                          truth_only(cls))
         fresh = rollout(spec, emission, PolicyDef.gain_decoder(sol.k, stack, sigma=1.0),
@@ -257,17 +258,18 @@ def test_criterion_8_initial_state_subroutine():
         config = Phase3Config(n_op=100_000, sigma=1.0, t_horizon=1, kappa=1, r_op=8.0,
                               n_init=100_000)
         shaping = build_noise_shaping(spec.a, spec.b, spec.sigma_w, sigma=1.0, kappa=1)
-        halves = collect_onpolicy(spec, emission, stack, 0, config, seed=81)
+        halves, _ = collect_onpolicy(spec, emission, stack, 0, config, seed=81)
         _, h_0 = fit_residual_regressors(halves, stack, shaping, 0, config,
                                          truth_only(cls))
-        batch = rollout(spec, emission, PolicyDef.open_loop_gaussian(sigma=1.0),
-                        horizon=1, n_traj=200_000, base_seed=82)
-        pieces = learn_initial_state((_split(batch), _split(batch, second=True)), h_0,
+        cols = rollout_columns(spec, emission, PolicyDef.open_loop_gaussian(sigma=1.0),
+                               horizon=1, n_traj=200_000, base_seed=82, obs_times=(0, 1),
+                               injected_times=(0,))
+        pieces = learn_initial_state(cols["obs"][0], cols["obs"][1], cols["injected"][0], h_0,
                                      est, config, truth_only(cls))
         # Sigma_cov target: Sigma_w^2 / (sigma^2 B^2 + Sigma_w) = 1/2
         cov_err = abs(pieces.sigma_cov[0, 0] - 0.5)
         assert cov_err <= 0.05
-        fa0 = pieces.f_a0(batch.observations[:, 0])
+        fa0 = pieces.f_a0(cols["obs"][0])
         init_err = float(np.mean(np.sum(fa0**2, axis=1)))
         assert init_err <= 0.05
     assert timer.elapsed < 60.0

@@ -150,6 +150,22 @@ class TestExitCodes:
         if "n_id" in overrides:
             assert "config line 2" in err
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_simulate_non_finite_sigma_is_2_before_simulating(self, tmp_path, capsys,
+                                                              monkeypatch, sigma):
+        import latentlqr.system as system
+
+        def no_simulation(*args):
+            raise AssertionError("simulated before sigma was validated")
+
+        monkeypatch.setattr(system, "_drive", no_simulation)
+        out = tmp_path / "o"
+        code = main(["simulate", "--instance", "scalar-identity", "--seed", "1",
+                     "--out", str(out), "--sigma", sigma])
+        assert code == 2
+        assert "sigma" in capsys.readouterr().err
+        assert not (out / "trajectories.csv").exists()
+
     def test_numerical_failure_is_3(self, tmp_path):
         # sigma so small the initial-state covariance trips the inversion guard
         cfg = write_config(tmp_path / "run.cfg", sigma=1e-6, n_op=60, n_init=60)

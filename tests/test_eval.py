@@ -1,11 +1,16 @@
 """Evaluation harness: cost estimation, alignment, pipeline reports."""
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latentlqr import (ExperimentConfig, PolicyDef, SystemSpec, ValidationError,
                        align_decoder, estimate_cost, estimate_gap,
                        make_benchmark_instance, optimal_policy, parse_config,
-                       run_pipeline, solve_dare, solve_lyapunov)
+                       rollout, rollout_columns, run_pipeline, solve_dare, solve_lyapunov)
+from latentlqr import pipeline, system
 from latentlqr.evaluate import EvalReport
 
 
@@ -119,6 +124,13 @@ class TestAlignDecoder:
             align_decoder(truth, truth, self._obs())
 
 
+CONFIG_KEYS = sorted(pipeline._INT_KEYS | pipeline._FLOAT_KEYS | pipeline._STR_KEYS
+                     | pipeline._BOOL_KEYS) + ["bogus"]
+TRICKY_VALUES = ["0", "1", "-1", "2", "0.5", "1e4", "1e100", "1e400", "-1e400", "nan",
+                 "-nan", "inf", "-inf", "true", "false", "TRUE", "", "abc", "=", "#",
+                 "1_000", "0x10", "9" * 5000, "scalar-identity"]
+
+
 class TestConfigParsing:
     def test_roundtrip(self):
         text = """
@@ -142,6 +154,18 @@ class TestConfigParsing:
     def test_missing_required(self):
         with pytest.raises(ValidationError):
             parse_config("instance = scalar-identity\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(st.tuples(st.sampled_from(CONFIG_KEYS),
+                                    st.one_of(st.sampled_from(TRICKY_VALUES),
+                                              st.text(max_size=12))),
+                          max_size=12))
+    def test_raises_nothing_but_validation_error(self, lines):
+        text = "".join(f"{key} = {value}\n" for key, value in lines)
+        try:
+            parse_config(text)
+        except ValidationError:
+            pass
 
     def test_zero_sample_size_rejected(self):
         with pytest.raises(ValidationError):
@@ -264,7 +288,8 @@ class TestDecoderErrors:
         # reference replays the stack over a full rollout's observations.
         # A tight clip radius makes some steps clip.
         from latentlqr import (DecoderStack, FittedRegressor, LearnedPolicy,
-                               decoder_errors_by_time, decoder_update, rollout)
+                               decoder_errors_by_time, decoder_update, rollout,
+                               rollout_columns)
 
         from helpers import truth_only
 
@@ -279,10 +304,94 @@ class TestDecoderErrors:
         learned = LearnedPolicy(stack=stack, sigma=0.3, trajectories_used=0)
         s_id = np.random.default_rng(8).standard_normal((spec.d_x, spec.d_x))
         errors = decoder_errors_by_time(spec, emission, learned, s_id, 500, seed=17)
-        assert sum(c for c, _ in stack.clip_counts.values()) > 0
+        masks = rollout_columns(spec, emission, learned.policy(), horizon=3, n_traj=500,
+                                base_seed=17, clipped_times=(1, 2, 3))["clipped"]
+        assert sum(int(m.sum()) for m in masks.values()) > 0
 
         batch = rollout(spec, emission, learned.policy(), horizon=3, n_traj=500, base_seed=17)
         values = stack.values_all(batch.observations, 3)
         expected = [np.mean(np.sum((values[:, t] - emission.decode_batch(
             batch.observations[:, t]) @ s_id.T) ** 2, axis=1)) for t in (1, 2, 3)]
         assert np.array_equal(errors, expected)
+
+
+@pytest.fixture(scope="class")
+def clipping_run():
+    """A scalar run whose clip radius b_bar = 1 clips some decoder steps."""
+    config = ExperimentConfig(instance="scalar-identity", n_id=1200, n_op=500, t_horizon=3,
+                              n_eval=400, seed=3, eval_seed=77, sigma=0.3,
+                              kappa0_override=4, b_bar=1.0)
+    return config, run_pipeline(config)
+
+
+def snapshot(obj) -> str:
+    """Every attribute of obj, with arrays printed in full and bit-exact."""
+    with np.printoptions(threshold=sys.maxsize, floatmode="unique"):
+        return repr(vars(obj))
+
+
+class TestPureDecoders:
+    def test_rollouts_leave_the_stack_unchanged(self, clipping_run):
+        config, result = clipping_run
+        learned = result.learned
+        spec, emission, _ = make_benchmark_instance(config.instance)
+        before = snapshot(learned.stack)
+        for policy in (learned.policy(), learned.greedy_policy()):
+            rollout(spec, emission, policy, horizon=config.t_horizon, n_traj=300, base_seed=9)
+        assert snapshot(learned.stack) == before
+
+    def test_report_counts_the_cost_pass_masks(self, clipping_run):
+        config, result = clipping_run
+        spec, emission, _ = make_benchmark_instance(config.instance)
+        times = tuple(range(1, config.t_horizon + 1))
+        cols = rollout_columns(spec, emission, result.learned.policy(),
+                               horizon=config.t_horizon, n_traj=config.n_eval,
+                               base_seed=config.eval_seed, decoded_times=times,
+                               clipped_times=times)
+        masks = cols["clipped"]
+        assert sorted(masks) == list(times)
+        by_hand = sum(int(masks[t].sum()) for t in times)
+        assert 0 < by_hand == result.report.clip_events
+        assert result.report.clip_fraction == by_hand / (len(times) * config.n_eval)
+        for t in times:
+            assert np.all(cols["decoded"][t][masks[t]] == 0.0)
+
+    def test_concurrent_rollouts_match_a_serial_one(self, clipping_run, monkeypatch):
+        config, result = clipping_run
+        spec, emission, _ = make_benchmark_instance(config.instance)
+        policy = result.learned.policy()
+        times = tuple(range(config.t_horizon + 1))
+        # 64-row chunks and a short switch interval, so the threads step the
+        # shared stack many times each and interleave between steps
+        monkeypatch.setattr(system, "CHUNK_ROWS", 64)
+
+        def columns():
+            return rollout_columns(spec, emission, policy, horizon=config.t_horizon,
+                                   n_traj=3000, base_seed=41, obs_times=times,
+                                   input_times=times, decoded_times=times,
+                                   clipped_times=times)
+
+        serial = columns()
+        threaded = [None] * 4
+        start = threading.Barrier(len(threaded))
+
+        def work(i):
+            start.wait(timeout=60)
+            threaded[i] = columns()
+
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(len(threaded))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert any(m.any() for m in serial["clipped"].values())
+        for cols in threaded:
+            for key, by_time in serial.items():
+                assert cols[key].keys() == by_time.keys(), key
+                assert all(np.array_equal(cols[key][t], by_time[t]) for t in by_time), key

@@ -5,8 +5,9 @@ import pytest
 from latentlqr import (Phase3Config, SystemSpec, SysIdEstimates, ValidationError,
                        build_noise_shaping, collect_onpolicy, compute_policy,
                        decoder_update, fit_residual_regressors, learn_initial_state,
-                       make_benchmark_instance, rollout, solve_dare)
-from latentlqr.phase3 import DecoderStack, _split, default_clip_radius
+                       make_benchmark_instance, rollout, rollout_columns, solve_dare)
+from latentlqr import phase3
+from latentlqr.phase3 import DecoderStack, default_clip_radius
 from latentlqr.regression import FittedRegressor
 from latentlqr import system
 from latentlqr.system import PolicyDef
@@ -60,7 +61,7 @@ class TestCollectOnPolicy:
         spec, emission, cls, est = scalar_pieces()
         stack = stack_for(spec, est)
         cfg = Phase3Config(n_op=50, sigma=0.5, t_horizon=1, kappa=1, r_op=8.0)
-        half1, half2 = collect_onpolicy(spec, emission, stack, 0, cfg, seed=3)
+        (half1, half2), _ = collect_onpolicy(spec, emission, stack, 0, cfg, seed=3)
         # f_0 = 0, so the input K f_0 + nu_0 is the injected noise alone
         assert np.array_equal(np.vstack([half1.f_t, half2.f_t]), np.zeros((100, 1)))
         policy = PolicyDef.gain_decoder(stack.k_gain, stack, sigma=0.5)
@@ -81,7 +82,7 @@ class TestCollectOnPolicy:
                            stack)
         t, kappa, n_op = 2, 2, 40
         cfg = Phase3Config(n_op=n_op, sigma=0.3, t_horizon=3, kappa=kappa, r_op=8.0)
-        halves = collect_onpolicy(spec, emission, stack, t, cfg, seed=21)
+        halves, _ = collect_onpolicy(spec, emission, stack, t, cfg, seed=21)
         policy = PolicyDef.gain_decoder(stack.k_gain, stack, sigma=0.3)
         full = rollout(spec, emission, policy, horizon=t + kappa, n_traj=2 * n_op,
                        base_seed=21)
@@ -108,7 +109,7 @@ class TestCollectOnPolicy:
         spec, emission, cls, est = scalar_pieces()
         stack = stack_for(spec, est)
         cfg = Phase3Config(n_op=50_000, sigma=0.4, t_horizon=1, kappa=1, r_op=8.0)
-        half1, half2 = collect_onpolicy(spec, emission, stack, 0, cfg, seed=4)
+        (half1, half2), _ = collect_onpolicy(spec, emission, stack, 0, cfg, seed=4)
         nu = np.vstack([half1.injected[:, 0], half2.injected[:, 0]])
         var = float(np.mean(nu**2))
         assert abs(var - 0.16) <= 0.03 * 0.16
@@ -134,17 +135,21 @@ class TestDecoderStack:
         assert np.allclose(vals[:, 2], expected2, atol=1e-10)
 
     def test_clip_semantics(self):
+        # with h = f_star, A-hat = 0.5 and y_0 = 0 the unclipped f_1 is y_1, of norm 5
         spec, emission, cls, est = scalar_pieces()
         stack = stack_for(spec, est, b_bar=5.0)
-        tilde = np.array([[3.0, 4.0], [3.0, 4.0]])
-        kept = stack._clip(tilde.copy(), t=1)
-        assert np.allclose(kept, tilde)
+        decoder_update(FittedRegressor(candidate_index=0, m=np.eye(1), empirical_loss=0.0,
+                                       decoder_class=truth_only(cls)), stack)
+        y0, y1 = np.zeros((2, 1)), np.array([[5.0], [-5.0]])
+        _, clipped0, state = stack.step(stack.begin(2), 0, y0)
+        assert clipped0 is None  # f_0 = 0 checks no radius
+        kept, clipped, _ = stack.step(state, 1, y1)
+        assert np.array_equal(kept, y1) and not clipped.any()
         stack.b_bar = 4.0
-        zeroed = stack._clip(tilde.copy(), t=1)
-        assert np.allclose(zeroed, 0.0)
-        assert stack.clip_counts[1][0] == 2
-        assert stack.clip_events[0][0] == 1
-        assert stack.clip_events[0][2] == pytest.approx(5.0)
+        zeroed, clipped, _ = stack.step(state, 1, y1)
+        assert np.array_equal(zeroed, np.zeros((2, 1)))
+        assert clipped.dtype == bool and int(clipped.sum()) == 2
+        assert stack.step(state, 2, y1)[1] is None  # beyond the learned depth
 
     def test_depth_zero_beyond_stack(self):
         spec, emission, cls, est = scalar_pieces()
@@ -162,7 +167,7 @@ class TestDecoderStack:
                                        decoder_class=truth_only(cls)), stack)
         n_op, sigma = 500, 0.5
         cfg = Phase3Config(n_op=n_op, sigma=sigma, t_horizon=2, kappa=1, r_op=8.0)
-        halves = collect_onpolicy(spec, emission, stack, 1, cfg, seed=31)
+        halves, masks = collect_onpolicy(spec, emission, stack, 1, cfg, seed=31)
         # with h = f_star and f_0 = 0 the unclipped f_1 is x_1 - A x_0 = B nu_0 + w_0,
         # which an open-loop rollout on the same streams reproduces
         ref = rollout(spec, emission, PolicyDef.open_loop_gaussian(sigma), horizon=1,
@@ -170,19 +175,16 @@ class TestDecoderStack:
         tilde = ref.injected[:, 0] @ spec.b.T + ref.noises[:, 0]
         clipped = np.linalg.norm(tilde, axis=1) > stack.b_bar
         assert 0 < clipped.sum() < 2 * n_op
-        # each on-policy trajectory is counted once; f_0 and f_2 never clip
-        assert stack.clip_counts == {1: [int(clipped.sum()), 2 * n_op]}
+        # one mask row per on-policy trajectory, in trajectory order; f_0 and
+        # f_2 check no radius, so only t = 1 is recorded
+        assert list(masks) == [1] and np.array_equal(masks[1], clipped)
         f_1 = np.vstack([half.f_t for half in halves])
         assert np.array_equal(f_1[clipped], np.zeros((int(clipped.sum()), 1)))
         assert np.allclose(f_1[~clipped], tilde[~clipped], atol=1e-12)
-        # events carry trajectory indices of the whole rollout, so a rollout run
-        # in 7-row chunks records the same counts and events
-        counts, events = stack.clip_counts, stack.clip_events
-        assert [i for _, i, _ in events] == list(np.flatnonzero(clipped))
-        stack.reset_clip_stats()
+        # a rollout run in 7-row chunks records the same mask
         monkeypatch.setattr(system, "CHUNK_ROWS", 7)
-        chunked = collect_onpolicy(spec, emission, stack, 1, cfg, seed=31)
-        assert stack.clip_counts == counts and stack.clip_events == events
+        chunked, chunked_masks = collect_onpolicy(spec, emission, stack, 1, cfg, seed=31)
+        assert list(chunked_masks) == [1] and np.array_equal(chunked_masks[1], clipped)
         assert np.array_equal(np.vstack([half.f_t for half in chunked]), f_1)
 
 
@@ -193,7 +195,7 @@ class TestResidualRegression:
         shap = build_noise_shaping(est.a_hat, est.b_hat, est.sigma_w_hat, sigma=1.0, kappa=1)
         assert np.array_equal(shap.big_m, shap.m_k[0])
         cfg = Phase3Config(n_op=5_000, sigma=1.0, t_horizon=1, kappa=1, r_op=8.0)
-        halves = collect_onpolicy(spec, emission, stack, 0, cfg, seed=5)
+        halves, _ = collect_onpolicy(spec, emission, stack, 0, cfg, seed=5)
         first, h_t = fit_residual_regressors(halves, stack, shap, 0, cfg, truth_only(cls))
         assert len(first) == 1
         # the stacked second stage refits the same increment map
@@ -205,7 +207,7 @@ class TestResidualRegression:
         stack = stack_for(spec, est)
         shap = build_noise_shaping(est.a_hat, est.b_hat, est.sigma_w_hat, sigma=1.0, kappa=1)
         cfg = Phase3Config(n_op=100_000, sigma=1.0, t_horizon=1, kappa=1, r_op=8.0)
-        halves = collect_onpolicy(spec, emission, stack, 0, cfg, seed=6)
+        halves, _ = collect_onpolicy(spec, emission, stack, 0, cfg, seed=6)
         first, _ = fit_residual_regressors(halves, stack, shap, 0, cfg, truth_only(cls))
         # fitted composite map on y_{t+1} is M_1 * m; with A-hat=0 the y_t term drops
         composite = shap.m_k[0][0, 0] * first[0].m[0, 0]
@@ -222,23 +224,25 @@ class TestInitialState:
         cfg = Phase3Config(n_op=500, sigma=1e-6, t_horizon=1, kappa=1, r_op=8.0)
         zero_reg = FittedRegressor(candidate_index=0, m=np.zeros((1, 1)), empirical_loss=0.0,
                                    decoder_class=truth_only(cls))
-        batch = rollout(spec, emission, PolicyDef.open_loop_gaussian(1e-6),
-                        horizon=1, n_traj=1000, base_seed=8)
+        cols = rollout_columns(spec, emission, PolicyDef.open_loop_gaussian(1e-6),
+                               horizon=1, n_traj=1000, base_seed=8, obs_times=(0, 1),
+                               injected_times=(0,))
         with pytest.raises(IllConditionedCovarianceError):
-            learn_initial_state((_split(batch), _split(batch, second=True)), zero_reg,
+            learn_initial_state(cols["obs"][0], cols["obs"][1], cols["injected"][0], zero_reg,
                                 est, cfg, truth_only(cls))
 
     def test_zero_dynamics_target_is_zero(self):
         spec, emission, cls, est = scalar_pieces(a=0.0)
         stack = stack_for(spec, est)
         cfg = Phase3Config(n_op=20_000, sigma=1.0, t_horizon=1, kappa=1, r_op=8.0)
-        halves = collect_onpolicy(spec, emission, stack, 0, cfg, seed=9)
+        halves, _ = collect_onpolicy(spec, emission, stack, 0, cfg, seed=9)
         _, h0 = fit_residual_regressors(halves, stack, shaping_for(est), 0, cfg, truth_only(cls))
-        batch = rollout(spec, emission, PolicyDef.open_loop_gaussian(sigma=1.0),
-                        horizon=1, n_traj=40_000, base_seed=10)
-        pieces = learn_initial_state((_split(batch), _split(batch, second=True)), h0,
+        cols = rollout_columns(spec, emission, PolicyDef.open_loop_gaussian(sigma=1.0),
+                               horizon=1, n_traj=40_000, base_seed=10, obs_times=(0, 1),
+                               injected_times=(0,))
+        pieces = learn_initial_state(cols["obs"][0], cols["obs"][1], cols["injected"][0], h0,
                                      est, cfg, truth_only(cls))
-        fa0 = pieces.f_a0(batch.observations[:, 0])
+        fa0 = pieces.f_a0(cols["obs"][0])
         assert float(np.mean(fa0**2)) <= 0.05
 
 
@@ -258,6 +262,27 @@ class TestComputePolicy:
         assert learned.stack.depth == 4  # decoders f_0..f_T with T = 3
         assert learned.t_horizon == 3
         assert learned.trajectories_used == 2 * 400 * 3 + 2 * 400
+
+    def test_learning_clip_counts_sum_the_collects(self, monkeypatch):
+        # a clip radius this small clips at several decoder steps; the learned
+        # policy's counts are the sums of every collect's recorded masks
+        spec, emission, cls, est = scalar_pieces()
+        cfg = Phase3Config(n_op=300, sigma=0.5, t_horizon=3, kappa=1, r_op=8.0, b_bar=1.0)
+        recorded = []
+
+        def recording(*args):
+            halves, masks = collect(*args)
+            recorded.append(masks)
+            return halves, masks
+
+        collect = phase3.collect_onpolicy
+        monkeypatch.setattr(phase3, "collect_onpolicy", recording)
+        learned = compute_policy(spec, emission, est, truth_only(cls), cfg, seed=11)
+        assert [sorted(masks) for masks in recorded] == [[], [1], [1, 2]]
+        expected = {t: (sum(int(m[t].sum()) for m in recorded if t in m),
+                        sum(m[t].size for m in recorded if t in m)) for t in (1, 2)}
+        assert learned.learning_clip_counts == expected
+        assert expected[1][1] == 2 * 2 * 300 and all(c > 0 for c, _ in expected.values())
 
     def test_default_clip_radius_formula(self):
         assert default_clip_radius(1, 1, 5000) == pytest.approx(20.0 * np.log(5000.0))

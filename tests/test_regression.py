@@ -1,9 +1,12 @@
 """Regression oracle: linear maps, structured ERM, clamping, consistency."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from latentlqr import (DecoderClass, StructuredClass, ValidationError, erm_fit,
                        erm_fit_increment, fit_linear_map)
+from latentlqr.regression import _opnorm_clamp
 
 
 def identity_class(**kwargs) -> DecoderClass:
@@ -175,3 +178,24 @@ class TestErmFitIncrement:
         inc = erm_fit_increment(klass, y_now, y_next, np.eye(2), np.zeros((2, 2)), targets)
         simple = erm_fit(klass, y_next, targets)
         assert np.allclose(inc.m, simple.m, atol=1e-8)
+
+
+class TestOpnormClampProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(m=arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                    elements=st.floats(-1e6, 1e6)),
+           radius=st.floats(1e-6, 1e6))
+    def test_never_exceeds_the_radius(self, m, radius):
+        clamped, was_clamped = _opnorm_clamp(m, radius)
+        assert np.linalg.norm(clamped, 2) <= radius * (1 + 1e-12)
+        if not was_clamped:
+            assert clamped is m
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                    elements=st.floats(-1e3, 1e3)),
+           slack=st.floats(1.0 + 1e-9, 1e3))
+    def test_within_the_radius_is_returned_unchanged(self, m, slack):
+        radius = max(np.linalg.norm(m, 2) * slack, 1e-300)
+        clamped, was_clamped = _opnorm_clamp(m, radius)
+        assert clamped is m and not was_clamped

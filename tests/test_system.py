@@ -11,13 +11,13 @@ from latentlqr import (DecoderStack, EmissionModel, FittedRegressor, PolicyDef, 
                        optimal_policy, rollout, rollout_columns, solve_dare)
 from latentlqr import rng as rngmod
 from latentlqr import system
-from latentlqr.benchmarks import CATALOG, cubic_forward, cubic_inverse, estimate_growth_bound
+from latentlqr.benchmarks import CATALOG, cubic_forward, cubic_inverse
 from latentlqr.control import psd_sqrt
 from latentlqr.rng import ROLE_INIT_STATE, ROLE_INPUT, ROLE_PROCESS, noise_block
 from latentlqr.serialize import export_trajectories_csv
 from latentlqr.system import CurrentObsDecoder
 
-from helpers import truth_only
+from helpers import estimate_growth_bound, truth_only
 
 
 def scalar_spec(a=0.5, b=1.0, q=1.0, r=1.0, sw=1.0, s0=1.0) -> SystemSpec:
@@ -196,7 +196,7 @@ def reference_rollout(spec, emission, policy, horizon, n, seed) -> dict:
     state = policy.begin(n)
     for t in range(horizon + 1):
         nu = policy.sigma * noise_block(seed, ROLE_INPUT, t, n, spec.d_u)
-        u, value, state = policy.act(state, t, y, nu)
+        u, value, _, state = policy.act(state, t, y, nu)
         cost = system._quad_rows(x, spec.q) + system._quad_rows(u, spec.r)
         for key, column in (("states", x), ("observations", y), ("inputs", u),
                             ("injected", nu), ("costs", cost), ("decoded", value)):
@@ -305,14 +305,14 @@ class FailingDecoder:
     def __init__(self, emission, fail_at):
         self.emission, self.fail_at = emission, fail_at
 
-    def begin(self, n, offset=0):
+    def begin(self, n):
         return None
 
     def step(self, state, t, y):
         value = self.emission.decode_batch(y)
         if t == self.fail_at:
             value[-1] = np.nan
-        return value, state
+        return value, None, state
 
 
 class FailingStream:
