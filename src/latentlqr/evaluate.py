@@ -11,9 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import controllability_matrix, open_loop_state_cov
 from .errors import ValidationError
-from .phase1 import Phase1Output
+from .phase1 import Phase1Output, bayes_map
 from .system import EmissionModel, PolicyDef, SystemSpec, rollout_columns
 
 
@@ -91,15 +90,9 @@ def align_decoder(f_hat, f_star, observations: np.ndarray) -> AlignmentResult:
 
 def similarity_from_ground_truth(phase1_out: Phase1Output, spec: SystemSpec,
                                  kappa: int) -> np.ndarray:
-    """Exact similarity transform induced by the coarse decoder.
-
-    S = V_id' C_kappa' Sigma_{kappa_1}^{-1}, with the state covariance at
-    kappa_1 computed exactly from the finite series.
-    """
-    c_k = controllability_matrix(spec.a, spec.b, kappa)
-    sigma = open_loop_state_cov(spec.a, spec.b, spec.sigma_w, spec.sigma_0,
-                                phase1_out.kappa1)
-    return phase1_out.v_id.T @ np.linalg.solve(sigma, c_k).T
+    """Exact similarity transform induced by the coarse decoder:
+    S = V_id' C_kappa' Sigma_{kappa_1}^{-1}, V_id' applied to the Bayes map."""
+    return phase1_out.v_id.T @ bayes_map(spec, kappa, phase1_out.kappa1)
 
 
 def decoder_errors_by_time(spec: SystemSpec, emission: EmissionModel, learned,

@@ -5,10 +5,11 @@ Every learning phase reduces to one of two fits:
 * simple:     prediction  M f(y_i)                       (+ known offset)
 * increment:  prediction  L (M f(y_i') - G M f(y_i))     (+ known offset)
 
-Both are linear in M for each candidate f, so the per-candidate solve is a
-closed-form ridge least squares; the operator norm of M is then clamped to
-the class radius, the loss recomputed, and the best candidate returned
-(ties broken by lowest candidate index).
+Both are sums of terms L_j M f(y_j), linear in M for each candidate f, so one
+Gram-form solve serves both: each candidate's normal equations are formed
+from its Gram blocks, solved with a small ridge, the operator norm of M is
+clamped to the class radius, and the loss of the clamped M is read off the
+same blocks. The best candidate is returned (ties broken by lowest index).
 """
 from __future__ import annotations
 
@@ -101,24 +102,41 @@ def fit_linear_map(inputs: np.ndarray, targets: np.ndarray, ridge: float = RIDGE
     return sol.T
 
 
-def _loss(residuals: np.ndarray) -> float:
-    return float(np.mean(np.sum(residuals**2, axis=1)))
+def _erm(klass: StructuredClass, terms: list[tuple[np.ndarray, np.ndarray]],
+         targets: np.ndarray, offsets: np.ndarray | None, ridge: float) -> FittedRegressor:
+    """Fit sum_j L_j M f(y_j) + offset to the targets for every candidate f.
 
-
-def _select(klass: StructuredClass, fit_one) -> FittedRegressor:
-    """Run fit_one per candidate, clamp, recompute loss, return the argmin."""
+    terms lists the pairs (L_j, y_j). With R = targets - offsets and F_j the
+    feature rows of y_j, the normal equations of vec(M) are
+    (G + ridge I) v = r with G = sum_jk kron(F_j'F_k, L_j'L_k) and
+    r = vec(sum_j L_j' R' F_j). The clamped v is scored as
+    (v'Gv - 2v'r + ||R||^2) / n, floored at the 0 that roundoff can cross on
+    exact fits; the lowest loss wins, ties to the lowest index.
+    """
+    resid = np.ascontiguousarray(
+        targets if offsets is None else targets - np.atleast_2d(np.asarray(offsets, dtype=float)))
+    n, m_out = resid.shape[0], klass.output_dim
+    resid_sq = float(np.sum(resid * resid))
     best: FittedRegressor | None = None
     losses = []
     for idx in range(len(klass.base)):
-        m, loss_fn = fit_one(idx)
-        m_clamped, clamped = _opnorm_clamp(m, klass.radius)
+        feats = [np.ascontiguousarray(klass.base.features(idx, y)) for _, y in terms]
+        gram = sum(np.kron(fj.T @ fk, lj.T @ lk)
+                   for (lj, _), fj in zip(terms, feats) for (lk, _), fk in zip(terms, feats))
+        rhs = sum(lj.T @ resid.T @ fj for (lj, _), fj in zip(terms, feats)).flatten(order="F")
+        try:
+            vec = np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), rhs)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - ridge keeps this rare
+            raise NumericalError("rank-deficient design despite ridge") from exc
+        m, clamped = _opnorm_clamp(vec.reshape((m_out, -1), order="F"), klass.radius)
         if clamped:
             logger.info("operator-norm clamp active for candidate %d (radius %.3g)",
                         idx, klass.radius)
-        loss = loss_fn(m_clamped)
+        vec = m.flatten(order="F")
+        loss = max(0.0, float((vec @ gram @ vec - 2.0 * (vec @ rhs) + resid_sq) / n))
         losses.append(loss)
         if best is None or loss < best.empirical_loss:
-            best = FittedRegressor(candidate_index=idx, m=m_clamped, empirical_loss=loss,
+            best = FittedRegressor(candidate_index=idx, m=m, empirical_loss=loss,
                                    decoder_class=klass.base, clamped=clamped)
     assert best is not None
     best.all_losses = tuple(losses)
@@ -141,18 +159,7 @@ def erm_fit(klass: StructuredClass, observations: np.ndarray, targets: np.ndarra
         raise ValidationError(f"targets must be ({n}, {klass.output_dim}), got {tgt.shape}")
     if not np.all(np.isfinite(tgt)):
         raise ValidationError("targets must be finite")
-    adj = tgt if offsets is None else tgt - np.atleast_2d(np.asarray(offsets, dtype=float))
-
-    def fit_one(idx: int):
-        feats = klass.base.features(idx, obs)
-        m = fit_linear_map(feats, adj, ridge=ridge)
-
-        def loss_fn(mm: np.ndarray) -> float:
-            return _loss(feats @ mm.T - adj)
-
-        return m, loss_fn
-
-    return _select(klass, fit_one)
+    return _erm(klass, [(np.eye(klass.output_dim), obs)], tgt, offsets, ridge)
 
 
 def erm_fit_increment(klass: StructuredClass, obs_now: np.ndarray, obs_next: np.ndarray,
@@ -160,10 +167,8 @@ def erm_fit_increment(klass: StructuredClass, obs_now: np.ndarray, obs_next: np.
                       offsets: np.ndarray | None = None, ridge: float = RIDGE) -> FittedRegressor:
     """ERM for the two-point prediction L (M f(y') - G M f(y)) + offset.
 
-    left is L (rows match the target dimension), shift is G. This realizes
-    the regressions whose hypothesis appears at two adjacent observations
-    with fixed matrix prefactors; the solve is over vec(M) via the Kronecker
-    identity vec(L M a) = (a' kron L) vec(M).
+    left is L (rows match the target dimension), shift is G: the two terms
+    (L, y') and (-L G, y) of the hypothesis at adjacent observations.
     """
     y_now = np.atleast_2d(np.asarray(obs_now, dtype=float))
     y_next = np.atleast_2d(np.asarray(obs_next, dtype=float))
@@ -179,30 +184,4 @@ def erm_fit_increment(klass: StructuredClass, obs_now: np.ndarray, obs_next: np.
         raise ValidationError("left factor rows must match target dimension")
     if not np.all(np.isfinite(tgt)):
         raise ValidationError("targets must be finite")
-    adj = tgt if offsets is None else tgt - np.atleast_2d(np.asarray(offsets, dtype=float))
-
-    m_out = klass.output_dim
-    l1 = left
-    l2 = -left @ shift
-
-    def fit_one(idx: int):
-        a = klass.base.features(idx, y_next)   # rows f(y'_i)
-        b = klass.base.features(idx, y_now)    # rows f(y_i)
-        d_feat = a.shape[1]
-        gram = (np.kron(a.T @ a, l1.T @ l1) + np.kron(a.T @ b, l1.T @ l2)
-                + np.kron(b.T @ a, l2.T @ l1) + np.kron(b.T @ b, l2.T @ l2))
-        gram += ridge * np.eye(m_out * d_feat)
-        rhs = ((l1.T @ adj.T @ a) + (l2.T @ adj.T @ b)).flatten(order="F")
-        try:
-            vec = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericalError("rank-deficient increment design despite ridge") from exc
-        m = vec.reshape((m_out, d_feat), order="F")
-
-        def loss_fn(mm: np.ndarray) -> float:
-            pred = a @ mm.T @ l1.T + b @ mm.T @ l2.T
-            return _loss(pred - adj)
-
-        return m, loss_fn
-
-    return _select(klass, fit_one)
+    return _erm(klass, [(left, y_next), (-left @ shift, y_now)], tgt, offsets, ridge)

@@ -47,3 +47,18 @@ def estimate_growth_bound(decoder_class: DecoderClass, spec: SystemSpec, emit, s
     for f in decoder_class.candidates:
         growth = max(growth, float(np.max(np.linalg.norm(f(y), axis=1) / denom)))
     return growth
+
+
+def closed_form_step_cost(spec: SystemSpec, gain: np.ndarray, sigma: float,
+                          t_horizon: int) -> float:
+    """Exact mean per-step cost (1/T) sum_{t=1..T} E c_t of u_t = K x_t + sigma nu_t
+    acting on the true state: Sigma_{t+1} = (A+BK) Sigma_t (A+BK)' + Sigma_w +
+    sigma^2 BB' from Sigma_0, and E c_t = tr((Q + K'RK) Sigma_t) + sigma^2 tr(R)."""
+    closed = spec.a + spec.b @ gain
+    drive = spec.sigma_w + sigma**2 * spec.b @ spec.b.T
+    weight = spec.q + gain.T @ spec.r @ gain
+    cov, total = spec.sigma_0, 0.0
+    for _ in range(t_horizon):
+        cov = closed @ cov @ closed.T + drive
+        total += float(np.trace(weight @ cov)) + sigma**2 * float(np.trace(spec.r))
+    return total / t_horizon

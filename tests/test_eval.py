@@ -11,7 +11,10 @@ from latentlqr import (ExperimentConfig, PolicyDef, SystemSpec, ValidationError,
                        make_benchmark_instance, optimal_policy, parse_config,
                        rollout, rollout_columns, run_pipeline, solve_dare, solve_lyapunov)
 from latentlqr import pipeline, system
-from latentlqr.evaluate import EvalReport
+from latentlqr.benchmarks import CATALOG
+from latentlqr.evaluate import EvalReport, mean_stderr, trajectory_costs
+
+from helpers import closed_form_step_cost
 
 
 class TestEstimateCost:
@@ -44,6 +47,18 @@ class TestEstimateCost:
         mean, _ = estimate_cost(stationary, emission, optimal_policy(spec, emission),
                                 t_horizon=200, n_eval=2000, seed=2)
         assert abs(mean - target) <= 0.03 * target
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_matches_the_closed_form_cost(self, name):
+        spec, emission, _ = make_benchmark_instance(name)
+        k = solve_dare(spec.a, spec.b, spec.q, spec.r).k
+        zero = np.zeros((spec.d_u, spec.d_x))
+        for policy, gain, sigma in ((PolicyDef.ground_truth(k, emission), k, 0.0),
+                                    (PolicyDef.ground_truth(k, emission, sigma=0.15), k, 0.15),
+                                    (PolicyDef.zero(spec.d_u), zero, 0.0)):
+            mean, stderr = mean_stderr(trajectory_costs(spec, emission, policy, t_horizon=10,
+                                                        n_eval=50_000, seed=4)[0])
+            assert abs(mean - closed_form_step_cost(spec, gain, sigma, 10)) <= 4 * stderr
 
     def test_n_eval_too_small(self):
         spec, emission, _ = make_benchmark_instance("scalar-identity")

@@ -99,14 +99,37 @@ class TestErmFit:
         assert fit.empirical_loss == min(fit.all_losses)
         assert fit.candidate_index == int(np.argmin(fit.all_losses))
 
-    def test_loss_recomputed(self):
+    @pytest.mark.parametrize("radius", [10.0, 0.3], ids=["free", "clamped"])
+    @pytest.mark.parametrize("kind", ["erm_fit", "erm_fit_increment"])
+    def test_loss_recomputed(self, kind, radius):
         rng = np.random.default_rng(8)
-        x = rng.standard_normal((50, 2))
+        x_now, x = rng.standard_normal((2, 50, 2))
         y = x + 0.2 * rng.standard_normal((50, 2))
-        klass = StructuredClass(base=identity_class(), output_dim=2, radius=10.0)
-        fit = erm_fit(klass, x, y)
-        manual = np.mean(np.sum((x @ fit.m.T - y) ** 2, axis=1))
-        assert abs(fit.empirical_loss - manual) < 1e-9
+        left, shift = np.array([[1.0, 0.5], [0.0, 2.0]]), 0.3 * np.eye(2)
+        candidates = (lambda o: np.atleast_2d(o), lambda o: np.tanh(np.atleast_2d(o)),
+                      lambda o: np.atleast_2d(o) ** 2)
+
+        def fit(cands):
+            klass = StructuredClass(base=DecoderClass(candidates=cands), output_dim=2,
+                                    radius=radius)
+            if kind == "erm_fit":
+                return erm_fit(klass, x, y)
+            return erm_fit_increment(klass, x_now, x, left, shift, y)
+
+        def manual(f, m):
+            pred = f(x) @ m.T
+            if kind == "erm_fit_increment":
+                pred = (pred - f(x_now) @ m.T @ shift.T) @ left.T
+            return np.mean(np.sum((pred - y) ** 2, axis=1))
+
+        best = fit(candidates)
+        assert best.clamped == (radius < 1.0)
+        expected = manual(candidates[best.candidate_index], best.m)
+        assert abs(best.empirical_loss - expected) <= 1e-9 * expected
+        for idx, f in enumerate(candidates):
+            alone = fit((f,))
+            expected = manual(f, alone.m)
+            assert abs(best.all_losses[idx] - expected) <= 1e-9 * expected
 
     def test_offsets_equivalent_to_shifted_targets(self):
         rng = np.random.default_rng(9)
@@ -178,6 +201,23 @@ class TestErmFitIncrement:
         inc = erm_fit_increment(klass, y_now, y_next, np.eye(2), np.zeros((2, 2)), targets)
         simple = erm_fit(klass, y_next, targets)
         assert np.allclose(inc.m, simple.m, atol=1e-8)
+
+
+class TestMemoryLayout:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_a_strided_view_fits_like_its_copy(self, d):
+        # phase 3 hands the fits columns of (n, T, d) observation arrays
+        rng = np.random.default_rng(13)
+        big = rng.standard_normal((400, 3, d))
+        targets = rng.standard_normal((400, d))
+        left, shift = rng.standard_normal((d, d)), 0.5 * np.eye(d)
+        klass = StructuredClass(base=identity_class(), output_dim=d, radius=10.0)
+        now, nxt = big[:, 0], big[:, 1]
+        for a, b in ((erm_fit(klass, now, targets), erm_fit(klass, now.copy(), targets)),
+                     (erm_fit_increment(klass, now, nxt, left, shift, targets),
+                      erm_fit_increment(klass, now.copy(), nxt.copy(), left, shift, targets))):
+            assert np.array_equal(a.m, b.m)
+            assert a.empirical_loss == b.empirical_loss
 
 
 class TestOpnormClampProperties:

@@ -1,5 +1,6 @@
 """Round trips for the matrix CSV format and model folders."""
 import numpy as np
+import pytest
 
 from latentlqr import (ExperimentConfig, make_benchmark_instance, run_pipeline)
 from latentlqr.regression import DecoderClass, FittedRegressor
@@ -32,12 +33,13 @@ class TestMatrixCsv:
 
 
 class TestModelFolders:
-    def test_policy_roundtrip_reproduces_actions(self, tmp_path):
-        config = ExperimentConfig(instance="scalar-identity", n_id=1200, n_op=500,
+    @pytest.mark.parametrize("name", ["scalar-identity", "di-cubic-lift"])
+    def test_policy_roundtrip_reproduces_actions(self, tmp_path, name):
+        config = ExperimentConfig(instance=name, n_id=1200, n_op=500,
                                   t_horizon=2, n_eval=100, seed=9, sigma=0.3,
                                   kappa0_override=4)
         result = run_pipeline(config, outdir=tmp_path)
-        spec, emission, cls = make_benchmark_instance("scalar-identity")
+        spec, emission, cls = make_benchmark_instance(name)
         loaded = load_policy(tmp_path / "policy", cls)
         est = load_sysid(tmp_path / "sysid")
         assert np.allclose(est.a_hat, result.estimates.a_hat)
@@ -47,5 +49,5 @@ class TestModelFolders:
         b1 = rollout(spec, emission, result.learned.policy(), horizon=2, n_traj=20,
                      base_seed=123)
         b2 = rollout(spec, emission, loaded.policy(), horizon=2, n_traj=20, base_seed=123)
-        assert np.allclose(b1.inputs, b2.inputs)
-        assert np.allclose(b1.costs, b2.costs)
+        assert np.array_equal(b1.inputs, b2.inputs)
+        assert np.array_equal(b1.costs, b2.costs)
