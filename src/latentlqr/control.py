@@ -238,6 +238,8 @@ def open_loop_state_cov(a: np.ndarray, b: np.ndarray, sigma_w: np.ndarray,
 
     A^k Sigma_0 (A^k)' + sum_{t=1}^{k} A^{t-1} (Sigma_w + B B') (A^{t-1})',
     summed exactly; terms are dropped once their norm falls below 1e-14.
+    Inputs u_t = sigma nu_t with nu_t ~ N(0, I) give the covariance at
+    b = sigma B; k = 0 returns Sigma_0.
     """
     a = np.asarray(a, dtype=float)
     b = np.atleast_2d(np.asarray(b, dtype=float))

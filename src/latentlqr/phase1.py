@@ -4,6 +4,9 @@ Standard normal inputs drive the system for kappa_0 burn-in steps plus
 kappa further steps; regressing the last kappa inputs onto the observation
 at time kappa_1 = kappa_0 + kappa recovers the true decoder up to a linear
 map, and PCA of the regressor outputs reduces to the latent dimension.
+The burn-in inputs are never recorded, so the simulator starts each
+trajectory at kappa_0 from the exact state marginal N(0, Sigma_{kappa_0})
+and simulates only the window it records.
 """
 from __future__ import annotations
 
@@ -111,9 +114,12 @@ def collect_id_data(spec: SystemSpec, emission: EmissionModel, config: Phase1Con
     """3 n_id excitation trajectories, reduced to the recorded columns.
 
     Inputs are u_t ~ N(0, I) through time kappa_1; each trajectory records
-    (y_k1, y_k1+1, u_k1, c_k1) and the stacked window v. The three batches
-    are the index ranges [0, n), [n, 2n), [2n, 3n) of a single collection,
-    so they are disjoint by construction.
+    (y_k1, y_k1+1, u_k1, c_k1) and the stacked window v. The simulator starts
+    at kappa_0 from the exact marginal N(0, Sigma_{kappa_0}) of the state
+    after the burn-in, so only the kappa + 2 recorded times are simulated;
+    the law of every column is that of a rollout from t = 0. The three
+    batches are the index ranges [0, n), [n, 2n), [2n, 3n) of a single
+    collection, so they are disjoint by construction.
     """
     kappa0 = burn_in_kappa0(config)
     kappa1 = kappa0 + config.kappa
@@ -123,7 +129,7 @@ def collect_id_data(spec: SystemSpec, emission: EmissionModel, config: Phase1Con
         spec, emission, policy, horizon=kappa1 + 1, n_traj=n_total, base_seed=seed,
         obs_times=(kappa1, kappa1 + 1),
         input_times=tuple(range(kappa0, kappa1 + 1)),
-        cost_times=(kappa1,))
+        cost_times=(kappa1,), start=kappa0)
     v = np.hstack([cols["inputs"][t] for t in range(kappa0, kappa1)])
 
     def batch(lo: int, hi: int) -> IdBatch:

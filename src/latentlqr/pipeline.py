@@ -227,9 +227,10 @@ def evaluate_policy(config: ExperimentConfig, spec, emission, learned, phase1_ou
 
     The learned, optimal and zero policies each make one cost-only pass over
     the same n_eval streams; the coarse decoder is aligned to the true one
-    on fresh open-loop data, and each per-step decoder is scored against
-    S_id f_star. The clip statistics are the masks recorded by the learned
-    policy's cost pass.
+    on fresh open-loop observations y_{kappa_1}, drawn from their exact
+    marginal without simulating the steps before, and each per-step decoder
+    is scored against S_id f_star. The clip statistics are the masks
+    recorded by the learned policy's cost pass.
     """
     pi_opt = optimal_policy(spec, emission)
     eval_seed = _eval_seed(config)
@@ -251,7 +252,7 @@ def evaluate_policy(config: ExperimentConfig, spec, emission, learned, phase1_ou
     align_obs = rollout_columns(spec, emission, PolicyDef.open_loop_gaussian(sigma=1.0),
                                horizon=kappa1, n_traj=n_align,
                                base_seed=rngmod.derive_seed(eval_seed, rngmod.TAG_EVAL, 1),
-                               obs_times=(kappa1,))["obs"][kappa1]
+                               obs_times=(kappa1,), start=kappa1)["obs"][kappa1]
     alignment = align_decoder(phase1_out.decode, emission.decode_batch, align_obs)
     n_metric = min(config.metric_rollouts, config.n_eval)
     decoder_errors = decoder_errors_by_time(

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# Noise roles inside a rollout.
+# Noise roles inside a rollout. The initial state of a rollout that starts
+# at time s reads the (ROLE_INIT_STATE, s) substream; s = 0 for every rollout
+# but the open-loop ones that start at their first recorded time.
 ROLE_INIT_STATE = 0
 ROLE_PROCESS = 1
 ROLE_INPUT = 2

@@ -272,7 +272,8 @@ def rollout_columns(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef
                     noise_times: tuple[int, ...] = (),
                     cost_times: tuple[int, ...] = (),
                     decoded_times: tuple[int, ...] = (),
-                    clipped_times: tuple[int, ...] = ()) -> dict:
+                    clipped_times: tuple[int, ...] = (),
+                    start: int = 0) -> dict:
     """A rollout that keeps only the requested columns.
 
     Returns {"states", "obs", "inputs", "injected", "noises", "costs",
@@ -284,13 +285,27 @@ def rollout_columns(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef
     whatever n_traj (for n_traj >= 2; see _drive). Costs are
     computed only at cost_times, and an open-loop policy emits observations
     only at obs_times.
+
+    start > 0 simulates only t = start..horizon, for a zero-mean open-loop
+    policy: x_start is drawn from its exact marginal N(0, Sigma_start)
+    (open_loop_state_cov with sigma-scaled inputs), so every column from
+    start on has the law of a rollout from t = 0, and the input and process
+    draws at t >= start are bitwise those of that rollout.
     """
     if decoded_times and policy.decoders is None:
         raise ValidationError("decoded_times needs a policy with decoders")
+    if not 0 <= start <= horizon:
+        raise ValidationError(f"start must lie in [0, horizon={horizon}], got {start}")
+    if start > 0 and policy.reads_observations:
+        raise ValidationError("start > 0 needs an open-loop policy")
+    if start > 0 and policy.mean is not None and np.any(policy.mean != 0):
+        raise ValidationError("start > 0 needs a zero-mean policy")
     times = {"states": set(state_times), "obs": set(obs_times), "inputs": set(input_times),
              "injected": set(injected_times), "noises": set(noise_times),
              "costs": set(cost_times), "decoded": set(decoded_times),
              "clipped": set(clipped_times)}
+    if any(t < start for ts in times.values() for t in ts):
+        raise ValidationError(f"a requested column lies before start={start}")
     columns = {key: {} for key in times}
 
     def keep(key, rows, t, part):
@@ -300,7 +315,7 @@ def rollout_columns(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef
                 column = columns[key][t] = np.empty((n_traj,) + part.shape[1:], part.dtype)
             column[rows] = part
 
-    _drive(spec, emission, policy, horizon, n_traj, base_seed, times, keep)
+    _drive(spec, emission, policy, horizon, n_traj, base_seed, times, keep, start)
     return columns
 
 
@@ -378,8 +393,8 @@ class _DrawAhead:
         return block
 
 
-def _drive(spec, emission, policy, horizon, n, seed, times, keep) -> None:
-    """Advance n trajectories through t = 0..horizon, handing each chunk's
+def _drive(spec, emission, policy, horizon, n, seed, times, keep, start) -> None:
+    """Advance n trajectories through t = start..horizon, handing each chunk's
     columns to keep(key, rows, t, part).
 
     Rows run in chunks (_row_chunks), each chunk through every t before the
@@ -392,21 +407,24 @@ def _drive(spec, emission, policy, horizon, n, seed, times, keep) -> None:
 
     Observations are emitted where the policy reads them or times["obs"]
     holds t, costs only where times["costs"] does; neither feeds the
-    dynamics.
+    dynamics. The state at start comes from the (ROLE_INIT_STATE, start)
+    substream, scaled by the square root of Sigma_0 at start = 0 and of the
+    zero-mean open-loop marginal Sigma_start otherwise.
     """
-    from .control import psd_sqrt
+    from .control import open_loop_state_cov, psd_sqrt
 
     l_w = psd_sqrt(spec.sigma_w)
-    l_0 = psd_sqrt(spec.sigma_0)
+    l_0 = psd_sqrt(spec.sigma_0 if start == 0 else open_loop_state_cov(
+        spec.a, policy.sigma * spec.b, spec.sigma_w, spec.sigma_0, start))
     chunks = _row_chunks(n)
-    init = rngmod.substream(seed, rngmod.ROLE_INIT_STATE, 0)
-    process = [rngmod.substream(seed, rngmod.ROLE_PROCESS, t) for t in range(horizon)]
-    inputs = ([rngmod.substream(seed, rngmod.ROLE_INPUT, t) for t in range(horizon + 1)]
+    init = rngmod.substream(seed, rngmod.ROLE_INIT_STATE, start)
+    process = {t: rngmod.substream(seed, rngmod.ROLE_PROCESS, t) for t in range(start, horizon)}
+    inputs = ({t: rngmod.substream(seed, rngmod.ROLE_INPUT, t) for t in range(start, horizon + 1)}
               if policy.sigma > 0 else None)
     plan = []
     for lo, hi in chunks:
         plan.append((init, hi - lo, spec.d_x))
-        for t in range(horizon + 1):
+        for t in range(start, horizon + 1):
             if inputs:
                 plan.append((inputs[t], hi - lo, spec.d_u))
             if t < horizon:
@@ -424,9 +442,9 @@ def _drive(spec, emission, policy, horizon, n, seed, times, keep) -> None:
         for lo, hi in chunks:
             rows = slice(lo, hi)
             x = draws.take() @ l_0.T
-            y = observe(rows, 0, x)
+            y = observe(rows, start, x)
             pol_state = policy.begin(hi - lo)
-            for t in range(horizon + 1):
+            for t in range(start, horizon + 1):
                 nu = policy.sigma * draws.take() if inputs else np.zeros((hi - lo, spec.d_u))
                 u, value, clipped, pol_state = policy.act(pol_state, t, y, nu)
                 if t in times["costs"]:

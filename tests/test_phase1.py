@@ -7,7 +7,8 @@ import pytest
 from latentlqr import (DegenerateSpectrumError, DecoderClass, Phase1Config, SystemSpec,
                        ValidationError, align_decoder, bayes_map, burn_in_kappa0,
                        collect_id_data, fit_coarse_decoder, make_benchmark_instance,
-                       rollout, similarity_from_ground_truth)
+                       open_loop_state_cov, parameter_bounds, rollout_columns,
+                       similarity_from_ground_truth)
 from latentlqr.errors import InfeasibleBurnInError
 from latentlqr.system import PolicyDef
 
@@ -74,13 +75,50 @@ class TestCollect:
         spec, emission, _ = make_benchmark_instance("scalar-identity")
         cfg = config(n_id=20, kappa=1, kappa0_override=2)
         data = collect_id_data(spec, emission, cfg, seed=5)
-        full = rollout(spec, emission, PolicyDef.open_loop_gaussian(1.0),
-                       horizon=data.kappa1 + 1, n_traj=60, base_seed=5)
-        k1 = data.kappa1
-        assert np.array_equal(data.batch1.y_now, full.observations[:20, k1])
-        assert np.array_equal(data.batch2.y_now, full.observations[20:40, k1])
-        assert np.array_equal(data.batch3.y_next, full.observations[40:60, k1 + 1])
-        assert np.array_equal(data.batch3.cost_now, full.costs[40:60, k1])
+        k0, k1 = data.kappa0, data.kappa1
+        # the one run simulates the recorded window only, from kappa0
+        full = rollout_columns(spec, emission, PolicyDef.open_loop_gaussian(1.0),
+                               horizon=k1 + 1, n_traj=60, base_seed=5,
+                               obs_times=(k1, k1 + 1), input_times=(k0,), cost_times=(k1,),
+                               start=k0)
+        assert np.array_equal(data.batch1.y_now, full["obs"][k1][:20])
+        assert np.array_equal(data.batch2.y_now, full["obs"][k1][20:40])
+        assert np.array_equal(data.batch3.y_next, full["obs"][k1 + 1][40:60])
+        assert np.array_equal(data.batch3.cost_now, full["costs"][k1][40:60])
+        assert np.array_equal(data.batch2.v, full["inputs"][k0][20:40])
+
+    @pytest.mark.parametrize("name", ["di-cubic-lift", "stable2x1-lift5"])
+    def test_window_has_the_law_of_a_full_run(self, name):
+        """Starting at kappa0 from N(0, Sigma_kappa0) leaves x_kappa1 with the
+        covariance of a simulation from t = 0, and the recorded inputs are
+        bitwise the full simulation's."""
+        spec, emission, _ = make_benchmark_instance(name)
+        bounds = parameter_bounds(spec)
+        cfg = Phase1Config(n_id=20_000, kappa=bounds.kappa, psi_star=bounds.psi_star,
+                           alpha_star=bounds.alpha_star, gamma_star=bounds.gamma_star,
+                           d_x=spec.d_x, d_u=spec.d_u)
+        data = collect_id_data(spec, emission, cfg, seed=9)
+        k0, k1, n = data.kappa0, data.kappa1, 3 * cfg.n_id
+        assert k0 == burn_in_kappa0(cfg) > 30
+        window = tuple(range(k0, k1 + 1))
+        policy = PolicyDef.open_loop_gaussian(1.0)
+        full, part = (rollout_columns(spec, emission, policy, horizon=k1 + 1, n_traj=n,
+                                      base_seed=9, state_times=(k1,), input_times=window,
+                                      start=start)
+                      for start in (0, k0))
+        v = np.vstack([data.batch1.v, data.batch2.v, data.batch3.v])
+        u_now = np.vstack([data.batch1.u_now, data.batch2.u_now, data.batch3.u_now])
+        assert np.array_equal(v, np.hstack([full["inputs"][t] for t in window[:-1]]))
+        assert np.array_equal(u_now, full["inputs"][k1])
+        for t in window:
+            assert np.array_equal(part["inputs"][t], full["inputs"][t])
+        target = open_loop_state_cov(spec.a, spec.b, spec.sigma_w, spec.sigma_0, k1)
+        diag = np.diag(target)
+        stderr = np.sqrt((np.outer(diag, diag) + target**2) / n)
+        for cols in (full, part):
+            x = cols["states"][k1]
+            assert np.all(np.abs(x.T @ x / n - target) <= 4 * stderr)
+        assert not np.array_equal(part["states"][k1], full["states"][k1])
 
     def test_window_covariance_is_identity(self):
         spec, emission, _ = make_benchmark_instance("scalar-identity")

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from latentlqr import (DecoderStack, EmissionModel, FittedRegressor, PolicyDef, SystemSpec,
                        ValidationError, decoder_update, make_benchmark_instance,
-                       optimal_policy, rollout, rollout_columns, solve_dare)
+                       open_loop_state_cov, optimal_policy, rollout, rollout_columns,
+                       solve_dare)
 from latentlqr import rng as rngmod
 from latentlqr import system
 from latentlqr.benchmarks import CATALOG, cubic_forward, cubic_inverse
@@ -156,6 +157,48 @@ class TestRollout:
                             n_traj=3, base_seed=0, decoded_times=(1,))
 
 
+class TestStart:
+    """rollout_columns(start=s) simulates t = s..horizon from the exact marginal."""
+
+    @pytest.mark.parametrize("start, make_policy, times, match", [
+        (-1, lambda spec, emission: PolicyDef.open_loop_gaussian(1.0), {}, "start must lie"),
+        (5, lambda spec, emission: PolicyDef.open_loop_gaussian(1.0), {}, "start must lie"),
+        (2, lambda spec, emission: optimal_policy(spec, emission), {}, "open-loop"),
+        (2, lambda spec, emission: PolicyDef.gain_decoder(
+            -0.3 * np.ones((spec.d_u, spec.d_x)), CurrentObsDecoder(emission.decode_batch),
+            sigma=0.5), {}, "open-loop"),
+        (2, lambda spec, emission: PolicyDef.open_loop_gaussian(1.0, mean=[0.0, 0.5]), {},
+         "zero-mean"),
+        (2, lambda spec, emission: PolicyDef.open_loop_gaussian(1.0),
+         {"obs_times": (1, 3)}, "before start"),
+    ], ids=["negative", "past-horizon", "optimal", "gain-decoder", "mean", "column-before"])
+    def test_bad_start_raises_before_any_draw(self, start, make_policy, times, match,
+                                               monkeypatch):
+        spec, emission, _ = make_benchmark_instance("di-cubic-lift")
+        policy = make_policy(spec, emission)
+        created = []
+        monkeypatch.setattr(rngmod, "substream", lambda *key: created.append(key))
+        with pytest.raises(ValidationError, match=match):
+            rollout_columns(spec, emission, policy, horizon=4, n_traj=5, base_seed=0,
+                            start=start, **times)
+        assert created == []
+
+    @pytest.mark.parametrize("policy, start", [
+        (PolicyDef.zero(2), 2), (PolicyDef.open_loop_gaussian(0.5), 4),
+    ], ids=["zero-policy", "zero-steps"])
+    def test_start_state_is_drawn_from_the_marginal(self, policy, start):
+        """x_start reads the (ROLE_INIT_STATE, start) substream, scaled to the
+        state covariance under sigma-scaled inputs; start = horizon takes no step."""
+        spec, emission, _ = make_benchmark_instance("di-cubic-lift")
+        cols = rollout_columns(spec, emission, policy, horizon=4, n_traj=5, base_seed=3,
+                               state_times=(start,), obs_times=(start,), start=start)
+        cov = open_loop_state_cov(spec.a, policy.sigma * spec.b, spec.sigma_w, spec.sigma_0,
+                                  start)
+        x = noise_block(3, ROLE_INIT_STATE, start, 5, spec.d_x) @ psd_sqrt(cov).T
+        assert np.array_equal(cols["states"][start], x)
+        assert np.array_equal(cols["obs"][start], emission.emit_batch(x))
+
+
 def counting_emission(emission: EmissionModel) -> tuple[EmissionModel, list]:
     """The same emission, logging every batch of states it emits."""
     emitted = []
@@ -185,16 +228,19 @@ def stack_policy(name: str, sigma: float) -> tuple:
     return spec, emission, PolicyDef.gain_decoder(sol.k, stack, sigma=sigma)
 
 
-def reference_rollout(spec, emission, policy, horizon, n, seed) -> dict:
-    """Every column of a rollout run as one batch of n rows, each (role, time)
-    block drawn whole by noise_block: the loop rollouts ran before row chunks."""
-    l_w, l_0 = psd_sqrt(spec.sigma_w), psd_sqrt(spec.sigma_0)
+def reference_rollout(spec, emission, policy, horizon, n, seed, start=0) -> dict:
+    """Every column of a rollout from t = start run as one batch of n rows, each
+    (role, time) block drawn whole by noise_block: the loop rollouts ran before
+    row chunks."""
+    cov = spec.sigma_0 if start == 0 else open_loop_state_cov(
+        spec.a, policy.sigma * spec.b, spec.sigma_w, spec.sigma_0, start)
+    l_w, l_0 = psd_sqrt(spec.sigma_w), psd_sqrt(cov)
     cols = {key: [] for key in ("states", "observations", "inputs", "injected", "noises",
                                 "costs", "decoded")}
-    x = noise_block(seed, ROLE_INIT_STATE, 0, n, spec.d_x) @ l_0.T
+    x = noise_block(seed, ROLE_INIT_STATE, start, n, spec.d_x) @ l_0.T
     y = emission.emit_batch(x)
     state = policy.begin(n)
-    for t in range(horizon + 1):
+    for t in range(start, horizon + 1):
         nu = policy.sigma * noise_block(seed, ROLE_INPUT, t, n, spec.d_u)
         u, value, _, state = policy.act(state, t, y, nu)
         cost = system._quad_rows(x, spec.q) + system._quad_rows(u, spec.r)
@@ -210,13 +256,14 @@ def reference_rollout(spec, emission, policy, horizon, n, seed) -> dict:
             if column and column[0] is not None}
 
 
-def all_columns(spec, emission, policy, horizon, n, seed) -> dict:
+def all_columns(spec, emission, policy, horizon, n, seed, start=0) -> dict:
     """rollout_columns keeping every time of every column it has, stacked along t."""
-    times = tuple(range(horizon + 1))
+    times = tuple(range(start, horizon + 1))
     cols = rollout_columns(spec, emission, policy, horizon=horizon, n_traj=n, base_seed=seed,
                            obs_times=times, input_times=times, injected_times=times,
                            cost_times=times,
-                           decoded_times=times if policy.decoders is not None else ())
+                           decoded_times=times if policy.decoders is not None else (),
+                           start=start)
     return {key: np.stack([cols[key][t] for t in times], axis=1) for key in cols if cols[key]}
 
 
@@ -226,38 +273,50 @@ COLUMN_FIELDS = {"obs": "observations", "inputs": "inputs", "injected": "injecte
 
 
 class TestChunkedRollout:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(["scalar-identity", "di-cubic-lift"]),
            n=st.integers(2, 30), extra=st.integers(0, 9), chunk=st.sampled_from([2, 3, 7]),
-           horizon=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-    def test_rows_invariant_to_n_and_chunking(self, name, n, extra, chunk, horizon, seed):
+           horizon=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           open_loop=st.booleans(), start=st.integers(0, 4))
+    def test_rows_invariant_to_n_and_chunking(self, name, n, extra, chunk, horizon, seed,
+                                              open_loop, start):
         """Every recorded column is bitwise equal across n, across row chunks of
-        2, 3 or 7 rows against the default, and against the unchunked reference loop.
+        2, 3 or 7 rows against the default, and against the unchunked reference loop,
+        also for an open-loop rollout that starts mid-horizon.
 
         n = 1 is the exception: a one-row matrix product takes BLAS's vector
         path, whose last bit differs from the batched product's (so no chunk
         ever has one row when n >= 2).
         """
         spec, emission, policy = stack_policy(name, sigma=0.3)
+        if open_loop:
+            policy, start = PolicyDef.open_loop_gaussian(0.3), min(start, horizon)
+        else:
+            start = 0
         args = (spec, emission, policy, horizon)
-        ref = reference_rollout(*args, n, seed)
-        full = rollout(*args, n, seed)
-        wider = rollout(*args, n + extra, seed)
-        cols = all_columns(*args, n, seed)
+        ref = reference_rollout(*args, n, seed, start)
+        cols = all_columns(*args, n, seed, start)
+        wider_cols = all_columns(*args, n + extra, seed, start)
         with mock.patch.object(system, "CHUNK_ROWS", chunk):
             bounds = system._row_chunks(n)
-            small = rollout(*args, n, seed)
-            small_cols = all_columns(*args, n, seed)
+            small_cols = all_columns(*args, n, seed, start)
+            small = rollout(*args, n, seed) if start == 0 else None
         assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
         assert bounds[-1][1] == n and all(hi - lo == chunk for lo, hi in bounds[:-1])
         assert 2 <= bounds[-1][1] - bounds[-1][0] <= chunk + 1
-        for key in BATCH_FIELDS:
-            for batch in (full, small):
-                assert np.array_equal(getattr(batch, key), ref[key]), key
-            assert np.array_equal(getattr(wider, key)[:n], ref[key]), key
-        for key, ref_key in COLUMN_FIELDS.items():
+        assert set(cols) == {key for key in COLUMN_FIELDS if COLUMN_FIELDS[key] in ref}
+        for key in cols:
+            ref_column = ref[COLUMN_FIELDS[key]]
             for columns in (cols, small_cols):
-                assert np.array_equal(columns[key], ref[ref_key]), key
+                assert np.array_equal(columns[key], ref_column), key
+            assert np.array_equal(wider_cols[key][:n], ref_column), key
+        if start == 0:
+            full = rollout(*args, n, seed)
+            wider = rollout(*args, n + extra, seed)
+            for key in BATCH_FIELDS:
+                for batch in (full, small):
+                    assert np.array_equal(getattr(batch, key), ref[key]), key
+                assert np.array_equal(getattr(wider, key)[:n], ref[key]), key
 
     @pytest.mark.parametrize("make_policy", [
         lambda spec, emission: PolicyDef.zero(spec.d_u),
