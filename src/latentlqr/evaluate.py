@@ -66,8 +66,6 @@ class AlignmentResult:
 
     s: np.ndarray
     residual: float   # mean squared error at the optimum
-    sigma_min: float
-    op_norm: float
 
 
 def align_decoder(f_hat, f_star, observations: np.ndarray) -> AlignmentResult:
@@ -83,9 +81,7 @@ def align_decoder(f_hat, f_star, observations: np.ndarray) -> AlignmentResult:
         raise ValidationError("true-decoder sample covariance is degenerate")
     s = np.linalg.solve(gram, truth.T @ pred / n).T
     residual = float(np.mean(np.sum((pred - truth @ s.T) ** 2, axis=1)))
-    svals = np.linalg.svd(s, compute_uv=False)
-    return AlignmentResult(s=s, residual=residual,
-                           sigma_min=float(svals[-1]), op_norm=float(svals[0]))
+    return AlignmentResult(s=s, residual=residual)
 
 
 def similarity_from_ground_truth(phase1_out: Phase1Output, spec: SystemSpec,

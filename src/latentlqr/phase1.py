@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .control import controllability_matrix, open_loop_state_cov
 from .errors import DegenerateSpectrumError, InfeasibleBurnInError, ValidationError
 from .regression import DecoderClass, FittedRegressor, StructuredClass, erm_fit
 from .system import EmissionModel, PolicyDef, SystemSpec, rollout_columns
@@ -206,8 +207,6 @@ def bayes_map(spec: SystemSpec, kappa: int, kappa1: int) -> np.ndarray:
     so the conditional expectation of the window given the state is this
     linear map applied to the state.
     """
-    from .control import controllability_matrix, open_loop_state_cov
-
     c_k = controllability_matrix(spec.a, spec.b, kappa)
     sigma = open_loop_state_cov(spec.a, spec.b, spec.sigma_w, spec.sigma_0, kappa1)
     return np.linalg.solve(sigma, c_k).T

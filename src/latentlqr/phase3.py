@@ -8,6 +8,7 @@ increment estimation. A separate subroutine handles the initial state.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -15,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng as rngmod
-from .control import psd_project, solve_dare
+from .control import controllability_matrix, psd_project, solve_dare
 from .errors import IllConditionedCovarianceError, NumericalError, ValidationError, tagged
 from .regression import DecoderClass, FittedRegressor, StructuredClass, erm_fit, erm_fit_increment
 from .system import EmissionModel, PolicyDef, SystemSpec, rollout_columns
@@ -90,10 +91,6 @@ class NoiseShaping:
 def build_noise_shaping(a: np.ndarray, b: np.ndarray, sigma_w: np.ndarray,
                         sigma: float, kappa: int) -> NoiseShaping:
     """Shaping matrices from (possibly estimated) system matrices."""
-    import logging
-
-    from .control import controllability_matrix
-
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     sigma_w = np.atleast_2d(np.asarray(sigma_w, dtype=float))

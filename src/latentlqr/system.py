@@ -7,16 +7,17 @@ chunking (see rng.py and _drive).
 """
 from __future__ import annotations
 
+import collections
+import itertools
 import math
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import rng as rngmod
-from .control import controllability, spectral_radius
+from .control import controllability, open_loop_state_cov, psd_sqrt, spectral_radius
 from .errors import ValidationError
 
 
@@ -120,57 +121,45 @@ class CurrentObsDecoder:
 
 @dataclass(frozen=True)
 class PolicyDef:
-    """Control law executed by rollout.
+    """Control law executed by rollout; open loop exactly when it has no decoders.
 
-    kind:
-      open-loop-gaussian   u_t = mean + sigma * nu_t
-      gain-times-decoder   u_t = K * decoder_t(y_{0:t}) + sigma * nu_t
-      optimal-ground-truth u_t = K * f_star(y_t) (sigma usually 0)
+      open loop:     u_t = mean + sigma * nu_t
+      with decoders: u_t = K * decoder_t(y_{0:t}) + sigma * nu_t (a gain is required)
     """
 
-    kind: str
     sigma: float = 0.0
     gain: Optional[np.ndarray] = None
     decoders: object = None
     mean: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.kind not in ("open-loop-gaussian", "gain-times-decoder", "optimal-ground-truth"):
-            raise ValidationError(f"unknown policy kind {self.kind!r}")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValidationError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if self.kind != "open-loop-gaussian" and self.gain is None:
-            raise ValidationError(f"{self.kind} policy requires a gain")
+        if self.decoders is not None and self.gain is None:
+            raise ValidationError("a policy with decoders requires a gain")
 
     @staticmethod
     def open_loop_gaussian(sigma: float, mean: np.ndarray | None = None) -> "PolicyDef":
-        return PolicyDef(kind="open-loop-gaussian", sigma=sigma,
-                         mean=None if mean is None else np.asarray(mean, dtype=float))
+        return PolicyDef(sigma=sigma, mean=None if mean is None else np.asarray(mean, dtype=float))
 
     @staticmethod
     def zero(d_u: int) -> "PolicyDef":
-        return PolicyDef(kind="open-loop-gaussian", sigma=0.0, mean=np.zeros(d_u))
+        return PolicyDef(sigma=0.0, mean=np.zeros(d_u))
 
     @staticmethod
     def gain_decoder(gain: np.ndarray, decoders, sigma: float) -> "PolicyDef":
-        return PolicyDef(kind="gain-times-decoder", sigma=sigma,
-                         gain=np.atleast_2d(np.asarray(gain, dtype=float)), decoders=decoders)
+        return PolicyDef(sigma=sigma, gain=np.atleast_2d(np.asarray(gain, dtype=float)),
+                         decoders=decoders)
 
     @staticmethod
     def ground_truth(gain: np.ndarray, emission: EmissionModel, sigma: float = 0.0) -> "PolicyDef":
-        return PolicyDef(kind="optimal-ground-truth", sigma=sigma,
-                         gain=np.atleast_2d(np.asarray(gain, dtype=float)),
-                         decoders=CurrentObsDecoder(emission.decode_batch))
+        return PolicyDef.gain_decoder(gain, CurrentObsDecoder(emission.decode_batch), sigma)
 
     def begin(self, n: int):
         """Decoder state for n trajectories."""
         if self.decoders is not None:
             return self.decoders.begin(n)
         return None
-
-    @property
-    def reads_observations(self) -> bool:
-        return self.kind != "open-loop-gaussian"
 
     def act(self, state, t: int, y: Optional[np.ndarray], nu: np.ndarray):
         """Inputs for all trajectories at time t, the decoder value behind them
@@ -181,7 +170,7 @@ class PolicyDef:
         policies never read y, which may then be None.
         """
         n, d_u = nu.shape
-        if self.kind == "open-loop-gaussian":
+        if self.decoders is None:
             base = np.zeros((n, d_u)) if self.mean is None else np.broadcast_to(self.mean, (n, d_u))
             return base + nu, None, None, state
         value, clipped, state = self.decoders.step(state, t, y)
@@ -284,7 +273,8 @@ def rollout_columns(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef
     where the decoder checks the radius). Row i of every column is the same
     whatever n_traj (for n_traj >= 2; see _drive). Costs are
     computed only at cost_times, and an open-loop policy emits observations
-    only at obs_times.
+    only at obs_times. The policy acts at t = horizon only when a column at
+    the horizon records the action.
 
     start > 0 simulates only t = start..horizon, for a zero-mean open-loop
     policy: x_start is drawn from its exact marginal N(0, Sigma_start)
@@ -296,7 +286,7 @@ def rollout_columns(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef
         raise ValidationError("decoded_times needs a policy with decoders")
     if not 0 <= start <= horizon:
         raise ValidationError(f"start must lie in [0, horizon={horizon}], got {start}")
-    if start > 0 and policy.reads_observations:
+    if start > 0 and policy.decoders is not None:
         raise ValidationError("start > 0 needs an open-loop policy")
     if start > 0 and policy.mean is not None and np.any(policy.mean != 0):
         raise ValidationError("start > 0 needs a zero-mean policy")
@@ -322,6 +312,8 @@ def rollout_columns(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef
 # Rows a rollout simulates together; the noise blocks and per-step arrays in
 # flight are O(CHUNK_ROWS), whatever the number of trajectories.
 CHUNK_ROWS = 65_536
+# Noise blocks the draw thread fills ahead of the block this thread reads.
+DRAW_AHEAD = 2
 
 
 def _row_chunks(n: int) -> list[tuple[int, int]]:
@@ -334,65 +326,6 @@ def _row_chunks(n: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
-class _DrawAhead:
-    """Standard normal blocks drawn on one worker thread, in the order a rollout
-    reads them.
-
-    plan lists (generator, rows, dim) in consumption order. The worker fills
-    a ring of SLOTS preallocated buffers and so runs up to SLOTS - 1 blocks
-    ahead; a block that take() returns stays valid until the next take().
-    The worker calls nothing but Generator and queue methods. Leaving the
-    with block joins the worker, so no draw runs past it, whichever side
-    raised.
-    """
-
-    SLOTS = 3
-
-    def __init__(self, plan: list):
-        self._plan = plan
-        size = max((rows * dim for _, rows, dim in plan), default=0)
-        self._ring = [np.empty(size) for _ in range(self.SLOTS)]
-        self._free = queue.SimpleQueue()
-        self._ready = queue.SimpleQueue()
-        self._held = None
-        self._stop = False
-        self._thread = threading.Thread(target=self._work, name="latentlqr-draws", daemon=True)
-
-    def __enter__(self) -> "_DrawAhead":
-        for slot in range(self.SLOTS):
-            self._free.put(slot)
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._stop = True
-        self._free.put(0)  # wakes a worker that waits for a slot
-        self._thread.join()
-
-    def _work(self) -> None:
-        failure = None
-        try:
-            for gen, rows, dim in self._plan:
-                slot = self._free.get()
-                if self._stop:
-                    return
-                block = self._ring[slot][: rows * dim].reshape(rows, dim)
-                gen.standard_normal(out=block)
-                self._ready.put((slot, block))
-        except Exception as exc:  # re-raised by take() on the simulating thread
-            failure = exc
-        finally:
-            self._ready.put((None, failure))
-
-    def take(self) -> np.ndarray:
-        if self._held is not None:
-            self._free.put(self._held)
-        self._held, block = self._ready.get()
-        if self._held is None:
-            raise block if block is not None else RuntimeError("read past the draw plan")
-        return block
-
-
 def _drive(spec, emission, policy, horizon, n, seed, times, keep, start) -> None:
     """Advance n trajectories through t = start..horizon, handing each chunk's
     columns to keep(key, rows, t, part).
@@ -401,51 +334,73 @@ def _drive(spec, emission, policy, horizon, n, seed, times, keep, start) -> None
     next one starts. Each (role, time) substream is one Generator, read in
     chunk order, so row i is the i-th draw of its substream whatever n or
     the chunk size, and every matrix product has at least two rows (n = 1
-    is the exception: its one row takes BLAS's vector path). One worker
-    thread draws the next noise blocks while this thread simulates. A
-    policy with sigma = 0 creates no input substream and acts on zero noise.
+    is the exception: its one row takes BLAS's vector path). A policy with
+    sigma = 0 creates no input substream and acts on zero noise.
 
-    Observations are emitted where the policy reads them or times["obs"]
-    holds t, costs only where times["costs"] does; neither feeds the
-    dynamics. The state at start comes from the (ROLE_INIT_STATE, start)
-    substream, scaled by the square root of Sigma_0 at start = 0 and of the
-    zero-mean open-loop marginal Sigma_start otherwise.
+    The draws run on a one-thread executor, DRAW_AHEAD blocks ahead of this
+    thread, each into the next of DRAW_AHEAD + 1 preallocated buffers; a
+    block that take() returns stays valid until the next take(). A failed
+    draw re-raises here, and leaving the executor joins its thread, so no
+    draw runs past the rollout, whichever side raised.
+
+    The action at t = horizon is taken only when a column at the horizon
+    records it (costs, inputs, injected, decoded or clipped): no other
+    column reads it, so otherwise its input substream is never created.
+    Observations are emitted wherever a policy with decoders runs or
+    times["obs"] holds t, costs only where times["costs"] does; neither
+    feeds the dynamics. The state at start comes from the
+    (ROLE_INIT_STATE, start) substream, scaled by the square root of Sigma_0
+    at start = 0 and of the zero-mean open-loop marginal Sigma_start
+    otherwise.
     """
-    from .control import open_loop_state_cov, psd_sqrt
-
     l_w = psd_sqrt(spec.sigma_w)
     l_0 = psd_sqrt(spec.sigma_0 if start == 0 else open_loop_state_cov(
         spec.a, policy.sigma * spec.b, spec.sigma_w, spec.sigma_0, start))
+    at_horizon = any(horizon in times[key]
+                     for key in ("costs", "inputs", "injected", "decoded", "clipped"))
+    acts = range(start, horizon + 1 if at_horizon else horizon)  # the times the policy acts
     chunks = _row_chunks(n)
     init = rngmod.substream(seed, rngmod.ROLE_INIT_STATE, start)
     process = {t: rngmod.substream(seed, rngmod.ROLE_PROCESS, t) for t in range(start, horizon)}
-    inputs = ({t: rngmod.substream(seed, rngmod.ROLE_INPUT, t) for t in range(start, horizon + 1)}
+    inputs = ({t: rngmod.substream(seed, rngmod.ROLE_INPUT, t) for t in acts}
               if policy.sigma > 0 else None)
     plan = []
     for lo, hi in chunks:
         plan.append((init, hi - lo, spec.d_x))
-        for t in range(start, horizon + 1):
+        for t in acts:
             if inputs:
                 plan.append((inputs[t], hi - lo, spec.d_u))
             if t < horizon:
                 plan.append((process[t], hi - lo, spec.d_x))
+    size = max((rows * dim for _, rows, dim in plan), default=0)
+    ring = [np.empty(size) for _ in range(DRAW_AHEAD + 1)]
+    queued = iter(enumerate(plan))
+    pending = collections.deque()
+    pool = ThreadPoolExecutor(1, thread_name_prefix="latentlqr-draws")
+
+    def take() -> np.ndarray:
+        # block i + DRAW_AHEAD reuses the buffer of block i - 1, released by this call
+        for i, (gen, rows, dim) in itertools.islice(queued, DRAW_AHEAD + 1 - len(pending)):
+            block = ring[i % len(ring)][: rows * dim].reshape(rows, dim)
+            pending.append(pool.submit(gen.standard_normal, out=block))
+        return pending.popleft().result()
 
     def observe(rows, t, x):
         keep("states", rows, t, x)
-        if policy.reads_observations or t in times["obs"]:
+        if policy.decoders is not None or t in times["obs"]:
             y = emission.emit_batch(x)
             keep("obs", rows, t, y)
             return y
         return None
 
-    with _DrawAhead(plan) as draws:
+    with pool:
         for lo, hi in chunks:
             rows = slice(lo, hi)
-            x = draws.take() @ l_0.T
+            x = take() @ l_0.T
             y = observe(rows, start, x)
             pol_state = policy.begin(hi - lo)
-            for t in range(start, horizon + 1):
-                nu = policy.sigma * draws.take() if inputs else np.zeros((hi - lo, spec.d_u))
+            for t in acts:
+                nu = policy.sigma * take() if inputs else np.zeros((hi - lo, spec.d_u))
                 u, value, clipped, pol_state = policy.act(pol_state, t, y, nu)
                 if t in times["costs"]:
                     keep("costs", rows, t, _quad_rows(x, spec.q) + _quad_rows(u, spec.r))
@@ -453,7 +408,7 @@ def _drive(spec, emission, policy, horizon, n, seed, times, keep, start) -> None
                                   ("clipped", clipped)):
                     keep(key, rows, t, part)
                 if t < horizon:
-                    w = draws.take() @ l_w.T
+                    w = take() @ l_w.T
                     keep("noises", rows, t, w)
                     x = x @ spec.a.T + u @ spec.b.T + w
                     y = observe(rows, t + 1, x)

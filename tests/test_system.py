@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latentlqr import (DecoderStack, EmissionModel, FittedRegressor, PolicyDef, SystemSpec,
-                       ValidationError, decoder_update, make_benchmark_instance,
-                       open_loop_state_cov, optimal_policy, rollout, rollout_columns,
-                       solve_dare)
+from latentlqr import (DecoderStack, EmissionModel, FittedRegressor, Phase1Config, PolicyDef,
+                       SystemSpec, ValidationError, collect_id_data, decoder_update,
+                       make_benchmark_instance, open_loop_state_cov, optimal_policy, rollout,
+                       rollout_columns, solve_dare)
 from latentlqr import rng as rngmod
 from latentlqr import system
 from latentlqr.benchmarks import CATALOG, cubic_forward, cubic_inverse
 from latentlqr.control import psd_sqrt
+from latentlqr.evaluate import trajectory_costs
 from latentlqr.rng import ROLE_INIT_STATE, ROLE_INPUT, ROLE_PROCESS, noise_block
 from latentlqr.serialize import export_trajectories_csv
 from latentlqr.system import CurrentObsDecoder
@@ -156,6 +157,11 @@ class TestRollout:
             rollout_columns(spec, emission, PolicyDef.open_loop_gaussian(sigma=1.0), horizon=2,
                             n_traj=3, base_seed=0, decoded_times=(1,))
 
+    def test_decoders_need_a_gain(self):
+        spec, emission, _ = make_benchmark_instance("scalar-identity")
+        with pytest.raises(ValidationError, match="requires a gain"):
+            PolicyDef(sigma=0.1, decoders=CurrentObsDecoder(emission.decode_batch))
+
 
 class TestStart:
     """rollout_columns(start=s) simulates t = s..horizon from the exact marginal."""
@@ -256,6 +262,19 @@ def reference_rollout(spec, emission, policy, horizon, n, seed, start=0) -> dict
             if column and column[0] is not None}
 
 
+def count_substreams(monkeypatch) -> list:
+    """The (role, time) key of every substream created from now on, in order."""
+    created = []
+    substream = rngmod.substream
+
+    def counting(base_seed, role, time):
+        created.append((role, time))
+        return substream(base_seed, role, time)
+
+    monkeypatch.setattr(rngmod, "substream", counting)
+    return created
+
+
 def all_columns(spec, emission, policy, horizon, n, seed, start=0) -> dict:
     """rollout_columns keeping every time of every column it has, stacked along t."""
     times = tuple(range(start, horizon + 1))
@@ -326,14 +345,7 @@ class TestChunkedRollout:
     def test_sigma_zero_reads_no_input_substream(self, make_policy, monkeypatch):
         spec, emission, _ = make_benchmark_instance("di-cubic-lift")
         policy = make_policy(spec, emission)
-        created = []
-        substream = rngmod.substream
-
-        def counting(base_seed, role, time):
-            created.append((role, time))
-            return substream(base_seed, role, time)
-
-        monkeypatch.setattr(rngmod, "substream", counting)
+        created = count_substreams(monkeypatch)
         monkeypatch.setattr(system, "CHUNK_ROWS", 4)
         cols = all_columns(spec, emission, policy, 4, 11, 5)
         assert sorted(created) == [(ROLE_INIT_STATE, 0)] + [(ROLE_PROCESS, t) for t in range(4)]
@@ -345,6 +357,47 @@ class TestChunkedRollout:
         created.clear()
         rollout(spec, emission, PolicyDef.open_loop_gaussian(0.5), 4, 11, 5)
         assert sorted(t for role, t in created if role == ROLE_INPUT) == list(range(5))
+
+    def test_unread_last_action_draws_no_input(self, monkeypatch):
+        """The input at t = horizon is drawn only where a column at the horizon
+        records the action: phase 1 records inputs through kappa_1 of a rollout
+        to kappa_1 + 1, a zero-step rollout records the start state, and
+        trajectory_costs records c_horizon."""
+        spec, emission, _ = make_benchmark_instance("di-cubic-lift")
+        created = count_substreams(monkeypatch)
+        config = Phase1Config(n_id=20, kappa=2, psi_star=1.0, alpha_star=1.0, gamma_star=0.5,
+                              d_x=spec.d_x, d_u=spec.d_u, kappa0_override=3)
+        data = collect_id_data(spec, emission, config, seed=0)
+        assert data.kappa1 == 5
+        assert sorted(t for role, t in created if role == ROLE_INPUT) == [3, 4, 5]
+        created.clear()
+        cols = rollout_columns(spec, emission, PolicyDef.open_loop_gaussian(0.5), horizon=4,
+                               n_traj=5, base_seed=0, obs_times=(4,), start=4)
+        assert created == [(ROLE_INIT_STATE, 4)] and sorted(cols["obs"]) == [4]
+        created.clear()
+        trajectory_costs(spec, emission, PolicyDef.open_loop_gaussian(0.5), t_horizon=4,
+                         n_eval=5, seed=0)
+        assert (ROLE_INPUT, 4) in created
+
+    @pytest.mark.parametrize("record_action", [False, True], ids=["state-only", "every-column"])
+    def test_plan_no_longer_than_draw_ahead(self, record_action, monkeypatch):
+        """A zero-step rollout of two rows plans one block (the start state), or
+        two with the action at the horizon recorded, so take() finds no more
+        planned blocks than DRAW_AHEAD; its columns still match the reference."""
+        spec, emission, _ = make_benchmark_instance("di-cubic-lift")
+        policy = PolicyDef.open_loop_gaussian(0.5)
+        created = count_substreams(monkeypatch)
+        if record_action:
+            cols = all_columns(spec, emission, policy, 3, 2, 9, start=3)
+        else:
+            cols = {key: np.stack([column[3]], axis=1) for key, column in rollout_columns(
+                spec, emission, policy, horizon=3, n_traj=2, base_seed=9, obs_times=(3,),
+                start=3).items() if column}
+        assert len(created) == (2 if record_action else 1) <= system.DRAW_AHEAD
+        ref = reference_rollout(spec, emission, policy, 3, 2, 9, start=3)
+        assert set(cols) == ({"obs", "inputs", "injected", "costs"} if record_action else {"obs"})
+        for key in cols:
+            assert np.array_equal(cols[key], ref[COLUMN_FIELDS[key]]), key
 
     def test_quad_rows_matches_einsum(self):
         rng = np.random.default_rng(3)
@@ -387,26 +440,37 @@ class FailingStream:
         return self.gen.standard_normal(*args, **kwargs)
 
 
+def draw_threads() -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name.startswith("latentlqr-draws")]
+
+
 class TestDrawWorker:
     def test_failures_leave_no_worker_and_no_state(self, monkeypatch):
         spec, emission, _ = make_benchmark_instance("di-cubic-lift")
         gain = -0.3 * np.ones((spec.d_u, spec.d_x))
-        good = PolicyDef.gain_decoder(gain, CurrentObsDecoder(emission.decode_batch), 0.5)
+        seen = []
+
+        def decode(y):  # the draw threads alive while the rollout runs
+            seen.append(draw_threads())
+            return emission.decode_batch(y)
+
+        good = PolicyDef.gain_decoder(gain, CurrentObsDecoder(decode), 0.5)
         bad = PolicyDef.gain_decoder(gain, FailingDecoder(emission, fail_at=3), 0.5)
         monkeypatch.setattr(system, "CHUNK_ROWS", 8)
         fresh = rollout(spec, emission, good, horizon=6, n_traj=50, base_seed=17)
+        assert seen and all(len(names) == 1 for names in seen)
         threads = threading.active_count()
         for _ in range(20):
             with pytest.raises(ValidationError, match="t=3"):
                 rollout(spec, emission, bad, horizon=6, n_traj=50, base_seed=17)
-        assert threading.active_count() == threads
+        assert threading.active_count() == threads and draw_threads() == []
         substream = rngmod.substream
         monkeypatch.setattr(rngmod, "substream",
                             lambda *key: FailingStream(substream(*key), calls=2))
         for _ in range(20):
             with pytest.raises(RuntimeError, match="draw failed"):
                 rollout(spec, emission, good, horizon=6, n_traj=50, base_seed=17)
-        assert threading.active_count() == threads
+        assert threading.active_count() == threads and draw_threads() == []
         monkeypatch.setattr(rngmod, "substream", substream)
         again = rollout(spec, emission, good, horizon=6, n_traj=50, base_seed=17)
         for key in BATCH_FIELDS:
