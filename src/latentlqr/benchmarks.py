@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .control import controllability, solve_dare, strong_stability_cert
+from .control import controllability, rowmap, solve_dare, strong_stability_cert
 from .errors import ValidationError
 from .regression import DecoderClass
 from .system import EmissionModel, SystemSpec
@@ -78,8 +78,8 @@ class CubicLiftFamily:
     def emit(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
         top = cubic_forward(x, self.c)
-        bottom = x @ self.lift.T
-        return np.hstack([top, bottom]) @ self.rot.T
+        bottom = rowmap(x, self.lift)
+        return rowmap(np.hstack([top, bottom]), self.rot)
 
     def decode(self, y: np.ndarray) -> np.ndarray:
         return cubic_inverse(np.atleast_2d(y) @ self.rot[:, : self.d_x], self.c)

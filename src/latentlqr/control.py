@@ -21,6 +21,19 @@ DARE_TOL = 1e-12
 MAX_ITER = 100_000
 
 
+def rowmap(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m.T, bitwise, for a batch of rows x and a small matrix m.
+
+    A one-column m is a broadcast product (one term rounds as BLAS does) and
+    never reaches threaded BLAS. Otherwise m.T is copied to contiguous, which
+    avoids numpy's slow transposed-view path, except on one row: BLAS's
+    vector path rounds the copy differently.
+    """
+    if m.shape[1] == 1:
+        return x * m.T
+    return x @ (m.T if x.shape[0] < 2 else np.ascontiguousarray(m.T))
+
+
 def spectral_radius(x: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(x))))
 

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng as rngmod
-from .control import controllability_matrix, psd_project, solve_dare
+from .control import controllability_matrix, psd_project, rowmap, solve_dare
 from .errors import IllConditionedCovarianceError, NumericalError, ValidationError, tagged
 from .regression import DecoderClass, FittedRegressor, StructuredClass, erm_fit, erm_fit_increment
 from .system import EmissionModel, PolicyDef, SystemSpec, rollout_columns
@@ -135,7 +135,7 @@ class InitialStatePieces:
     gain: np.ndarray  # sigma_w_hat @ sigma_cov^{-1}
 
     def f_a0(self, y0: np.ndarray) -> np.ndarray:
-        return self.h_ol0.predict(y0) @ self.gain.T
+        return rowmap(self.h_ol0.predict(y0), self.gain)
 
 
 @dataclass
@@ -186,11 +186,11 @@ class DecoderStack:
             value, clipped = np.zeros((n, self.d_x)), None
         else:
             h = self.residual_regressors[t - 1]
-            base = h.predict(y) - h.predict(state.prev_obs) @ self.a_hat.T
+            base = h.predict(y) - rowmap(h.predict(state.prev_obs), self.a_hat)
             if t == 1 and self.initial is not None:
                 carry = self.initial.f_a0(state.prev_obs)
             else:
-                carry = state.value @ self.a_hat.T
+                carry = rowmap(state.value, self.a_hat)
             value = base + carry
             clipped = ~(np.linalg.norm(value, axis=1) <= self.b_bar)
             value[clipped] = 0.0

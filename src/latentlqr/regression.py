@@ -19,6 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .control import rowmap
 from .errors import NumericalError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -70,7 +71,7 @@ class FittedRegressor:
 
     def predict(self, observations: np.ndarray) -> np.ndarray:
         feats = self.decoder_class.features(self.candidate_index, observations)
-        return feats @ self.m.T
+        return rowmap(feats, self.m)
 
     def __call__(self, observations: np.ndarray) -> np.ndarray:
         return self.predict(observations)
@@ -102,6 +103,12 @@ def fit_linear_map(inputs: np.ndarray, targets: np.ndarray, ridge: float = RIDGE
     return sol.T
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices, as one broadcast product per entry."""
+    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
+
+
 def _erm(klass: StructuredClass, terms: list[tuple[np.ndarray, np.ndarray]],
          targets: np.ndarray, offsets: np.ndarray | None, ridge: float) -> FittedRegressor:
     """Fit sum_j L_j M f(y_j) + offset to the targets for every candidate f.
@@ -121,7 +128,7 @@ def _erm(klass: StructuredClass, terms: list[tuple[np.ndarray, np.ndarray]],
     losses = []
     for idx in range(len(klass.base)):
         feats = [np.ascontiguousarray(klass.base.features(idx, y)) for _, y in terms]
-        gram = sum(np.kron(fj.T @ fk, lj.T @ lk)
+        gram = sum(_kron(fj.T @ fk, lj.T @ lk)
                    for (lj, _), fj in zip(terms, feats) for (lk, _), fk in zip(terms, feats))
         rhs = sum(lj.T @ resid.T @ fj for (lj, _), fj in zip(terms, feats)).flatten(order="F")
         try:

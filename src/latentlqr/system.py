@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng as rngmod
-from .control import controllability, open_loop_state_cov, psd_sqrt, spectral_radius
+from .control import controllability, open_loop_state_cov, psd_sqrt, rowmap, spectral_radius
 from .errors import ValidationError
 
 
@@ -176,7 +176,7 @@ class PolicyDef:
         value, clipped, state = self.decoders.step(state, t, y)
         if not np.all(np.isfinite(value)):
             raise ValidationError(f"policy decoder produced non-finite output at t={t}")
-        return value @ self.gain.T + nu, value, clipped, state
+        return rowmap(value, self.gain) + nu, value, clipped, state
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +236,6 @@ def rollout(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef,
     """
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
-    if n_traj < 1:
-        raise ValidationError("n_traj must be >= 1")
     every = tuple(range(horizon + 1))
     cols = rollout_columns(spec, emission, policy, horizon, n_traj, base_seed,
                            state_times=every, obs_times=every, input_times=every,
@@ -274,7 +272,8 @@ def rollout_columns(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef
     whatever n_traj (for n_traj >= 2; see _drive). Costs are
     computed only at cost_times, and an open-loop policy emits observations
     only at obs_times. The policy acts at t = horizon only when a column at
-    the horizon records the action.
+    the horizon records the action. A column it cannot produce (past the
+    horizon, a noise at it, no rows) raises ValidationError before any draw.
 
     start > 0 simulates only t = start..horizon, for a zero-mean open-loop
     policy: x_start is drawn from its exact marginal N(0, Sigma_start)
@@ -282,6 +281,8 @@ def rollout_columns(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef
     start on has the law of a rollout from t = 0, and the input and process
     draws at t >= start are bitwise those of that rollout.
     """
+    if n_traj < 1:
+        raise ValidationError("n_traj must be >= 1")
     if decoded_times and policy.decoders is None:
         raise ValidationError("decoded_times needs a policy with decoders")
     if not 0 <= start <= horizon:
@@ -296,6 +297,10 @@ def rollout_columns(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef
              "clipped": set(clipped_times)}
     if any(t < start for ts in times.values() for t in ts):
         raise ValidationError(f"a requested column lies before start={start}")
+    for key, ts in times.items():
+        last = horizon - 1 if key == "noises" else horizon
+        if any(t > last for t in ts):
+            raise ValidationError(f"{key} columns run only through t={last}")
     columns = {key: {} for key in times}
 
     def keep(key, rows, t, part):
@@ -396,7 +401,7 @@ def _drive(spec, emission, policy, horizon, n, seed, times, keep, start) -> None
     with pool:
         for lo, hi in chunks:
             rows = slice(lo, hi)
-            x = take() @ l_0.T
+            x = rowmap(take(), l_0)
             y = observe(rows, start, x)
             pol_state = policy.begin(hi - lo)
             for t in acts:
@@ -408,7 +413,7 @@ def _drive(spec, emission, policy, horizon, n, seed, times, keep, start) -> None
                                   ("clipped", clipped)):
                     keep(key, rows, t, part)
                 if t < horizon:
-                    w = take() @ l_w.T
+                    w = rowmap(take(), l_w)
                     keep("noises", rows, t, w)
-                    x = x @ spec.a.T + u @ spec.b.T + w
+                    x = rowmap(x, spec.a) + rowmap(u, spec.b) + w
                     y = observe(rows, t + 1, x)

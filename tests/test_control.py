@@ -7,9 +7,23 @@ from latentlqr import (UnstableMatrixError, ValidationError,
                        controllability, make_benchmark_instance, open_loop_state_cov,
                        optimal_policy, psd_project, rollout, solve_dare, solve_lyapunov,
                        strong_stability_cert)
-from latentlqr.control import controllability_matrix
+from latentlqr.control import controllability_matrix, rowmap
+from latentlqr.system import CHUNK_ROWS
 
 from helpers import random_spd, random_stable
+
+
+class TestRowmap:
+    @pytest.mark.parametrize("d_out", range(1, 6))
+    @pytest.mark.parametrize("d_in", range(1, 6))
+    @pytest.mark.parametrize("n", [1, 2, 3, 10_000, CHUNK_ROWS + 1])
+    def test_bitwise_equal_to_the_transposed_product(self, n, d_in, d_out):
+        rng = np.random.default_rng(1000 * n + 10 * d_in + d_out)
+        m = rng.standard_normal((d_out, d_in))
+        wide = rng.standard_normal((n, d_in + 2))
+        # a contiguous batch and a strided column view, as decoders receive
+        for x in (np.ascontiguousarray(wide[:, :d_in]), wide[:, 1:1 + d_in]):
+            assert np.array_equal(rowmap(x, m), x @ m.T)
 
 
 class TestLyapunov:

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from latentlqr import (DecoderClass, StructuredClass, ValidationError, erm_fit,
                        erm_fit_increment, fit_linear_map)
-from latentlqr.regression import _opnorm_clamp
+from latentlqr.regression import _kron, _opnorm_clamp
 
 
 def identity_class(**kwargs) -> DecoderClass:
@@ -218,6 +218,14 @@ class TestMemoryLayout:
                       erm_fit_increment(klass, now.copy(), nxt.copy(), left, shift, targets))):
             assert np.array_equal(a.m, b.m)
             assert a.empirical_loss == b.empirical_loss
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [((1, 1), (1, 1)), ((2, 2), (2, 2)),
+                                              ((2, 3), (4, 1)), ((5, 5), (3, 2))])
+def test_kron_matches_numpy_bitwise(a_shape, b_shape):
+    rng = np.random.default_rng(sum(a_shape + b_shape))
+    a, b = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
+    assert np.array_equal(_kron(a, b), np.kron(a, b))
 
 
 class TestOpnormClampProperties:

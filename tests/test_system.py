@@ -177,7 +177,18 @@ class TestStart:
          "zero-mean"),
         (2, lambda spec, emission: PolicyDef.open_loop_gaussian(1.0),
          {"obs_times": (1, 3)}, "before start"),
-    ], ids=["negative", "past-horizon", "optimal", "gain-decoder", "mean", "column-before"])
+        # columns no rollout can produce, whatever the start
+        (0, lambda spec, emission: PolicyDef.open_loop_gaussian(1.0), {"n_traj": 0}, "n_traj"),
+        (0, lambda spec, emission: PolicyDef.open_loop_gaussian(1.0), {"n_traj": -3}, "n_traj"),
+        (0, lambda spec, emission: PolicyDef.open_loop_gaussian(1.0), {"obs_times": (7,)},
+         "obs columns run only through t=4"),
+        (0, lambda spec, emission: PolicyDef.open_loop_gaussian(1.0), {"state_times": (2, 5)},
+         "states columns run only through t=4"),
+        (0, lambda spec, emission: PolicyDef.open_loop_gaussian(1.0), {"noise_times": (3, 4)},
+         "noises columns run only through t=3"),
+    ], ids=["negative", "past-horizon", "optimal", "gain-decoder", "mean", "column-before",
+            "no-rows", "negative-rows", "obs-past-horizon", "state-past-horizon",
+            "noise-at-horizon"])
     def test_bad_start_raises_before_any_draw(self, start, make_policy, times, match,
                                                monkeypatch):
         spec, emission, _ = make_benchmark_instance("di-cubic-lift")
@@ -185,8 +196,8 @@ class TestStart:
         created = []
         monkeypatch.setattr(rngmod, "substream", lambda *key: created.append(key))
         with pytest.raises(ValidationError, match=match):
-            rollout_columns(spec, emission, policy, horizon=4, n_traj=5, base_seed=0,
-                            start=start, **times)
+            rollout_columns(spec, emission, policy, horizon=4, base_seed=0, start=start,
+                            **{"n_traj": 5, **times})
         assert created == []
 
     @pytest.mark.parametrize("policy, start", [
