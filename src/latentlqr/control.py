@@ -257,7 +257,8 @@ def open_loop_state_cov(a: np.ndarray, b: np.ndarray, sigma_w: np.ndarray,
     a = np.asarray(a, dtype=float)
     b = np.atleast_2d(np.asarray(b, dtype=float))
     drive = np.asarray(sigma_w, dtype=float) + b @ b.T
-    cov = np.linalg.matrix_power(a, k) @ np.asarray(sigma_0, dtype=float) @ np.linalg.matrix_power(a, k).T
+    a_k = np.linalg.matrix_power(a, k)
+    cov = a_k @ np.asarray(sigma_0, dtype=float) @ a_k.T
     term = drive.copy()
     for _ in range(k):
         cov = cov + term

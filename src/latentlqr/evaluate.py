@@ -1,7 +1,7 @@
 """Monte-Carlo policy evaluation and decoder-recovery metrics.
 
-Costs are averaged per step over fresh rollouts; two policies can be
-compared on identical noise streams (paired seeds) for variance reduction.
+Costs are averaged per step over fresh rollouts; policies compared on one
+seed step together on shared draws (paired seeds) for variance reduction.
 Decoder quality is measured up to the similarity transform that the
 identification pipeline can at best recover.
 """
@@ -11,28 +11,48 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import system
 from .errors import ValidationError
 from .phase1 import Phase1Output, bayes_map
 from .system import EmissionModel, PolicyDef, SystemSpec, rollout_columns
 
 
-def trajectory_costs(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef,
-                     t_horizon: int, n_eval: int, seed: int) -> tuple[np.ndarray, int, int]:
+def trajectory_costs(spec: SystemSpec, emission: EmissionModel, policies,
+                     t_horizon: int, n_eval: int, seed: int):
     """Per-step cost (1/T) sum_{t=1..T} c_t of each of n_eval fresh rollouts,
     with the number of decoder steps the pass clipped and checked.
 
-    Only the cost columns and clip masks are recorded. Policies evaluated on
-    the same seed see identical noise streams, so differences of these cost
-    vectors are paired-seed gaps.
+    policies is one PolicyDef, for one (costs, clipped, checked) triple, or a
+    sequence of them, for a list of triples. They step together in one pass
+    that draws each noise block once for all, so cost differences are
+    paired-seed gaps and each triple is bitwise that of a pass of its own.
+    Costs are reduced per chunk of rows: no (n_eval, T) matrix is held.
     """
-    if n_eval < 2:
-        raise ValidationError("n_eval must be >= 2")
-    times = tuple(range(1, t_horizon + 1))
-    cols = rollout_columns(spec, emission, policy, horizon=t_horizon, n_traj=n_eval,
-                           base_seed=seed, cost_times=times, clipped_times=times)
-    masks = cols["clipped"].values()
-    return (np.stack([cols["costs"][t] for t in times], axis=1).mean(axis=1),
-            sum(int(m.sum()) for m in masks), sum(m.size for m in masks))
+    if n_eval < 2 or t_horizon < 1:
+        raise ValidationError(f"need n_eval >= 2 and t_horizon >= 1, got {n_eval}, {t_horizon}")
+    lone = isinstance(policies, PolicyDef)
+    group = (policies,) if lone else tuple(policies)
+    times = set(range(1, t_horizon + 1))
+    costs = [np.empty(n_eval) for _ in group]
+    blocks = [None] * len(group)
+    clips = [[0, 0] for _ in group]
+
+    def keep(k, key, rows, t, part):
+        if key == "costs":  # a (rows, T) block per policy, reduced as the chunk ends
+            if t == 1:
+                blocks[k] = np.empty((part.shape[0], t_horizon))
+            blocks[k][:, t - 1] = part
+            if t == t_horizon:
+                costs[k][rows] = blocks[k].mean(axis=1)
+        elif key == "clipped" and part is not None and t in times:
+            clips[k][0] += int(part.sum())
+            clips[k][1] += part.size
+
+    # looked up at call time, so that a wrapper of system._drive sees this pass
+    system._drive(spec, emission, group, t_horizon, n_eval, seed,
+                  {"costs": times, "clipped": times}, keep, 0)
+    triples = [(c, clipped, checked) for c, (clipped, checked) in zip(costs, clips)]
+    return triples[0] if lone else triples
 
 
 def mean_stderr(per: np.ndarray) -> tuple[float, float]:
@@ -51,12 +71,12 @@ def estimate_gap(spec: SystemSpec, emission: EmissionModel, policy_a: PolicyDef,
                  ) -> tuple[float, float]:
     """Paired-seed estimate of J(policy_a) - J(policy_b).
 
-    Both policies see identical initial states, process noise, and
-    exploration noise streams, so comparing a policy against itself gives a
-    gap of exactly zero.
+    Both policies step together on the same draws of the initial states,
+    process noise and exploration noise, so comparing a policy against
+    itself gives a gap of exactly zero.
     """
-    costs_a = trajectory_costs(spec, emission, policy_a, t_horizon, n_eval, seed)[0]
-    costs_b = trajectory_costs(spec, emission, policy_b, t_horizon, n_eval, seed)[0]
+    (costs_a, _, _), (costs_b, _, _) = trajectory_costs(
+        spec, emission, (policy_a, policy_b), t_horizon, n_eval, seed)
     return mean_stderr(costs_a - costs_b)
 
 

@@ -103,6 +103,7 @@ def build_noise_shaping(a: np.ndarray, b: np.ndarray, sigma_w: np.ndarray,
     bar_blocks = []
     w_k = np.zeros_like(sigma_w)
     a_pow = np.eye(a.shape[0])
+    powers = [np.linalg.matrix_power(a, k) for k in range(kappa)]
     for k in range(1, kappa + 1):
         w_k = w_k + a_pow @ sigma_w @ a_pow.T
         c_k = controllability_matrix(a, b, k)
@@ -110,10 +111,9 @@ def build_noise_shaping(a: np.ndarray, b: np.ndarray, sigma_w: np.ndarray,
         m_k = np.linalg.solve(inner, c_k).T
         m_list.append(m_k)
         m_bar_k = np.linalg.solve(w_k, c_k).T
-        bar_blocks.append(m_bar_k @ np.linalg.matrix_power(a, k - 1))
+        bar_blocks.append(m_bar_k @ powers[k - 1])
         a_pow = a @ a_pow
-    big_m = np.vstack([m_list[k - 1] @ np.linalg.matrix_power(a, k - 1)
-                       for k in range(1, kappa + 1)])
+    big_m = np.vstack([m_k @ a_km1 for m_k, a_km1 in zip(m_list, powers)])
     m_bar = np.vstack(bar_blocks)
     svals = np.linalg.svd(m_bar, compute_uv=False)
     lambda_m = float(svals[-1]) if svals.size else 0.0
@@ -274,12 +274,11 @@ def fit_residual_regressors(halves: tuple[OnPolicyHalf, OnPolicyHalf],
     h_op = StructuredClass(base=decoder_class, output_dim=d_x, radius=config.r_op)
     bk = b_hat @ stack.k_gain
 
+    powers = [np.linalg.matrix_power(a_hat, k) for k in range(config.kappa + 1)]
     f_t_1 = half1.f_t
     first_stage = []
     for k in range(1, config.kappa + 1):
-        m_k = shaping.m_k[k - 1]
-        a_k = np.linalg.matrix_power(a_hat, k)
-        a_km1 = np.linalg.matrix_power(a_hat, k - 1)
+        m_k, a_k, a_km1 = shaping.m_k[k - 1], powers[k], powers[k - 1]
         targets = half1.injected[:, :k].reshape(half1.n_traj, -1)
         offsets = -(f_t_1 @ (m_k @ a_km1 @ bk).T)
         reg = erm_fit_increment(h_op, obs_now=half1.observations[:, 0],
@@ -291,9 +290,7 @@ def fit_residual_regressors(halves: tuple[OnPolicyHalf, OnPolicyHalf],
     phi_cols = []
     for k in range(1, config.kappa + 1):
         reg = first_stage[k - 1]
-        m_k = shaping.m_k[k - 1]
-        a_k = np.linalg.matrix_power(a_hat, k)
-        a_km1 = np.linalg.matrix_power(a_hat, k - 1)
+        m_k, a_k, a_km1 = shaping.m_k[k - 1], powers[k], powers[k - 1]
         pred = (reg.predict(half2.observations[:, k])
                 - reg.predict(half2.observations[:, 0]) @ a_k.T
                 - f_t_2 @ (a_km1 @ bk).T) @ m_k.T

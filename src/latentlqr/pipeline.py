@@ -225,21 +225,22 @@ def evaluate_policy(config: ExperimentConfig, spec, emission, learned, phase1_ou
                     kappa: int) -> EvalReport:
     """Paired-seed evaluation of a learned policy on the config's eval streams.
 
-    The learned, optimal and zero policies each make one cost-only pass over
-    the same n_eval streams; the coarse decoder is aligned to the true one
-    on fresh open-loop observations y_{kappa_1}, drawn from their exact
-    marginal without simulating the steps before, and each per-step decoder
-    is scored against S_id f_star. The clip statistics are the masks
+    The learned, optimal and zero policies step together in one cost-only
+    pass over n_eval rollouts, on draws made once and shared by all three,
+    with costs reduced chunk by chunk; the coarse decoder is aligned to the
+    true one on fresh open-loop observations y_{kappa_1}, drawn from their
+    exact marginal without simulating the steps before, and each per-step
+    decoder is scored against S_id f_star. The clip statistics are the masks
     recorded by the learned policy's cost pass.
     """
     pi_opt = optimal_policy(spec, emission)
     eval_seed = _eval_seed(config)
     t_h = config.t_horizon
-    # one cost-only pass per policy on the eval streams; the gap pairs the
-    # learned and optimal per-trajectory costs of those same streams
-    (costs_learned, clipped, checked), (costs_opt, _, _), (costs_zero, _, _) = (
-        trajectory_costs(spec, emission, policy, t_h, config.n_eval, eval_seed)
-        for policy in (learned.policy(), pi_opt, PolicyDef.zero(spec.d_u)))
+    # one cost-only pass steps all three policies on the same draws; the gap
+    # pairs the learned and optimal per-trajectory costs of those streams
+    (costs_learned, clipped, checked), (costs_opt, _, _), (costs_zero, _, _) = trajectory_costs(
+        spec, emission, (learned.policy(), pi_opt, PolicyDef.zero(spec.d_u)), t_h,
+        config.n_eval, eval_seed)
     j_learned, j_learned_se = mean_stderr(costs_learned)
     j_opt, j_opt_se = mean_stderr(costs_opt)
     j_zero, j_zero_se = mean_stderr(costs_zero)

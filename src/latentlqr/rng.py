@@ -6,8 +6,10 @@ each (role, time) substream. A Generator fills arrays in a fixed element
 order, and consecutive fills continue where the last one stopped, so row i
 is the same whether the rows come in one block (noise_block) or in row
 chunks from one Generator (substream, as rollouts read them), whatever the
-number of trajectories or the chunk size. That is what makes batched and
-paired-seed runs reproducible.
+number of trajectories or the chunk size. Policies that share one rollout
+pass read each block once between them, so a policy's row i is still the
+i-th draw of each substream, as in a pass of its own. That is what makes
+batched and paired-seed runs reproducible.
 """
 from __future__ import annotations
 

@@ -303,14 +303,14 @@ def rollout_columns(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef
             raise ValidationError(f"{key} columns run only through t={last}")
     columns = {key: {} for key in times}
 
-    def keep(key, rows, t, part):
+    def keep(_, key, rows, t, part):
         if part is not None and t in times[key]:
             column = columns[key].get(t)
             if column is None:
                 column = columns[key][t] = np.empty((n_traj,) + part.shape[1:], part.dtype)
             column[rows] = part
 
-    _drive(spec, emission, policy, horizon, n_traj, base_seed, times, keep, start)
+    _drive(spec, emission, (policy,), horizon, n_traj, base_seed, times, keep, start)
     return columns
 
 
@@ -331,16 +331,22 @@ def _row_chunks(n: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _drive(spec, emission, policy, horizon, n, seed, times, keep, start) -> None:
-    """Advance n trajectories through t = start..horizon, handing each chunk's
-    columns to keep(key, rows, t, part).
+def _drive(spec, emission, policies, horizon, n, seed, times, keep, start) -> None:
+    """Advance n trajectories of each of the given policies through
+    t = start..horizon, handing each chunk's columns to
+    keep(k, key, rows, t, part), where k indexes policies.
 
     Rows run in chunks (_row_chunks), each chunk through every t before the
     next one starts. Each (role, time) substream is one Generator, read in
     chunk order, so row i is the i-th draw of its substream whatever n or
     the chunk size, and every matrix product has at least two rows (n = 1
-    is the exception: its one row takes BLAS's vector path). A policy with
-    sigma = 0 creates no input substream and acts on zero noise.
+    is the exception: its one row takes BLAS's vector path).
+
+    The policies share every draw: each block is drawn once per chunk, and
+    every policy advances its own state on it, so each policy's columns are
+    bitwise those of a pass of its own. The input substreams are created
+    when some policy has sigma > 0; each such policy scales the shared block
+    by its own sigma, and a policy with sigma = 0 acts on zero noise.
 
     The draws run on a one-thread executor, DRAW_AHEAD blocks ahead of this
     thread, each into the next of DRAW_AHEAD + 1 preallocated buffers; a
@@ -348,27 +354,30 @@ def _drive(spec, emission, policy, horizon, n, seed, times, keep, start) -> None
     draw re-raises here, and leaving the executor joins its thread, so no
     draw runs past the rollout, whichever side raised.
 
-    The action at t = horizon is taken only when a column at the horizon
-    records it (costs, inputs, injected, decoded or clipped): no other
-    column reads it, so otherwise its input substream is never created.
-    Observations are emitted wherever a policy with decoders runs or
-    times["obs"] holds t, costs only where times["costs"] does; neither
-    feeds the dynamics. The state at start comes from the
+    times maps a column key to the times that key is recorded at; a missing
+    key records nothing. The action at t = horizon is taken only when a
+    column at the horizon records it (costs, inputs, injected, decoded or
+    clipped): no other column reads it, so otherwise its input substream is
+    never created. Observations are emitted wherever a policy with decoders
+    runs or times["obs"] holds t, costs only where times["costs"] does;
+    neither feeds the dynamics. The state at start comes from the
     (ROLE_INIT_STATE, start) substream, scaled by the square root of Sigma_0
-    at start = 0 and of the zero-mean open-loop marginal Sigma_start
-    otherwise.
+    at start = 0 and of the policy's zero-mean open-loop marginal
+    Sigma_start otherwise.
     """
     l_w = psd_sqrt(spec.sigma_w)
-    l_0 = psd_sqrt(spec.sigma_0 if start == 0 else open_loop_state_cov(
+    l_0 = [psd_sqrt(spec.sigma_0 if start == 0 else open_loop_state_cov(
         spec.a, policy.sigma * spec.b, spec.sigma_w, spec.sigma_0, start))
-    at_horizon = any(horizon in times[key]
+        for policy in policies]
+    obs_times, cost_times = times.get("obs", ()), times.get("costs", ())
+    at_horizon = any(horizon in times.get(key, ())
                      for key in ("costs", "inputs", "injected", "decoded", "clipped"))
-    acts = range(start, horizon + 1 if at_horizon else horizon)  # the times the policy acts
+    acts = range(start, horizon + 1 if at_horizon else horizon)  # the times the policies act
     chunks = _row_chunks(n)
     init = rngmod.substream(seed, rngmod.ROLE_INIT_STATE, start)
     process = {t: rngmod.substream(seed, rngmod.ROLE_PROCESS, t) for t in range(start, horizon)}
     inputs = ({t: rngmod.substream(seed, rngmod.ROLE_INPUT, t) for t in acts}
-              if policy.sigma > 0 else None)
+              if any(policy.sigma > 0 for policy in policies) else None)
     plan = []
     for lo, hi in chunks:
         plan.append((init, hi - lo, spec.d_x))
@@ -390,30 +399,34 @@ def _drive(spec, emission, policy, horizon, n, seed, times, keep, start) -> None
             pending.append(pool.submit(gen.standard_normal, out=block))
         return pending.popleft().result()
 
-    def observe(rows, t, x):
-        keep("states", rows, t, x)
-        if policy.decoders is not None or t in times["obs"]:
+    def observe(k, rows, t, x):
+        keep(k, "states", rows, t, x)
+        if policies[k].decoders is not None or t in obs_times:
             y = emission.emit_batch(x)
-            keep("obs", rows, t, y)
+            keep(k, "obs", rows, t, y)
             return y
         return None
 
     with pool:
         for lo, hi in chunks:
             rows = slice(lo, hi)
-            x = rowmap(take(), l_0)
-            y = observe(rows, start, x)
-            pol_state = policy.begin(hi - lo)
+            drawn = take()
+            xs = [rowmap(drawn, l) for l in l_0]
+            ys = [observe(k, rows, start, x) for k, x in enumerate(xs)]
+            states = [policy.begin(hi - lo) for policy in policies]
             for t in acts:
-                nu = policy.sigma * take() if inputs else np.zeros((hi - lo, spec.d_u))
-                u, value, clipped, pol_state = policy.act(pol_state, t, y, nu)
-                if t in times["costs"]:
-                    keep("costs", rows, t, _quad_rows(x, spec.q) + _quad_rows(u, spec.r))
-                for key, part in (("inputs", u), ("injected", nu), ("decoded", value),
-                                  ("clipped", clipped)):
-                    keep(key, rows, t, part)
-                if t < horizon:
-                    w = rowmap(take(), l_w)
-                    keep("noises", rows, t, w)
-                    x = rowmap(x, spec.a) + rowmap(u, spec.b) + w
-                    y = observe(rows, t + 1, x)
+                drawn = take() if inputs else None
+                # every policy scales the input block before the next take() recycles it
+                nus = [policy.sigma * drawn if policy.sigma > 0 else np.zeros((hi - lo, spec.d_u))
+                       for policy in policies]
+                w = rowmap(take(), l_w) if t < horizon else None
+                for k, policy in enumerate(policies):
+                    u, value, clipped, states[k] = policy.act(states[k], t, ys[k], nus[k])
+                    if t in cost_times:
+                        keep(k, "costs", rows, t, _quad_rows(xs[k], spec.q) + _quad_rows(u, spec.r))
+                    for key, part in (("inputs", u), ("injected", nus[k]), ("decoded", value),
+                                      ("clipped", clipped), ("noises", w)):
+                        keep(k, key, rows, t, part)
+                    if w is not None:
+                        xs[k] = rowmap(xs[k], spec.a) + rowmap(u, spec.b) + w
+                        ys[k] = observe(k, rows, t + 1, xs[k])

@@ -1,6 +1,7 @@
 """Evaluation harness: cost estimation, alignment, pipeline reports."""
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from latentlqr import (ExperimentConfig, PolicyDef, SystemSpec, ValidationError,
                        rollout, rollout_columns, run_pipeline, solve_dare, solve_lyapunov)
 from latentlqr import pipeline, system
 from latentlqr.benchmarks import CATALOG
-from latentlqr.evaluate import EvalReport, mean_stderr, trajectory_costs
+from latentlqr.evaluate import EvalReport, estimate_gap, mean_stderr, trajectory_costs
 
 from helpers import closed_form_step_cost
 
@@ -232,14 +233,15 @@ class TestPipeline:
         simulated = []
         drive = system._drive
 
-        def counting_drive(spec, emission, policy, horizon, n, *rest):
-            simulated.append(n)
-            return drive(spec, emission, policy, horizon, n, *rest)
+        def counting_drive(spec, emission, policies, horizon, n, *rest):
+            simulated.append(n * len(policies))
+            return drive(spec, emission, policies, horizon, n, *rest)
 
         monkeypatch.setattr(system, "_drive", counting_drive)
         rep = run_pipeline(self._config()).report
-        # three cost passes of n_eval = 400, 2000 alignment rollouts and
-        # min(metric_rollouts = 2000, n_eval) decoder-error rollouts
+        # one cost pass of three policies on n_eval = 400 rows, 2000
+        # alignment rollouts and min(metric_rollouts = 2000, n_eval)
+        # decoder-error rollouts
         assert rep.trajectories_eval == 3 * 400 + 2000 + 400
         assert sum(simulated) == (rep.trajectories_phase12 + rep.trajectories_phase3
                                   + rep.trajectories_eval)
@@ -410,3 +412,96 @@ class TestPureDecoders:
             for key, by_time in serial.items():
                 assert cols[key].keys() == by_time.keys(), key
                 assert all(np.array_equal(cols[key][t], by_time[t]) for t in by_time), key
+
+
+def bitwise(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def policy_groups(learned, spec, emission) -> list[tuple]:
+    """Policy tuples for one shared pass: the exploring policy first, in the
+    middle and last, and two exploring policies of different sigma."""
+    explore, greedy = learned.policy(), learned.greedy_policy()
+    opt, zero = optimal_policy(spec, emission), PolicyDef.zero(spec.d_u)
+    return [(explore, opt, zero), (opt, explore, zero), (zero, greedy, explore),
+            (explore, PolicyDef.open_loop_gaussian(0.7), greedy)]
+
+
+class TestSharedPass:
+    """Policies that step together on one draw plan get, bitwise, what each
+    gets from a pass of its own, chunk boundaries and one-row tails included."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 15])
+    def test_shared_drive_equals_separate_drives(self, clipping_run, monkeypatch, n):
+        config, result = clipping_run
+        spec, emission, _ = make_benchmark_instance(config.instance)
+        horizon = config.t_horizon
+        every = set(range(horizon + 1))
+        times = {key: every for key in ("states", "obs", "inputs", "injected", "noises",
+                                        "costs", "decoded", "clipped")}
+        monkeypatch.setattr(system, "CHUNK_ROWS", 7)
+
+        def drive(policies):
+            parts = {}
+
+            def keep(k, key, rows, t, part):
+                if part is not None:
+                    parts.setdefault((k, key, t), []).append(part.copy())
+
+            system._drive(spec, emission, policies, horizon, n, 5, times, keep, 0)
+            return {key: np.concatenate(chunks) for key, chunks in parts.items()}
+
+        for policies in policy_groups(result.learned, spec, emission):
+            shared = drive(policies)
+            assert {k for k, _, _ in shared} == set(range(len(policies)))
+            for k, policy in enumerate(policies):
+                alone = drive((policy,))
+                assert {key[1:] for key in shared if key[0] == k} == {key[1:] for key in alone}
+                for (_, key, t), column in alone.items():
+                    assert bitwise(shared[k, key, t], column), (k, key, t)
+
+    @pytest.mark.parametrize("n", [2, 8, 15, 400])
+    def test_shared_costs_equal_separate_costs(self, clipping_run, monkeypatch, n):
+        config, result = clipping_run
+        spec, emission, _ = make_benchmark_instance(config.instance)
+        monkeypatch.setattr(system, "CHUNK_ROWS", 7)
+        clipped_any = False
+        for policies in policy_groups(result.learned, spec, emission):
+            shared = trajectory_costs(spec, emission, policies, config.t_horizon, n,
+                                      config.eval_seed)
+            assert len(shared) == len(policies)
+            for (costs, clipped, checked), policy in zip(shared, policies):
+                alone = trajectory_costs(spec, emission, policy, config.t_horizon, n,
+                                         config.eval_seed)
+                assert bitwise(costs, alone[0]) and (clipped, checked) == alone[1:]
+                clipped_any = clipped_any or clipped > 0
+        # the clip radius b_bar = 1 clips some decoder steps once a pass has a few rows
+        assert clipped_any or n == 2
+
+    def test_gap_is_the_paired_difference_of_separate_passes(self, clipping_run, monkeypatch):
+        config, result = clipping_run
+        spec, emission, _ = make_benchmark_instance(config.instance)
+        monkeypatch.setattr(system, "CHUNK_ROWS", 7)
+        explore, opt, zero = policy_groups(result.learned, spec, emission)[0]
+        for a, b in ((explore, opt), (opt, explore), (result.learned.greedy_policy(), zero)):
+            costs_a, costs_b = (trajectory_costs(spec, emission, policy, config.t_horizon, 15,
+                                                 config.eval_seed)[0] for policy in (a, b))
+            assert estimate_gap(spec, emission, a, b, config.t_horizon, 15,
+                                config.eval_seed) == mean_stderr(costs_a - costs_b)
+
+    def test_cost_pass_holds_no_cost_matrix(self, monkeypatch):
+        """Three policies on 200,000 rows of T = 10 steps peak below one
+        (n_eval, T) float64 matrix: each chunk's costs are reduced as it ends."""
+        spec, emission, _ = make_benchmark_instance("di-cubic-lift")
+        k = solve_dare(spec.a, spec.b, spec.q, spec.r).k
+        policies = (PolicyDef.ground_truth(k, emission, sigma=0.15),
+                    optimal_policy(spec, emission), PolicyDef.zero(spec.d_u))
+        n_eval, horizon = 200_000, 10
+        monkeypatch.setattr(system, "CHUNK_ROWS", 4096)
+        tracemalloc.start()
+        try:
+            trajectory_costs(spec, emission, policies, horizon, n_eval, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n_eval * horizon * 8
