@@ -28,8 +28,8 @@ print(f"max reconstruction error over 5 samples: {err:.2e}")
 print()
 print("Rolling out 3 policies for 10 steps, 1000 trajectories each")
 policies = {
-    "zero": PolicyDef.zero(spec.d_u),
-    "gaussian": PolicyDef.open_loop_gaussian(sigma=1.0),
+    "zero": PolicyDef(),
+    "gaussian": PolicyDef(sigma=1.0),
     "optimal": optimal_policy(spec, emission),
 }
 for label, policy in policies.items():

@@ -7,6 +7,7 @@ import numpy as np
 
 from latentlqr import (controllability, psd_project, solve_dare, solve_lyapunov,
                        strong_stability_cert)
+from latentlqr.control import controllability_matrix
 
 print("=" * 64)
 print("Riccati equation by value iteration")
@@ -38,9 +39,10 @@ for n, nm, bd in zip((1, 5, 20, 50), powers, bounds):
 
 print()
 print("Controllability matrices")
-info = controllability(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]), 3)
+a_di, b_di = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]])
+info = controllability(a_di, b_di, 3)
 print(f"double integrator: kappa_star = {info.kappa_star}, sigma_min = {info.sigma_min:.3f}")
-print(f"C_2 =\n{info.c_k(2)}")
+print(f"C_2 =\n{controllability_matrix(a_di, b_di, 2)}")
 
 print()
 print("PSD projection (Frobenius-nearest point in the cone)")

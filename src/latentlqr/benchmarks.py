@@ -19,6 +19,8 @@ from .regression import DecoderClass
 from .system import EmissionModel, SystemSpec
 
 CATALOG = ("scalar-identity", "di-cubic-lift", "stable2x1-lift5")
+# Slack parameter_bounds puts on every bound it derives from the ground truth.
+MARGIN = 1.05
 
 
 def cubic_forward(z: np.ndarray, c: float) -> np.ndarray:
@@ -167,8 +169,7 @@ class ParameterBounds:
     kappa: int
 
 
-def parameter_bounds(spec: SystemSpec, witness: str = "lyapunov",
-                     margin: float = 1.05) -> ParameterBounds:
+def parameter_bounds(spec: SystemSpec, witness: str = "lyapunov") -> ParameterBounds:
     """Compute valid parameter bounds from ground truth.
 
     witness selects the strong-stability certificate for the closed loop:
@@ -192,10 +193,10 @@ def parameter_bounds(spec: SystemSpec, witness: str = "lyapunov",
     info = controllability(spec.a, spec.b, spec.d_x)
     if info.kappa_star is None:
         raise ValidationError("instance is not controllable")
-    # margin on gamma eats into the stability gap so the bound stays below 1
+    # the margin on gamma eats into the stability gap so the bound stays below 1
     gamma = max(cert_a.gamma, cert_cl.gamma)
-    gamma = gamma + (margin - 1.0) * (1.0 - gamma)
-    return ParameterBounds(psi_star=max(1.0, margin * max(norms)),
-                           alpha_star=max(1.0, margin * max(cert_a.alpha, cert_cl.alpha)),
+    gamma = gamma + (MARGIN - 1.0) * (1.0 - gamma)
+    return ParameterBounds(psi_star=max(1.0, MARGIN * max(norms)),
+                           alpha_star=max(1.0, MARGIN * max(cert_a.alpha, cert_cl.alpha)),
                            gamma_star=min(0.999, max(1e-3, gamma)),
                            kappa=info.kappa_star)

@@ -73,11 +73,11 @@ def _cmd_simulate(args) -> None:
         raise ValidationError("simulate needs --instance and --seed (or a config)")
     spec, emission, _ = make_benchmark_instance(instance)
     if args.policy == "zero":
-        policy = PolicyDef.zero(spec.d_u)
+        policy = PolicyDef()
     elif args.policy == "optimal":
         policy = optimal_policy(spec, emission)
     else:
-        policy = PolicyDef.open_loop_gaussian(sigma=args.sigma)
+        policy = PolicyDef(sigma=args.sigma)
     batch = rollout(spec, emission, policy, horizon=args.horizon,
                     n_traj=args.n_traj, base_seed=seed)
     export_trajectories_csv(out / "trajectories.csv", batch)

@@ -143,15 +143,11 @@ def strong_stability_cert(x: np.ndarray, p: np.ndarray | None = None,
 
 @dataclass(frozen=True)
 class ControllabilityInfo:
-    """Controllability matrices C_k = [A^{k-1}B | ... | B] and the minimal
-    index at which C_k reaches rank d_x."""
+    """The minimal index at which C_k = [A^{k-1}B | ... | B] reaches rank d_x,
+    and the d_x-th singular value of that C_k."""
 
-    blocks: tuple[np.ndarray, ...]
     kappa_star: int | None
     sigma_min: float | None
-
-    def c_k(self, k: int) -> np.ndarray:
-        return self.blocks[k - 1]
 
 
 def controllability_matrix(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
@@ -166,7 +162,7 @@ def controllability_matrix(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
 
 
 def controllability(a: np.ndarray, b: np.ndarray, k_max: int) -> ControllabilityInfo:
-    """All C_k for k <= k_max plus the smallest k with rank(C_k) = d_x.
+    """The smallest k <= k_max with rank(C_k) = d_x.
 
     An uncontrollable pair is signalled by kappa_star = None, not an error.
     """
@@ -175,16 +171,12 @@ def controllability(a: np.ndarray, b: np.ndarray, k_max: int) -> Controllability
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
     d_x = a.shape[0]
-    blocks = tuple(controllability_matrix(a, b, k) for k in range(1, k_max + 1))
-    kappa_star = None
-    sigma_min = None
-    for k, ck in enumerate(blocks, start=1):
+    for k in range(1, k_max + 1):
+        ck = controllability_matrix(a, b, k)
         svals = np.linalg.svd(ck, compute_uv=False)
         if len(svals) >= d_x and svals[d_x - 1] > d_x * max(ck.shape) * np.finfo(float).eps * (svals[0] if len(svals) else 1.0):
-            kappa_star = k
-            sigma_min = float(svals[d_x - 1])
-            break
-    return ControllabilityInfo(blocks=blocks, kappa_star=kappa_star, sigma_min=sigma_min)
+            return ControllabilityInfo(kappa_star=k, sigma_min=float(svals[d_x - 1]))
+    return ControllabilityInfo(kappa_star=None, sigma_min=None)
 
 
 @dataclass(frozen=True)
@@ -202,12 +194,11 @@ class DareSolution:
         return np.asarray(r, dtype=float) + b.T @ self.p @ b
 
 
-def solve_dare(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray,
-               tol: float = DARE_TOL, max_iter: int = MAX_ITER) -> DareSolution:
+def solve_dare(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> DareSolution:
     """Riccati fixed point by value iteration from P0 = Q.
 
     P <- A'PA + Q - A'PB (R + B'PB)^{-1} B'PA, stopped when the relative
-    Frobenius change is below tol. Requires Q PSD and R PD (symmetric), and
+    Frobenius change is below DARE_TOL. Requires Q PSD and R PD (symmetric), and
     (A, B) stabilizable, prechecked as rho(A) < 1 or full controllability.
     """
     a = _check_square(a, "A")
@@ -225,15 +216,14 @@ def solve_dare(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray,
         raise UnstableMatrixError("(A, B) is neither stable nor controllable")
 
     p = q.copy()
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         bpb = r + b.T @ p @ b
         bpa = b.T @ p @ a
         p_next = a.T @ p @ a + q - bpa.T @ np.linalg.solve(bpb, bpa)
         p_next = (p_next + p_next.T) / 2.0
         change = np.linalg.norm(p_next - p, "fro")
         p = p_next
-        if change <= tol * max(1.0, np.linalg.norm(p, "fro")):
+        if change <= DARE_TOL * max(1.0, np.linalg.norm(p, "fro")):
             break
     else:
         raise ConvergenceError("DARE value iteration hit the iteration cap")
@@ -270,7 +260,7 @@ def open_loop_state_cov(a: np.ndarray, b: np.ndarray, sigma_w: np.ndarray,
 
 def optimal_policy(spec, emission):
     """Benchmark policy: the infinite-horizon gain applied to the true decoder."""
-    from .system import PolicyDef  # local import to avoid a cycle
+    from .system import CurrentObsDecoder, PolicyDef  # local import to avoid a cycle
 
     sol = solve_dare(spec.a, spec.b, spec.q, spec.r)
-    return PolicyDef.ground_truth(sol.k, emission, sigma=0.0)
+    return PolicyDef(gain=sol.k, decoders=CurrentObsDecoder(emission.decode_batch))

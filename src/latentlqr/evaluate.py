@@ -19,23 +19,21 @@ from .system import EmissionModel, PolicyDef, SystemSpec, rollout_columns
 
 def trajectory_costs(spec: SystemSpec, emission: EmissionModel, policies,
                      t_horizon: int, n_eval: int, seed: int):
-    """Per-step cost (1/T) sum_{t=1..T} c_t of each of n_eval fresh rollouts,
-    with the number of decoder steps the pass clipped and checked.
+    """For each of a sequence of policies, a (costs, clipped, checked) triple:
+    the per-step cost (1/T) sum_{t=1..T} c_t of each of n_eval fresh
+    rollouts, and the number of decoder steps the pass clipped and checked.
 
-    policies is one PolicyDef, for one (costs, clipped, checked) triple, or a
-    sequence of them, for a list of triples. They step together in one pass
-    that draws each noise block once for all, so cost differences are
-    paired-seed gaps and each triple is bitwise that of a pass of its own.
-    Costs are reduced per chunk of rows: no (n_eval, T) matrix is held.
+    The policies step together in one pass that draws each noise block once
+    for all, so cost differences are paired-seed gaps and each triple is
+    bitwise that of a pass of its own. Costs are reduced per chunk of rows:
+    no (n_eval, T) matrix is held.
     """
     if n_eval < 2 or t_horizon < 1:
         raise ValidationError(f"need n_eval >= 2 and t_horizon >= 1, got {n_eval}, {t_horizon}")
-    lone = isinstance(policies, PolicyDef)
-    group = (policies,) if lone else tuple(policies)
     times = set(range(1, t_horizon + 1))
-    costs = [np.empty(n_eval) for _ in group]
-    blocks = [None] * len(group)
-    clips = [[0, 0] for _ in group]
+    costs = [np.empty(n_eval) for _ in policies]
+    blocks = [None] * len(policies)
+    clips = [[0, 0] for _ in policies]
 
     def keep(k, key, rows, t, part):
         if key == "costs":  # a (rows, T) block per policy, reduced as the chunk ends
@@ -49,10 +47,9 @@ def trajectory_costs(spec: SystemSpec, emission: EmissionModel, policies,
             clips[k][1] += part.size
 
     # looked up at call time, so that a wrapper of system._drive sees this pass
-    system._drive(spec, emission, group, t_horizon, n_eval, seed,
+    system._drive(spec, emission, policies, t_horizon, n_eval, seed,
                   {"costs": times, "clipped": times}, keep, 0)
-    triples = [(c, clipped, checked) for c, (clipped, checked) in zip(costs, clips)]
-    return triples[0] if lone else triples
+    return [(c, clipped, checked) for c, (clipped, checked) in zip(costs, clips)]
 
 
 def mean_stderr(per: np.ndarray) -> tuple[float, float]:
@@ -63,7 +60,8 @@ def mean_stderr(per: np.ndarray) -> tuple[float, float]:
 def estimate_cost(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef,
                   t_horizon: int, n_eval: int, seed: int) -> tuple[float, float]:
     """Mean per-step cost (1/T) sum_{t=1..T} c_t and its standard error."""
-    return mean_stderr(trajectory_costs(spec, emission, policy, t_horizon, n_eval, seed)[0])
+    [(costs, _, _)] = trajectory_costs(spec, emission, (policy,), t_horizon, n_eval, seed)
+    return mean_stderr(costs)
 
 
 def estimate_gap(spec: SystemSpec, emission: EmissionModel, policy_a: PolicyDef,

@@ -21,6 +21,8 @@ from .regression import DecoderClass, FittedRegressor, StructuredClass, erm_fit
 from .system import EmissionModel, PolicyDef, SystemSpec, rollout_columns
 
 EIGENGAP_TOL = 1e-12
+# Largest burn-in the formula may give before the run is refused as infeasible.
+KAPPA0_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,6 @@ class Phase1Config:
     d_u: int
     r_id: float | None = None
     kappa0_override: int | None = None
-    kappa0_cap: int = 10_000
 
     def __post_init__(self):
         if self.n_id < self.d_u * self.kappa:
@@ -77,9 +78,9 @@ def burn_in_kappa0(config: Phase1Config) -> int:
             f"burn-in formula is not finite at psi_star={config.psi_star}, "
             f"alpha_star={config.alpha_star}, gamma_star={config.gamma_star}; "
             "tighten the bounds or set kappa0_override") from None
-    if kappa0 > config.kappa0_cap:
+    if kappa0 > KAPPA0_CAP:
         raise InfeasibleBurnInError(
-            f"burn-in {kappa0} exceeds cap {config.kappa0_cap}; tighten the bounds "
+            f"burn-in {kappa0} exceeds cap {KAPPA0_CAP}; tighten the bounds "
             "or set kappa0_override")
     return max(0, kappa0)
 
@@ -125,10 +126,9 @@ def collect_id_data(spec: SystemSpec, emission: EmissionModel, config: Phase1Con
     kappa0 = burn_in_kappa0(config)
     kappa1 = kappa0 + config.kappa
     n_total = 3 * config.n_id
-    policy = PolicyDef.open_loop_gaussian(sigma=1.0)
     cols = rollout_columns(
-        spec, emission, policy, horizon=kappa1 + 1, n_traj=n_total, base_seed=seed,
-        obs_times=(kappa1, kappa1 + 1),
+        spec, emission, PolicyDef(sigma=1.0), horizon=kappa1 + 1, n_traj=n_total,
+        base_seed=seed, obs_times=(kappa1, kappa1 + 1),
         input_times=tuple(range(kappa0, kappa1 + 1)),
         cost_times=(kappa1,), start=kappa0)
     v = np.hstack([cols["inputs"][t] for t in range(kappa0, kappa1)])

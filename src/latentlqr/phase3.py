@@ -242,7 +242,7 @@ def collect_onpolicy(spec: SystemSpec, emission: EmissionModel, stack: DecoderSt
     f_t, so memory is O(n_op kappa) whatever t is.
     """
     kappa = config.kappa
-    policy = PolicyDef.gain_decoder(stack.k_gain, stack, sigma=config.sigma)
+    policy = PolicyDef(sigma=config.sigma, gain=stack.k_gain, decoders=stack)
     obs_times = tuple(range(t, t + kappa + 1))
     cols = rollout_columns(spec, emission, policy, horizon=t + kappa,
                            n_traj=2 * config.n_op, base_seed=seed, obs_times=obs_times,
@@ -362,11 +362,11 @@ class LearnedPolicy:
         return self.stack.depth - 1
 
     def policy(self) -> PolicyDef:
-        return PolicyDef.gain_decoder(self.stack.k_gain, self.stack, sigma=self.sigma)
+        return PolicyDef(sigma=self.sigma, gain=self.stack.k_gain, decoders=self.stack)
 
     def greedy_policy(self) -> PolicyDef:
         """Same decoders with no injected exploration noise."""
-        return PolicyDef.gain_decoder(self.stack.k_gain, self.stack, sigma=0.0)
+        return PolicyDef(gain=self.stack.k_gain, decoders=self.stack)
 
 
 def compute_policy(spec: SystemSpec, emission: EmissionModel, estimates: SysIdEstimates,
@@ -407,8 +407,7 @@ def compute_policy(spec: SystemSpec, emission: EmissionModel, estimates: SysIdEs
         if t == 0:
             with tagged(f"phase3 t={t} stage=initial-state"):
                 n_init = config.n_init_effective
-                init = rollout_columns(spec, emission,
-                                       PolicyDef.open_loop_gaussian(sigma=config.sigma),
+                init = rollout_columns(spec, emission, PolicyDef(sigma=config.sigma),
                                        horizon=1, n_traj=2 * n_init,
                                        base_seed=rngmod.derive_seed(seed, rngmod.TAG_PHASE3_INIT),
                                        obs_times=(0, 1), injected_times=(0,))

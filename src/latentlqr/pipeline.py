@@ -239,7 +239,7 @@ def evaluate_policy(config: ExperimentConfig, spec, emission, learned, phase1_ou
     # one cost-only pass steps all three policies on the same draws; the gap
     # pairs the learned and optimal per-trajectory costs of those streams
     (costs_learned, clipped, checked), (costs_opt, _, _), (costs_zero, _, _) = trajectory_costs(
-        spec, emission, (learned.policy(), pi_opt, PolicyDef.zero(spec.d_u)), t_h,
+        spec, emission, (learned.policy(), pi_opt, PolicyDef()), t_h,
         config.n_eval, eval_seed)
     j_learned, j_learned_se = mean_stderr(costs_learned)
     j_opt, j_opt_se = mean_stderr(costs_opt)
@@ -250,7 +250,7 @@ def evaluate_policy(config: ExperimentConfig, spec, emission, learned, phase1_ou
     s_id = similarity_from_ground_truth(phase1_out, spec, kappa)
     n_align = max(spec.d_x + 1, 2000)
     kappa1 = phase1_out.kappa1
-    align_obs = rollout_columns(spec, emission, PolicyDef.open_loop_gaussian(sigma=1.0),
+    align_obs = rollout_columns(spec, emission, PolicyDef(sigma=1.0),
                                horizon=kappa1, n_traj=n_align,
                                base_seed=rngmod.derive_seed(eval_seed, rngmod.TAG_EVAL, 1),
                                obs_times=(kappa1,), start=kappa1)["obs"][kappa1]

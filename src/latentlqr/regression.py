@@ -73,9 +73,6 @@ class FittedRegressor:
         feats = self.decoder_class.features(self.candidate_index, observations)
         return rowmap(feats, self.m)
 
-    def __call__(self, observations: np.ndarray) -> np.ndarray:
-        return self.predict(observations)
-
 
 def _opnorm_clamp(m: np.ndarray, radius: float) -> tuple[np.ndarray, bool]:
     u, s, vt = np.linalg.svd(m, full_matrices=False)
@@ -84,8 +81,8 @@ def _opnorm_clamp(m: np.ndarray, radius: float) -> tuple[np.ndarray, bool]:
     return (u * np.minimum(s, radius)) @ vt, True
 
 
-def fit_linear_map(inputs: np.ndarray, targets: np.ndarray, ridge: float = RIDGE) -> np.ndarray:
-    """Ordinary least squares min_M sum ||M x_i - y_i||^2 with a small ridge.
+def fit_linear_map(inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Ordinary least squares min_M sum ||M x_i - y_i||^2 with ridge RIDGE.
 
     Returns M of shape (m, d) operating on column vectors.
     """
@@ -95,7 +92,7 @@ def fit_linear_map(inputs: np.ndarray, targets: np.ndarray, ridge: float = RIDGE
         raise ValidationError(f"sample counts differ: {x.shape[0]} inputs vs {y.shape[0]} targets")
     if x.shape[0] < 1:
         raise ValidationError("at least one sample required")
-    gram = x.T @ x + ridge * np.eye(x.shape[1])
+    gram = x.T @ x + RIDGE * np.eye(x.shape[1])
     try:
         sol = np.linalg.solve(gram, x.T @ y)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - ridge keeps this rare
@@ -110,12 +107,12 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _erm(klass: StructuredClass, terms: list[tuple[np.ndarray, np.ndarray]],
-         targets: np.ndarray, offsets: np.ndarray | None, ridge: float) -> FittedRegressor:
+         targets: np.ndarray, offsets: np.ndarray | None) -> FittedRegressor:
     """Fit sum_j L_j M f(y_j) + offset to the targets for every candidate f.
 
     terms lists the pairs (L_j, y_j). With R = targets - offsets and F_j the
     feature rows of y_j, the normal equations of vec(M) are
-    (G + ridge I) v = r with G = sum_jk kron(F_j'F_k, L_j'L_k) and
+    (G + RIDGE I) v = r with G = sum_jk kron(F_j'F_k, L_j'L_k) and
     r = vec(sum_j L_j' R' F_j). The clamped v is scored as
     (v'Gv - 2v'r + ||R||^2) / n, floored at the 0 that roundoff can cross on
     exact fits; the lowest loss wins, ties to the lowest index.
@@ -132,7 +129,7 @@ def _erm(klass: StructuredClass, terms: list[tuple[np.ndarray, np.ndarray]],
                    for (lj, _), fj in zip(terms, feats) for (lk, _), fk in zip(terms, feats))
         rhs = sum(lj.T @ resid.T @ fj for (lj, _), fj in zip(terms, feats)).flatten(order="F")
         try:
-            vec = np.linalg.solve(gram + ridge * np.eye(gram.shape[0]), rhs)
+            vec = np.linalg.solve(gram + RIDGE * np.eye(gram.shape[0]), rhs)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - ridge keeps this rare
             raise NumericalError("rank-deficient design despite ridge") from exc
         m, clamped = _opnorm_clamp(vec.reshape((m_out, -1), order="F"), klass.radius)
@@ -151,7 +148,7 @@ def _erm(klass: StructuredClass, terms: list[tuple[np.ndarray, np.ndarray]],
 
 
 def erm_fit(klass: StructuredClass, observations: np.ndarray, targets: np.ndarray,
-            offsets: np.ndarray | None = None, ridge: float = RIDGE) -> FittedRegressor:
+            offsets: np.ndarray | None = None) -> FittedRegressor:
     """Empirical risk minimization of ||M f(y_i) + offset_i - target_i||^2.
 
     Offsets are the known additive part of the prediction; supplying them is
@@ -166,12 +163,12 @@ def erm_fit(klass: StructuredClass, observations: np.ndarray, targets: np.ndarra
         raise ValidationError(f"targets must be ({n}, {klass.output_dim}), got {tgt.shape}")
     if not np.all(np.isfinite(tgt)):
         raise ValidationError("targets must be finite")
-    return _erm(klass, [(np.eye(klass.output_dim), obs)], tgt, offsets, ridge)
+    return _erm(klass, [(np.eye(klass.output_dim), obs)], tgt, offsets)
 
 
 def erm_fit_increment(klass: StructuredClass, obs_now: np.ndarray, obs_next: np.ndarray,
                       left: np.ndarray, shift: np.ndarray, targets: np.ndarray,
-                      offsets: np.ndarray | None = None, ridge: float = RIDGE) -> FittedRegressor:
+                      offsets: np.ndarray | None = None) -> FittedRegressor:
     """ERM for the two-point prediction L (M f(y') - G M f(y)) + offset.
 
     left is L (rows match the target dimension), shift is G: the two terms
@@ -191,4 +188,4 @@ def erm_fit_increment(klass: StructuredClass, obs_now: np.ndarray, obs_next: np.
         raise ValidationError("left factor rows must match target dimension")
     if not np.all(np.isfinite(tgt)):
         raise ValidationError("targets must be finite")
-    return _erm(klass, [(left, y_next), (-left @ shift, y_now)], tgt, offsets, ridge)
+    return _erm(klass, [(left, y_next), (-left @ shift, y_now)], tgt, offsets)

@@ -8,6 +8,7 @@ with repr-roundtrip precision so identical runs produce identical bytes.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -28,12 +29,21 @@ def _matrix_lines(m: np.ndarray) -> list[str]:
     return [f"{m.shape[0]},{m.shape[1]}"] + [",".join(_fmt(v) for v in row) for row in m]
 
 
-def _parse_matrix(path: Path, lines: list[str]) -> np.ndarray:
+@contextmanager
+def _loading(path: Path):
+    """Raise a missing or malformed file as a ValidationError naming it."""
+    try:
+        yield
+    except (OSError, ValueError, KeyError, IndexError) as exc:
+        raise ValidationError(f"{path}: missing or malformed ({exc!r})") from None
+
+
+def _parse_matrix(lines: list[str]) -> np.ndarray:
     """The matrix whose "rows,cols" header is lines[0]."""
     rows, cols = (int(v) for v in lines[0].split(","))
     data = np.array([[float(v) for v in line.split(",")] for line in lines[1:1 + rows]])
     if data.shape != (rows, cols):
-        raise ValidationError(f"{path}: header says {rows}x{cols}, data is {data.shape}")
+        raise ValueError(f"header says {rows}x{cols}, data is {data.shape}")
     return data
 
 
@@ -42,7 +52,8 @@ def save_matrix(path: Path, m: np.ndarray) -> None:
 
 
 def load_matrix(path: Path) -> np.ndarray:
-    return _parse_matrix(path, Path(path).read_text().strip().splitlines())
+    with _loading(path):
+        return _parse_matrix(Path(path).read_text().strip().splitlines())
 
 
 def save_regressor(path: Path, reg: FittedRegressor) -> None:
@@ -51,12 +62,13 @@ def save_regressor(path: Path, reg: FittedRegressor) -> None:
 
 
 def load_regressor(path: Path, decoder_class: DecoderClass) -> FittedRegressor:
-    lines = Path(path).read_text().strip().splitlines()
-    tag, idx = lines[0].split(",")
-    if tag != "candidate":
-        raise ValidationError(f"{path}: expected a candidate header")
-    return FittedRegressor(candidate_index=int(idx), m=_parse_matrix(path, lines[1:]),
-                           empirical_loss=float("nan"), decoder_class=decoder_class)
+    with _loading(path):
+        lines = Path(path).read_text().strip().splitlines()
+        tag, idx = lines[0].split(",")
+        if tag != "candidate":
+            raise ValueError("expected a candidate header")
+        return FittedRegressor(candidate_index=int(idx), m=_parse_matrix(lines[1:]),
+                               empirical_loss=float("nan"), decoder_class=decoder_class)
 
 
 def save_key_values(path: Path, pairs: list[tuple[str, object]]) -> None:
@@ -64,12 +76,11 @@ def save_key_values(path: Path, pairs: list[tuple[str, object]]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_key_values(path: Path) -> dict:
-    out = {}
-    for line in Path(path).read_text().strip().splitlines():
-        k, v = line.split(",", 1)
-        out[k] = v
-    return out
+def load_key_values(path: Path, kinds: dict) -> dict:
+    """{key: kind(value)} for each key: kind in kinds, read off "key,value" lines."""
+    with _loading(path):
+        raw = dict(line.split(",", 1) for line in Path(path).read_text().strip().splitlines())
+        return {key: kind(raw[key]) for key, kind in kinds.items()}
 
 
 def export_trajectories_csv(path: Path, batch) -> None:
@@ -105,10 +116,10 @@ def save_phase1(outdir: Path, out: Phase1Output) -> None:
 
 def load_phase1(outdir: Path, decoder_class: DecoderClass) -> Phase1Output:
     outdir = Path(outdir)
-    meta = load_key_values(outdir / "meta.csv")
+    meta = load_key_values(outdir / "meta.csv", {"kappa0": int, "kappa1": int})
     return Phase1Output(h_id=load_regressor(outdir / "h_id.csv", decoder_class),
                         v_id=load_matrix(outdir / "v_id.csv"),
-                        kappa0=int(meta["kappa0"]), kappa1=int(meta["kappa1"]),
+                        kappa0=meta["kappa0"], kappa1=meta["kappa1"],
                         eigenvalues=np.array([]))
 
 
@@ -157,14 +168,14 @@ def save_policy(outdir: Path, learned: LearnedPolicy) -> None:
 
 def load_policy(outdir: Path, decoder_class: DecoderClass) -> LearnedPolicy:
     outdir = Path(outdir)
-    meta = load_key_values(outdir / "meta.csv")
-    t_horizon = int(meta["t_horizon"])
+    meta = load_key_values(outdir / "meta.csv", {"sigma": float, "b_bar": float,
+                                                 "t_horizon": int, "trajectories_used": int})
     stack = DecoderStack(a_hat=load_matrix(outdir / "a_hat.csv"),
                          b_hat=load_matrix(outdir / "b_hat.csv"),
                          k_gain=load_matrix(outdir / "k_gain.csv"),
                          p_hat=load_matrix(outdir / "p_hat.csv"),
-                         b_bar=float(meta["b_bar"]))
-    for t in range(t_horizon):
+                         b_bar=meta["b_bar"])
+    for t in range(meta["t_horizon"]):
         stack.residual_regressors.append(load_regressor(outdir / f"h_{t}.csv", decoder_class))
     if (outdir / "init_h_ol1.csv").exists():
         stack.initial = InitialStatePieces(
@@ -172,8 +183,8 @@ def load_policy(outdir: Path, decoder_class: DecoderClass) -> LearnedPolicy:
             sigma_cov=load_matrix(outdir / "init_sigma_cov.csv"),
             h_ol0=load_regressor(outdir / "init_h_ol0.csv", decoder_class),
             gain=load_matrix(outdir / "init_gain.csv"))
-    return LearnedPolicy(stack=stack, sigma=float(meta["sigma"]),
-                         trajectories_used=int(meta["trajectories_used"]))
+    return LearnedPolicy(stack=stack, sigma=meta["sigma"],
+                         trajectories_used=meta["trajectories_used"])
 
 
 def write_report_csv(path: Path, report) -> None:

@@ -20,6 +20,9 @@ from . import rng as rngmod
 from .control import controllability, open_loop_state_cov, psd_sqrt, rowmap, spectral_radius
 from .errors import ValidationError
 
+# Largest decode(emit(x)) error check_decodable accepts.
+DECODE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SystemSpec:
@@ -90,15 +93,14 @@ class EmissionModel:
     def decode_batch(self, y: np.ndarray) -> np.ndarray:
         return np.asarray(self.true_decoder(np.atleast_2d(y)), dtype=float)
 
-    def check_decodable(self, spec: SystemSpec, n: int = 10_000, seed: int = 0,
-                        tol: float = 1e-9) -> float:
+    def check_decodable(self, spec: SystemSpec, n: int = 10_000, seed: int = 0) -> float:
         """Max reconstruction error of decode(emit(x)) over n sampled states."""
         g = rngmod.generator(seed, rngmod.TAG_INSTANCE)
         scale = np.sqrt(np.clip(np.diag(spec.sigma_w) + np.diag(spec.sigma_0), 0.1, None))
         x = g.standard_normal((n, spec.d_x)) * scale * 2.0
         err = float(np.max(np.linalg.norm(self.decode_batch(self.emit_batch(x)) - x, axis=1)))
-        if err > tol:
-            raise ValidationError(f"emission is not decodable: max error {err:.3g} > {tol}")
+        if err > DECODE_TOL:
+            raise ValidationError(f"emission is not decodable: max error {err:.3g} > {DECODE_TOL}")
         return err
 
 
@@ -123,37 +125,23 @@ class CurrentObsDecoder:
 class PolicyDef:
     """Control law executed by rollout; open loop exactly when it has no decoders.
 
-      open loop:     u_t = mean + sigma * nu_t
+      open loop:     u_t = sigma * nu_t             (PolicyDef() is the zero policy)
       with decoders: u_t = K * decoder_t(y_{0:t}) + sigma * nu_t (a gain is required)
+
+    The gain is stored as a 2-d float array, whatever array-like it is given as.
     """
 
     sigma: float = 0.0
     gain: Optional[np.ndarray] = None
     decoders: object = None
-    mean: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValidationError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.decoders is not None and self.gain is None:
             raise ValidationError("a policy with decoders requires a gain")
-
-    @staticmethod
-    def open_loop_gaussian(sigma: float, mean: np.ndarray | None = None) -> "PolicyDef":
-        return PolicyDef(sigma=sigma, mean=None if mean is None else np.asarray(mean, dtype=float))
-
-    @staticmethod
-    def zero(d_u: int) -> "PolicyDef":
-        return PolicyDef(sigma=0.0, mean=np.zeros(d_u))
-
-    @staticmethod
-    def gain_decoder(gain: np.ndarray, decoders, sigma: float) -> "PolicyDef":
-        return PolicyDef(sigma=sigma, gain=np.atleast_2d(np.asarray(gain, dtype=float)),
-                         decoders=decoders)
-
-    @staticmethod
-    def ground_truth(gain: np.ndarray, emission: EmissionModel, sigma: float = 0.0) -> "PolicyDef":
-        return PolicyDef.gain_decoder(gain, CurrentObsDecoder(emission.decode_batch), sigma)
+        if self.gain is not None:
+            object.__setattr__(self, "gain", np.atleast_2d(np.asarray(self.gain, dtype=float)))
 
     def begin(self, n: int):
         """Decoder state for n trajectories."""
@@ -166,13 +154,11 @@ class PolicyDef:
         and its clip mask (each None when there is none), and the next
         decoder state.
 
-        nu is the sigma-scaled noise and fixes the batch size; open-loop
-        policies never read y, which may then be None.
+        nu is the sigma-scaled noise, which an open-loop policy returns as
+        its input; open-loop policies never read y, which may then be None.
         """
-        n, d_u = nu.shape
         if self.decoders is None:
-            base = np.zeros((n, d_u)) if self.mean is None else np.broadcast_to(self.mean, (n, d_u))
-            return base + nu, None, None, state
+            return nu, None, None, state
         value, clipped, state = self.decoders.step(state, t, y)
         if not np.all(np.isfinite(value)):
             raise ValidationError(f"policy decoder produced non-finite output at t={t}")
@@ -275,8 +261,8 @@ def rollout_columns(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef
     the horizon records the action. A column it cannot produce (past the
     horizon, a noise at it, no rows) raises ValidationError before any draw.
 
-    start > 0 simulates only t = start..horizon, for a zero-mean open-loop
-    policy: x_start is drawn from its exact marginal N(0, Sigma_start)
+    start > 0 simulates only t = start..horizon, for an open-loop policy:
+    x_start is drawn from its exact marginal N(0, Sigma_start)
     (open_loop_state_cov with sigma-scaled inputs), so every column from
     start on has the law of a rollout from t = 0, and the input and process
     draws at t >= start are bitwise those of that rollout.
@@ -289,8 +275,6 @@ def rollout_columns(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef
         raise ValidationError(f"start must lie in [0, horizon={horizon}], got {start}")
     if start > 0 and policy.decoders is not None:
         raise ValidationError("start > 0 needs an open-loop policy")
-    if start > 0 and policy.mean is not None and np.any(policy.mean != 0):
-        raise ValidationError("start > 0 needs a zero-mean policy")
     times = {"states": set(state_times), "obs": set(obs_times), "inputs": set(input_times),
              "injected": set(injected_times), "noises": set(noise_times),
              "costs": set(cost_times), "decoded": set(decoded_times),
@@ -362,8 +346,7 @@ def _drive(spec, emission, policies, horizon, n, seed, times, keep, start) -> No
     runs or times["obs"] holds t, costs only where times["costs"] does;
     neither feeds the dynamics. The state at start comes from the
     (ROLE_INIT_STATE, start) substream, scaled by the square root of Sigma_0
-    at start = 0 and of the policy's zero-mean open-loop marginal
-    Sigma_start otherwise.
+    at start = 0 and of the policy's open-loop marginal Sigma_start otherwise.
     """
     l_w = psd_sqrt(spec.sigma_w)
     l_0 = [psd_sqrt(spec.sigma_0 if start == 0 else open_loop_state_cov(

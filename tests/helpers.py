@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from latentlqr import DecoderClass, SystemSpec, solve_lyapunov
+from latentlqr import DecoderClass, PolicyDef, SystemSpec, solve_lyapunov
 from latentlqr import rng as rngmod
 from latentlqr.control import psd_sqrt
+from latentlqr.system import CurrentObsDecoder
 
 
 def random_stable(rng: np.random.Generator, d: int, rho: float = 0.9) -> np.ndarray:
@@ -17,6 +18,12 @@ def random_stable(rng: np.random.Generator, d: int, rho: float = 0.9) -> np.ndar
 def random_spd(rng: np.random.Generator, d: int, floor: float = 1.0) -> np.ndarray:
     g = rng.standard_normal((d, d))
     return floor * np.eye(d) + g @ g.T / d
+
+
+def constant_policy(value: float) -> PolicyDef:
+    """u_t = value on a one-input system: gain [[value]] on a decoder of ones."""
+    return PolicyDef(gain=[[value]],
+                     decoders=CurrentObsDecoder(lambda y: np.ones((y.shape[0], 1))))
 
 
 def truth_only(cls: DecoderClass) -> DecoderClass:

@@ -111,7 +111,7 @@ def test_criterion_4_phase1_recovery():
         spec, emission, cls = make_benchmark_instance("di-cubic-lift")
         assert len(cls) == 8 and cls.contains_truth is not None
         bounds = parameter_bounds(spec)
-        eval_batch = rollout(spec, emission, PolicyDef.open_loop_gaussian(1.0),
+        eval_batch = rollout(spec, emission, PolicyDef(sigma=1.0),
                              horizon=21, n_traj=20_000, base_seed=999)
         eval_obs = eval_batch.observations[:, 21]
         truth_states = emission.decode_batch(eval_obs)
@@ -235,7 +235,7 @@ def test_criterion_7_noise_shaping_and_increment_fidelity():
         halves, _ = collect_onpolicy(spec, emission, stack, 0, config, seed=71)
         _, h_t = fit_residual_regressors(halves, stack, shaping, 0, config,
                                          truth_only(cls))
-        fresh = rollout(spec, emission, PolicyDef.gain_decoder(sol.k, stack, sigma=1.0),
+        fresh = rollout(spec, emission, PolicyDef(sigma=1.0, gain=sol.k, decoders=stack),
                         horizon=1, n_traj=20_000, base_seed=72)
         inc_hat = (h_t.predict(fresh.observations[:, 1])
                    - h_t.predict(fresh.observations[:, 0]) @ spec.a.T)
@@ -263,7 +263,7 @@ def test_criterion_8_initial_state_subroutine():
         halves, _ = collect_onpolicy(spec, emission, stack, 0, config, seed=81)
         _, h_0 = fit_residual_regressors(halves, stack, shaping, 0, config,
                                          truth_only(cls))
-        cols = rollout_columns(spec, emission, PolicyDef.open_loop_gaussian(sigma=1.0),
+        cols = rollout_columns(spec, emission, PolicyDef(sigma=1.0),
                                horizon=1, n_traj=200_000, base_seed=82, obs_times=(0, 1),
                                injected_times=(0,))
         pieces = learn_initial_state(cols["obs"][0], cols["obs"][1], cols["injected"][0], h_0,

@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, exit codes, determinism."""
+import re
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,22 @@ class TestExitCodes:
         shutil.rmtree(out / "phase1")
         assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
         assert "phase1" in capsys.readouterr().err
+        assert not (out / "eval_report.csv").exists()
+
+    @pytest.mark.parametrize("damage, named", [
+        (lambda policy: (policy / "h_0.csv").write_text("garbage\n"), "h_0.csv"),
+        (lambda policy: (policy / "meta.csv").unlink(), "meta.csv"),
+        (lambda policy: (policy / "meta.csv").write_text(re.sub(
+            r"^sigma,.*$", "sigma,abc", (policy / "meta.csv").read_text(), flags=re.M)),
+         "meta.csv"),
+    ], ids=["garbled-regressor", "missing-meta", "unparsable-sigma"])
+    def test_damaged_saved_policy_for_eval_is_2(self, tmp_path, capsys, damage, named):
+        cfg = write_config(tmp_path / "run.cfg")
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        damage(out / "policy")
+        assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
+        assert str(out / "policy" / named) in capsys.readouterr().err
         assert not (out / "eval_report.csv").exists()
 
     def test_eval_horizon_mismatch_is_2(self, tmp_path, capsys, monkeypatch):

@@ -124,8 +124,9 @@ class TestDare:
 
 class TestControllability:
     def test_double_integrator(self):
-        info = controllability(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]), 3)
-        assert np.allclose(info.c_k(2), np.eye(2))
+        a, b = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]])
+        info = controllability(a, b, 3)
+        assert np.allclose(controllability_matrix(a, b, 2), np.eye(2))
         assert info.kappa_star == 2
 
     def test_full_row_rank_input(self):

@@ -14,8 +14,9 @@ from latentlqr import (ExperimentConfig, PolicyDef, SystemSpec, ValidationError,
 from latentlqr import pipeline, system
 from latentlqr.benchmarks import CATALOG
 from latentlqr.evaluate import EvalReport, estimate_gap, mean_stderr, trajectory_costs
+from latentlqr.system import CurrentObsDecoder
 
-from helpers import closed_form_step_cost
+from helpers import closed_form_step_cost, constant_policy
 
 
 class TestEstimateCost:
@@ -23,7 +24,7 @@ class TestEstimateCost:
         spec = SystemSpec(a=[[0.0]], b=[[1.0]], q=[[1.0]], r=[[1.0]],
                           sigma_w=[[0.0]], sigma_0=[[0.0]])
         _, emission, _ = make_benchmark_instance("scalar-identity")
-        policy = PolicyDef.open_loop_gaussian(sigma=0.0, mean=[1.0])
+        policy = constant_policy(1.0)
         mean, stderr = estimate_cost(spec, emission, policy, t_horizon=3, n_eval=10, seed=0)
         assert mean == pytest.approx(2.0)
         assert stderr == pytest.approx(0.0)
@@ -54,17 +55,19 @@ class TestEstimateCost:
         spec, emission, _ = make_benchmark_instance(name)
         k = solve_dare(spec.a, spec.b, spec.q, spec.r).k
         zero = np.zeros((spec.d_u, spec.d_x))
-        for policy, gain, sigma in ((PolicyDef.ground_truth(k, emission), k, 0.0),
-                                    (PolicyDef.ground_truth(k, emission, sigma=0.15), k, 0.15),
-                                    (PolicyDef.zero(spec.d_u), zero, 0.0)):
-            mean, stderr = mean_stderr(trajectory_costs(spec, emission, policy, t_horizon=10,
-                                                        n_eval=50_000, seed=4)[0])
+        truth = CurrentObsDecoder(emission.decode_batch)
+        for policy, gain, sigma in ((PolicyDef(gain=k, decoders=truth), k, 0.0),
+                                    (PolicyDef(sigma=0.15, gain=k, decoders=truth), k, 0.15),
+                                    (PolicyDef(), zero, 0.0)):
+            [(costs, _, _)] = trajectory_costs(spec, emission, (policy,), t_horizon=10,
+                                               n_eval=50_000, seed=4)
+            mean, stderr = mean_stderr(costs)
             assert abs(mean - closed_form_step_cost(spec, gain, sigma, 10)) <= 4 * stderr
 
     def test_n_eval_too_small(self):
         spec, emission, _ = make_benchmark_instance("scalar-identity")
         with pytest.raises(ValidationError):
-            estimate_cost(spec, emission, PolicyDef.zero(1), 3, 1, 0)
+            estimate_cost(spec, emission, PolicyDef(), 3, 1, 0)
 
 
 class TestPairedGap:
@@ -422,9 +425,9 @@ def policy_groups(learned, spec, emission) -> list[tuple]:
     """Policy tuples for one shared pass: the exploring policy first, in the
     middle and last, and two exploring policies of different sigma."""
     explore, greedy = learned.policy(), learned.greedy_policy()
-    opt, zero = optimal_policy(spec, emission), PolicyDef.zero(spec.d_u)
+    opt, zero = optimal_policy(spec, emission), PolicyDef()
     return [(explore, opt, zero), (opt, explore, zero), (zero, greedy, explore),
-            (explore, PolicyDef.open_loop_gaussian(0.7), greedy)]
+            (explore, PolicyDef(sigma=0.7), greedy)]
 
 
 class TestSharedPass:
@@ -471,8 +474,8 @@ class TestSharedPass:
                                       config.eval_seed)
             assert len(shared) == len(policies)
             for (costs, clipped, checked), policy in zip(shared, policies):
-                alone = trajectory_costs(spec, emission, policy, config.t_horizon, n,
-                                         config.eval_seed)
+                [alone] = trajectory_costs(spec, emission, (policy,), config.t_horizon, n,
+                                           config.eval_seed)
                 assert bitwise(costs, alone[0]) and (clipped, checked) == alone[1:]
                 clipped_any = clipped_any or clipped > 0
         # the clip radius b_bar = 1 clips some decoder steps once a pass has a few rows
@@ -484,8 +487,9 @@ class TestSharedPass:
         monkeypatch.setattr(system, "CHUNK_ROWS", 7)
         explore, opt, zero = policy_groups(result.learned, spec, emission)[0]
         for a, b in ((explore, opt), (opt, explore), (result.learned.greedy_policy(), zero)):
-            costs_a, costs_b = (trajectory_costs(spec, emission, policy, config.t_horizon, 15,
-                                                 config.eval_seed)[0] for policy in (a, b))
+            (costs_a, _, _), (costs_b, _, _) = (
+                trajectory_costs(spec, emission, (policy,), config.t_horizon, 15,
+                                 config.eval_seed)[0] for policy in (a, b))
             assert estimate_gap(spec, emission, a, b, config.t_horizon, 15,
                                 config.eval_seed) == mean_stderr(costs_a - costs_b)
 
@@ -494,8 +498,9 @@ class TestSharedPass:
         (n_eval, T) float64 matrix: each chunk's costs are reduced as it ends."""
         spec, emission, _ = make_benchmark_instance("di-cubic-lift")
         k = solve_dare(spec.a, spec.b, spec.q, spec.r).k
-        policies = (PolicyDef.ground_truth(k, emission, sigma=0.15),
-                    optimal_policy(spec, emission), PolicyDef.zero(spec.d_u))
+        policies = (PolicyDef(sigma=0.15, gain=k,
+                              decoders=CurrentObsDecoder(emission.decode_batch)),
+                    optimal_policy(spec, emission), PolicyDef())
         n_eval, horizon = 200_000, 10
         monkeypatch.setattr(system, "CHUNK_ROWS", 4096)
         tracemalloc.start()

@@ -77,7 +77,7 @@ class TestCollect:
         data = collect_id_data(spec, emission, cfg, seed=5)
         k0, k1 = data.kappa0, data.kappa1
         # the one run simulates the recorded window only, from kappa0
-        full = rollout_columns(spec, emission, PolicyDef.open_loop_gaussian(1.0),
+        full = rollout_columns(spec, emission, PolicyDef(sigma=1.0),
                                horizon=k1 + 1, n_traj=60, base_seed=5,
                                obs_times=(k1, k1 + 1), input_times=(k0,), cost_times=(k1,),
                                start=k0)
@@ -101,7 +101,7 @@ class TestCollect:
         k0, k1, n = data.kappa0, data.kappa1, 3 * cfg.n_id
         assert k0 == burn_in_kappa0(cfg) > 30
         window = tuple(range(k0, k1 + 1))
-        policy = PolicyDef.open_loop_gaussian(1.0)
+        policy = PolicyDef(sigma=1.0)
         full, part = (rollout_columns(spec, emission, policy, horizon=k1 + 1, n_traj=n,
                                       base_seed=9, state_times=(k1,), input_times=window,
                                       start=start)

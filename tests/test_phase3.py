@@ -64,7 +64,7 @@ class TestCollectOnPolicy:
         (half1, half2), _ = collect_onpolicy(spec, emission, stack, 0, cfg, seed=3)
         # f_0 = 0, so the input K f_0 + nu_0 is the injected noise alone
         assert np.array_equal(np.vstack([half1.f_t, half2.f_t]), np.zeros((100, 1)))
-        policy = PolicyDef.gain_decoder(stack.k_gain, stack, sigma=0.5)
+        policy = PolicyDef(sigma=0.5, gain=stack.k_gain, decoders=stack)
         full = rollout(spec, emission, policy, horizon=1, n_traj=100, base_seed=3)
         assert np.array_equal(full.inputs[:, 0], full.injected[:, 0])
         assert np.array_equal(np.vstack([half1.injected[:, 0], half2.injected[:, 0]]),
@@ -83,7 +83,7 @@ class TestCollectOnPolicy:
         t, kappa, n_op = 2, 2, 40
         cfg = Phase3Config(n_op=n_op, sigma=0.3, t_horizon=3, kappa=kappa, r_op=8.0)
         halves, _ = collect_onpolicy(spec, emission, stack, t, cfg, seed=21)
-        policy = PolicyDef.gain_decoder(stack.k_gain, stack, sigma=0.3)
+        policy = PolicyDef(sigma=0.3, gain=stack.k_gain, decoders=stack)
         full = rollout(spec, emission, policy, horizon=t + kappa, n_traj=2 * n_op,
                        base_seed=21)
         values = stack.values_all(full.observations, t)
@@ -101,7 +101,7 @@ class TestCollectOnPolicy:
         _, emission, cls = make_benchmark_instance("scalar-identity")
         est = SysIdEstimates(a_hat=spec.a, b_hat=spec.b, sigma_w_hat=[[1.0]], q_hat=spec.q)
         stack = stack_for(spec, est)
-        policy = PolicyDef.gain_decoder(stack.k_gain, stack, sigma=0.0)
+        policy = PolicyDef(sigma=0.0, gain=stack.k_gain, decoders=stack)
         batch = rollout(spec, emission, policy, horizon=3, n_traj=4, base_seed=0)
         assert np.allclose(batch.states, 0.0)
 
@@ -123,7 +123,7 @@ class TestDecoderStack:
                                 decoder_class=truth_only(cls))
         decoder_update(ident, stack)
         decoder_update(ident, stack)
-        batch = rollout(spec, emission, PolicyDef.open_loop_gaussian(1.0),
+        batch = rollout(spec, emission, PolicyDef(sigma=1.0),
                         horizon=2, n_traj=6, base_seed=1)
         vals = stack.values_all(batch.observations, 2)
         assert np.allclose(vals[:, 0], 0.0)
@@ -154,7 +154,7 @@ class TestDecoderStack:
     def test_depth_zero_beyond_stack(self):
         spec, emission, cls, est = scalar_pieces()
         stack = stack_for(spec, est)
-        batch = rollout(spec, emission, PolicyDef.open_loop_gaussian(1.0),
+        batch = rollout(spec, emission, PolicyDef(sigma=1.0),
                         horizon=3, n_traj=2, base_seed=2)
         vals = stack.values_all(batch.observations, 3)
         assert np.allclose(vals, 0.0)
@@ -170,7 +170,7 @@ class TestDecoderStack:
         halves, masks = collect_onpolicy(spec, emission, stack, 1, cfg, seed=31)
         # with h = f_star and f_0 = 0 the unclipped f_1 is x_1 - A x_0 = B nu_0 + w_0,
         # which an open-loop rollout on the same streams reproduces
-        ref = rollout(spec, emission, PolicyDef.open_loop_gaussian(sigma), horizon=1,
+        ref = rollout(spec, emission, PolicyDef(sigma=sigma), horizon=1,
                       n_traj=2 * n_op, base_seed=31)
         tilde = ref.injected[:, 0] @ spec.b.T + ref.noises[:, 0]
         clipped = np.linalg.norm(tilde, axis=1) > stack.b_bar
@@ -224,7 +224,7 @@ class TestInitialState:
         cfg = Phase3Config(n_op=500, sigma=1e-6, t_horizon=1, kappa=1, r_op=8.0)
         zero_reg = FittedRegressor(candidate_index=0, m=np.zeros((1, 1)), empirical_loss=0.0,
                                    decoder_class=truth_only(cls))
-        cols = rollout_columns(spec, emission, PolicyDef.open_loop_gaussian(1e-6),
+        cols = rollout_columns(spec, emission, PolicyDef(sigma=1e-6),
                                horizon=1, n_traj=1000, base_seed=8, obs_times=(0, 1),
                                injected_times=(0,))
         with pytest.raises(IllConditionedCovarianceError):
@@ -237,7 +237,7 @@ class TestInitialState:
         cfg = Phase3Config(n_op=20_000, sigma=1.0, t_horizon=1, kappa=1, r_op=8.0)
         halves, _ = collect_onpolicy(spec, emission, stack, 0, cfg, seed=9)
         _, h0 = fit_residual_regressors(halves, stack, shaping_for(est), 0, cfg, truth_only(cls))
-        cols = rollout_columns(spec, emission, PolicyDef.open_loop_gaussian(sigma=1.0),
+        cols = rollout_columns(spec, emission, PolicyDef(sigma=1.0),
                                horizon=1, n_traj=40_000, base_seed=10, obs_times=(0, 1),
                                injected_times=(0,))
         pieces = learn_initial_state(cols["obs"][0], cols["obs"][1], cols["injected"][0], h0,

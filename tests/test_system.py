@@ -19,7 +19,7 @@ from latentlqr.rng import ROLE_INIT_STATE, ROLE_INPUT, ROLE_PROCESS, noise_block
 from latentlqr.serialize import export_trajectories_csv
 from latentlqr.system import CurrentObsDecoder
 
-from helpers import estimate_growth_bound, truth_only
+from helpers import constant_policy, estimate_growth_bound, truth_only
 
 
 def scalar_spec(a=0.5, b=1.0, q=1.0, r=1.0, sw=1.0, s0=1.0) -> SystemSpec:
@@ -32,7 +32,7 @@ class TestStep:
     def test_noiseless_scalar(self):
         spec = scalar_spec(a=0.0, sw=0.0, s0=0.0)
         _, emission, _ = make_benchmark_instance("scalar-identity")
-        policy = PolicyDef.open_loop_gaussian(sigma=0.0, mean=[1.0])
+        policy = constant_policy(1.0)
         batch = rollout(spec, emission, policy, horizon=1, n_traj=2, base_seed=0)
         assert np.all(batch.states[:, 1] == 1.0) and np.all(batch.noises == 0.0)
 
@@ -40,7 +40,7 @@ class TestStep:
         spec = SystemSpec(a=np.eye(2), b=np.zeros((2, 0)), q=np.eye(2), r=np.zeros((0, 0)),
                           sigma_w=np.zeros((2, 2)), sigma_0=np.eye(2))
         emission = EmissionModel(d_y=2, emit=lambda x: x, true_decoder=lambda y: y)
-        batch = rollout(spec, emission, PolicyDef.open_loop_gaussian(sigma=1.0), horizon=3,
+        batch = rollout(spec, emission, PolicyDef(sigma=1.0), horizon=3,
                         n_traj=4, base_seed=0)
         assert batch.inputs.shape == (4, 4, 0)
         assert np.any(batch.states[:, 0] != 0.0)
@@ -55,7 +55,7 @@ class TestStep:
     def test_monte_carlo_moments(self):
         spec = scalar_spec(a=0.5, b=1.0, sw=1.0, s0=4.0)
         _, emission, _ = make_benchmark_instance("scalar-identity")
-        policy = PolicyDef.open_loop_gaussian(sigma=0.0, mean=[1.0])
+        policy = constant_policy(1.0)
         batch = rollout(spec, emission, policy, horizon=1, n_traj=100_000, base_seed=7)
         x0, x1 = batch.states[:, 0, 0], batch.states[:, 1, 0]
         # given x_0, x_1 has mean A x_0 + B u_0 = 0.5 x_0 + 1 and variance Sigma_w = 1
@@ -69,20 +69,20 @@ class TestRollout:
     def test_constant_policy_costs(self):
         spec = scalar_spec(a=0.0, b=1.0, sw=0.0, s0=0.0)
         _, emission, _ = make_benchmark_instance("scalar-identity")
-        policy = PolicyDef.open_loop_gaussian(sigma=0.0, mean=[1.0])
+        policy = constant_policy(1.0)
         batch = rollout(spec, emission, policy, horizon=3, n_traj=2, base_seed=0)
         assert np.allclose(batch.costs[:, 1:], 2.0)
 
     def test_zero_policy_zero_noise(self):
         spec = scalar_spec(sw=0.0, s0=0.0)
         _, emission, _ = make_benchmark_instance("scalar-identity")
-        batch = rollout(spec, emission, PolicyDef.zero(1), horizon=4, n_traj=3, base_seed=0)
+        batch = rollout(spec, emission, PolicyDef(), horizon=4, n_traj=3, base_seed=0)
         assert np.allclose(batch.states, 0.0)
         assert np.allclose(batch.costs, 0.0)
 
     def test_bitwise_determinism(self):
         spec, emission, _ = make_benchmark_instance("scalar-identity")
-        policy = PolicyDef.open_loop_gaussian(sigma=1.0)
+        policy = PolicyDef(sigma=1.0)
         b1 = rollout(spec, emission, policy, horizon=5, n_traj=7, base_seed=42)
         b2 = rollout(spec, emission, policy, horizon=5, n_traj=7, base_seed=42)
         assert np.array_equal(b1.states, b2.states)
@@ -91,7 +91,7 @@ class TestRollout:
 
     def test_trajectory_invariant_to_batch_size(self):
         spec, emission, _ = make_benchmark_instance("scalar-identity")
-        policy = PolicyDef.open_loop_gaussian(sigma=1.0)
+        policy = PolicyDef(sigma=1.0)
         small = rollout(spec, emission, policy, horizon=5, n_traj=3, base_seed=9)
         large = rollout(spec, emission, policy, horizon=5, n_traj=11, base_seed=9)
         assert np.array_equal(small.states, large.states[:3])
@@ -99,7 +99,7 @@ class TestRollout:
 
     def test_replay_reconstructs_states(self):
         spec, emission, _ = make_benchmark_instance("di-cubic-lift")
-        policy = PolicyDef.open_loop_gaussian(sigma=1.0)
+        policy = PolicyDef(sigma=1.0)
         batch = rollout(spec, emission, policy, horizon=6, n_traj=4, base_seed=3)
         x = batch.states[:, 0]
         for t in range(6):
@@ -108,7 +108,7 @@ class TestRollout:
 
     def test_cost_oracle_exact(self):
         spec, emission, _ = make_benchmark_instance("di-cubic-lift")
-        policy = PolicyDef.open_loop_gaussian(sigma=1.0)
+        policy = PolicyDef(sigma=1.0)
         batch = rollout(spec, emission, policy, horizon=4, n_traj=3, base_seed=5)
         for i in range(3):
             for t in range(5):
@@ -117,7 +117,7 @@ class TestRollout:
 
     def test_columns_match_full(self):
         spec, emission, _ = make_benchmark_instance("di-cubic-lift")
-        policy = PolicyDef.open_loop_gaussian(sigma=1.0)
+        policy = PolicyDef(sigma=1.0)
         full = rollout(spec, emission, policy, horizon=6, n_traj=5, base_seed=11)
         counted, emitted = counting_emission(emission)
         cols = rollout_columns(spec, counted, policy, horizon=6, n_traj=5, base_seed=11,
@@ -136,8 +136,8 @@ class TestRollout:
     def test_columns_match_full_gain_decoder(self):
         spec, emission, _ = make_benchmark_instance("di-cubic-lift")
         gain = -0.3 * np.ones((spec.d_u, spec.d_x))
-        policy = PolicyDef.gain_decoder(gain, CurrentObsDecoder(emission.decode_batch),
-                                        sigma=0.5)
+        policy = PolicyDef(sigma=0.5, gain=gain,
+                           decoders=CurrentObsDecoder(emission.decode_batch))
         full = rollout(spec, emission, policy, horizon=6, n_traj=5, base_seed=12)
         counted, emitted = counting_emission(emission)
         cols = rollout_columns(spec, counted, policy, horizon=6, n_traj=5, base_seed=12,
@@ -154,7 +154,7 @@ class TestRollout:
     def test_decoded_times_need_decoders(self):
         spec, emission, _ = make_benchmark_instance("scalar-identity")
         with pytest.raises(ValidationError):
-            rollout_columns(spec, emission, PolicyDef.open_loop_gaussian(sigma=1.0), horizon=2,
+            rollout_columns(spec, emission, PolicyDef(sigma=1.0), horizon=2,
                             n_traj=3, base_seed=0, decoded_times=(1,))
 
     def test_decoders_need_a_gain(self):
@@ -162,31 +162,42 @@ class TestRollout:
         with pytest.raises(ValidationError, match="requires a gain"):
             PolicyDef(sigma=0.1, decoders=CurrentObsDecoder(emission.decode_batch))
 
+    def test_gain_given_as_nested_list(self):
+        """The gain is stored as a float array, so a nested list rolls out
+        bitwise as the array it stands for."""
+        spec, emission, _ = make_benchmark_instance("di-cubic-lift")
+        decoder = CurrentObsDecoder(emission.decode_batch)
+        listed = PolicyDef(sigma=0.5, gain=[[-0.3, 0.1], [0.0, -0.2]], decoders=decoder)
+        arrayed = PolicyDef(sigma=0.5, gain=np.array([[-0.3, 0.1], [0.0, -0.2]]),
+                            decoders=decoder)
+        a, b = (rollout(spec, emission, policy, horizon=4, n_traj=6, base_seed=2)
+                for policy in (listed, arrayed))
+        assert np.array_equal(a.states, b.states) and np.array_equal(a.inputs, b.inputs)
+        assert listed.gain.dtype == float and listed.gain.shape == (2, 2)
+
 
 class TestStart:
     """rollout_columns(start=s) simulates t = s..horizon from the exact marginal."""
 
     @pytest.mark.parametrize("start, make_policy, times, match", [
-        (-1, lambda spec, emission: PolicyDef.open_loop_gaussian(1.0), {}, "start must lie"),
-        (5, lambda spec, emission: PolicyDef.open_loop_gaussian(1.0), {}, "start must lie"),
+        (-1, lambda spec, emission: PolicyDef(sigma=1.0), {}, "start must lie"),
+        (5, lambda spec, emission: PolicyDef(sigma=1.0), {}, "start must lie"),
         (2, lambda spec, emission: optimal_policy(spec, emission), {}, "open-loop"),
-        (2, lambda spec, emission: PolicyDef.gain_decoder(
-            -0.3 * np.ones((spec.d_u, spec.d_x)), CurrentObsDecoder(emission.decode_batch),
-            sigma=0.5), {}, "open-loop"),
-        (2, lambda spec, emission: PolicyDef.open_loop_gaussian(1.0, mean=[0.0, 0.5]), {},
-         "zero-mean"),
-        (2, lambda spec, emission: PolicyDef.open_loop_gaussian(1.0),
+        (2, lambda spec, emission: PolicyDef(
+            sigma=0.5, gain=-0.3 * np.ones((spec.d_u, spec.d_x)),
+            decoders=CurrentObsDecoder(emission.decode_batch)), {}, "open-loop"),
+        (2, lambda spec, emission: PolicyDef(sigma=1.0),
          {"obs_times": (1, 3)}, "before start"),
         # columns no rollout can produce, whatever the start
-        (0, lambda spec, emission: PolicyDef.open_loop_gaussian(1.0), {"n_traj": 0}, "n_traj"),
-        (0, lambda spec, emission: PolicyDef.open_loop_gaussian(1.0), {"n_traj": -3}, "n_traj"),
-        (0, lambda spec, emission: PolicyDef.open_loop_gaussian(1.0), {"obs_times": (7,)},
+        (0, lambda spec, emission: PolicyDef(sigma=1.0), {"n_traj": 0}, "n_traj"),
+        (0, lambda spec, emission: PolicyDef(sigma=1.0), {"n_traj": -3}, "n_traj"),
+        (0, lambda spec, emission: PolicyDef(sigma=1.0), {"obs_times": (7,)},
          "obs columns run only through t=4"),
-        (0, lambda spec, emission: PolicyDef.open_loop_gaussian(1.0), {"state_times": (2, 5)},
+        (0, lambda spec, emission: PolicyDef(sigma=1.0), {"state_times": (2, 5)},
          "states columns run only through t=4"),
-        (0, lambda spec, emission: PolicyDef.open_loop_gaussian(1.0), {"noise_times": (3, 4)},
+        (0, lambda spec, emission: PolicyDef(sigma=1.0), {"noise_times": (3, 4)},
          "noises columns run only through t=3"),
-    ], ids=["negative", "past-horizon", "optimal", "gain-decoder", "mean", "column-before",
+    ], ids=["negative", "past-horizon", "optimal", "gain-decoder", "column-before",
             "no-rows", "negative-rows", "obs-past-horizon", "state-past-horizon",
             "noise-at-horizon"])
     def test_bad_start_raises_before_any_draw(self, start, make_policy, times, match,
@@ -201,7 +212,7 @@ class TestStart:
         assert created == []
 
     @pytest.mark.parametrize("policy, start", [
-        (PolicyDef.zero(2), 2), (PolicyDef.open_loop_gaussian(0.5), 4),
+        (PolicyDef(), 2), (PolicyDef(sigma=0.5), 4),
     ], ids=["zero-policy", "zero-steps"])
     def test_start_state_is_drawn_from_the_marginal(self, policy, start):
         """x_start reads the (ROLE_INIT_STATE, start) substream, scaled to the
@@ -242,7 +253,7 @@ def stack_policy(name: str, sigma: float) -> tuple:
         decoder_update(FittedRegressor(candidate_index=0, m=scale * np.eye(spec.d_x),
                                        empirical_loss=0.0, decoder_class=truth_only(cls)),
                        stack)
-    return spec, emission, PolicyDef.gain_decoder(sol.k, stack, sigma=sigma)
+    return spec, emission, PolicyDef(sigma=sigma, gain=sol.k, decoders=stack)
 
 
 def reference_rollout(spec, emission, policy, horizon, n, seed, start=0) -> dict:
@@ -320,7 +331,7 @@ class TestChunkedRollout:
         """
         spec, emission, policy = stack_policy(name, sigma=0.3)
         if open_loop:
-            policy, start = PolicyDef.open_loop_gaussian(0.3), min(start, horizon)
+            policy, start = PolicyDef(sigma=0.3), min(start, horizon)
         else:
             start = 0
         args = (spec, emission, policy, horizon)
@@ -349,7 +360,7 @@ class TestChunkedRollout:
                 assert np.array_equal(getattr(wider, key)[:n], ref[key]), key
 
     @pytest.mark.parametrize("make_policy", [
-        lambda spec, emission: PolicyDef.zero(spec.d_u),
+        lambda spec, emission: PolicyDef(),
         lambda spec, emission: optimal_policy(spec, emission),
         lambda spec, emission: stack_policy("di-cubic-lift", sigma=0.0)[2],
     ], ids=["zero", "optimal", "greedy"])
@@ -366,7 +377,7 @@ class TestChunkedRollout:
         for key in cols:
             assert np.array_equal(cols[key], ref[COLUMN_FIELDS[key]]), key
         created.clear()
-        rollout(spec, emission, PolicyDef.open_loop_gaussian(0.5), 4, 11, 5)
+        rollout(spec, emission, PolicyDef(sigma=0.5), 4, 11, 5)
         assert sorted(t for role, t in created if role == ROLE_INPUT) == list(range(5))
 
     def test_unread_last_action_draws_no_input(self, monkeypatch):
@@ -382,11 +393,11 @@ class TestChunkedRollout:
         assert data.kappa1 == 5
         assert sorted(t for role, t in created if role == ROLE_INPUT) == [3, 4, 5]
         created.clear()
-        cols = rollout_columns(spec, emission, PolicyDef.open_loop_gaussian(0.5), horizon=4,
+        cols = rollout_columns(spec, emission, PolicyDef(sigma=0.5), horizon=4,
                                n_traj=5, base_seed=0, obs_times=(4,), start=4)
         assert created == [(ROLE_INIT_STATE, 4)] and sorted(cols["obs"]) == [4]
         created.clear()
-        trajectory_costs(spec, emission, PolicyDef.open_loop_gaussian(0.5), t_horizon=4,
+        trajectory_costs(spec, emission, (PolicyDef(sigma=0.5),), t_horizon=4,
                          n_eval=5, seed=0)
         assert (ROLE_INPUT, 4) in created
 
@@ -396,7 +407,7 @@ class TestChunkedRollout:
         two with the action at the horizon recorded, so take() finds no more
         planned blocks than DRAW_AHEAD; its columns still match the reference."""
         spec, emission, _ = make_benchmark_instance("di-cubic-lift")
-        policy = PolicyDef.open_loop_gaussian(0.5)
+        policy = PolicyDef(sigma=0.5)
         created = count_substreams(monkeypatch)
         if record_action:
             cols = all_columns(spec, emission, policy, 3, 2, 9, start=3)
@@ -465,8 +476,8 @@ class TestDrawWorker:
             seen.append(draw_threads())
             return emission.decode_batch(y)
 
-        good = PolicyDef.gain_decoder(gain, CurrentObsDecoder(decode), 0.5)
-        bad = PolicyDef.gain_decoder(gain, FailingDecoder(emission, fail_at=3), 0.5)
+        good = PolicyDef(sigma=0.5, gain=gain, decoders=CurrentObsDecoder(decode))
+        bad = PolicyDef(sigma=0.5, gain=gain, decoders=FailingDecoder(emission, fail_at=3))
         monkeypatch.setattr(system, "CHUNK_ROWS", 8)
         fresh = rollout(spec, emission, good, horizon=6, n_traj=50, base_seed=17)
         assert seen and all(len(names) == 1 for names in seen)
@@ -623,7 +634,7 @@ class TestCubicKernels:
 class TestExport:
     def test_trajectories_csv(self, tmp_path):
         spec, emission, _ = make_benchmark_instance("scalar-identity")
-        batch = rollout(spec, emission, PolicyDef.open_loop_gaussian(1.0),
+        batch = rollout(spec, emission, PolicyDef(sigma=1.0),
                         horizon=2, n_traj=2, base_seed=0)
         path = tmp_path / "traj.csv"
         export_trajectories_csv(path, batch)
