@@ -123,13 +123,12 @@ def _cmd_eval(args) -> None:
     for folder, stage in (("phase1", "phase1"), ("policy", "phase3")):
         if not (out / folder).exists():
             raise ValidationError(f"no saved {folder} under {out}; run {stage} or pipeline first")
-    learned = load_policy(out / "policy", decoder_class)
+    learned = load_policy(out / "policy", decoder_class, spec)
     if learned.t_horizon != config.t_horizon:
         raise ValidationError(f"config t_horizon = {config.t_horizon}, but the saved policy "
                               f"has horizon {learned.t_horizon}")
-    phase1_out = load_phase1(out / "phase1", decoder_class)
-    report = evaluate_policy(config, spec, emission, learned, phase1_out,
-                             kappa=phase1_out.kappa1 - phase1_out.kappa0)
+    phase1_out = load_phase1(out / "phase1", decoder_class, spec)
+    report = evaluate_policy(config, spec, emission, learned, phase1_out)
     write_report_csv(out / "eval_report.csv", report)
     write_decoder_errors_csv(out / "eval_decoder_errors.csv", report.decoder_errors)
     _print_costs(report)

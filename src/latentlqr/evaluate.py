@@ -7,7 +7,7 @@ identification pipeline can at best recover.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -152,19 +152,11 @@ class EvalReport:
     trajectories_eval: int
     kappa0: int
     kappa1: int
+    s_id: np.ndarray
     wall_clock_seconds: float = 0.0
-    extra: dict = field(default_factory=dict)
-
-    METRIC_ORDER = (
-        "j_learned", "j_learned_stderr", "j_optimal", "j_optimal_stderr",
-        "gap", "gap_stderr", "j_zero", "j_zero_stderr", "gap_zero",
-        "decoder_align_residual", "decoder_align_sigma_min",
-        "clip_fraction", "clip_events",
-        "trajectories_phase12", "trajectories_phase3", "trajectories_eval",
-        "kappa0", "kappa1",
-    )
 
     def rows(self) -> list[tuple[str, float]]:
-        """Fixed metric order; wall clock deliberately excluded so reports
-        are byte-identical across reruns."""
-        return [(name, getattr(self, name)) for name in self.METRIC_ORDER]
+        """The scalar metrics in declaration order; wall clock deliberately
+        excluded so reports are byte-identical across reruns."""
+        return [(f.name, getattr(self, f.name)) for f in fields(self)
+                if f.name not in ("decoder_errors", "s_id", "wall_clock_seconds")]

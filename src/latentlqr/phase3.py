@@ -85,7 +85,6 @@ class NoiseShaping:
     big_m: np.ndarray
     m_bar: np.ndarray
     lambda_m: float
-    sigma: float
 
 
 def build_noise_shaping(a: np.ndarray, b: np.ndarray, sigma_w: np.ndarray,
@@ -121,8 +120,7 @@ def build_noise_shaping(a: np.ndarray, b: np.ndarray, sigma_w: np.ndarray,
         logging.getLogger(__name__).warning(
             "limiting shaping matrix nearly singular (lambda = %.3e); "
             "increment recovery may be ill posed", lambda_m)
-    return NoiseShaping(m_k=tuple(m_list), big_m=big_m, m_bar=m_bar,
-                        lambda_m=lambda_m, sigma=sigma)
+    return NoiseShaping(m_k=tuple(m_list), big_m=big_m, m_bar=m_bar, lambda_m=lambda_m)
 
 
 @dataclass
@@ -162,7 +160,6 @@ class DecoderStack:
     a_hat: np.ndarray
     b_hat: np.ndarray
     k_gain: np.ndarray
-    p_hat: np.ndarray
     b_bar: float
     residual_regressors: list = field(default_factory=list)
     first_stage: dict = field(default_factory=dict)
@@ -388,8 +385,7 @@ def compute_policy(spec: SystemSpec, emission: EmissionModel, estimates: SysIdEs
                                   estimates.sigma_w_hat, config.sigma, config.kappa)
     b_bar = config.b_bar if config.b_bar is not None else default_clip_radius(
         spec.d_x, spec.d_u, config.n_op)
-    stack = DecoderStack(a_hat=estimates.a_hat, b_hat=estimates.b_hat,
-                         k_gain=sol.k, p_hat=sol.p, b_bar=b_bar)
+    stack = DecoderStack(a_hat=estimates.a_hat, b_hat=estimates.b_hat, k_gain=sol.k, b_bar=b_bar)
 
     learning_counts = {}
     for t in range(config.t_horizon):

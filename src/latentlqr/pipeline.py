@@ -84,7 +84,7 @@ class ExperimentConfig:
 
 
 def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
-    """Parse flat 'key = value' lines; '#' starts a comment; fail on unknown keys."""
+    """Parse flat 'key = value' lines; '#' starts a comment; fail on unknown or repeated keys."""
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -95,6 +95,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
+        if key in values:
+            raise ValidationError(f"config line {lineno}: duplicate key {key!r}")
         if key in _INT_KEYS or key in _FLOAT_KEYS:
             kind = int if key in _INT_KEYS else float
             try:
@@ -135,7 +137,6 @@ class PipelineResult:
     estimates: object = None
     learned: object = None
     report: Optional[EvalReport] = None
-    s_id: Optional[np.ndarray] = None
 
 
 def _resolve(config: ExperimentConfig):
@@ -208,7 +209,7 @@ def run_pipeline(config: ExperimentConfig, outdir: Path | None = None,
         return PipelineResult(phase1_out, estimates, learned)
 
     with tagged("pipeline stage=evaluate"):
-        report = evaluate_policy(config, spec, emission, learned, phase1_out, p1_config.kappa)
+        report = evaluate_policy(config, spec, emission, learned, phase1_out)
     report.wall_clock_seconds = time.perf_counter() - started
 
     if outdir is not None:
@@ -218,11 +219,10 @@ def run_pipeline(config: ExperimentConfig, outdir: Path | None = None,
             sample = rollout(spec, emission, learned.policy(), horizon=config.t_horizon,
                              n_traj=min(50, config.n_eval), base_seed=_eval_seed(config))
             export_trajectories_csv(outdir / "trajectories.csv", sample)
-    return PipelineResult(phase1_out, estimates, learned, report, report.extra["s_id"])
+    return PipelineResult(phase1_out, estimates, learned, report)
 
 
-def evaluate_policy(config: ExperimentConfig, spec, emission, learned, phase1_out,
-                    kappa: int) -> EvalReport:
+def evaluate_policy(config: ExperimentConfig, spec, emission, learned, phase1_out) -> EvalReport:
     """Paired-seed evaluation of a learned policy on the config's eval streams.
 
     The learned, optimal and zero policies step together in one cost-only
@@ -247,9 +247,9 @@ def evaluate_policy(config: ExperimentConfig, spec, emission, learned, phase1_ou
     gap, gap_se = mean_stderr(costs_learned - costs_opt)
     clip_fraction = clipped / checked if checked else 0.0
 
-    s_id = similarity_from_ground_truth(phase1_out, spec, kappa)
-    n_align = max(spec.d_x + 1, 2000)
     kappa1 = phase1_out.kappa1
+    s_id = similarity_from_ground_truth(phase1_out, spec, kappa1 - phase1_out.kappa0)
+    n_align = max(spec.d_x + 1, 2000)
     align_obs = rollout_columns(spec, emission, PolicyDef(sigma=1.0),
                                horizon=kappa1, n_traj=n_align,
                                base_seed=rngmod.derive_seed(eval_seed, rngmod.TAG_EVAL, 1),
@@ -273,6 +273,4 @@ def evaluate_policy(config: ExperimentConfig, spec, emission, learned, phase1_ou
         trajectories_phase12=3 * config.n_id,
         trajectories_phase3=learned.trajectories_used,
         trajectories_eval=3 * config.n_eval + n_align + n_metric,
-        kappa0=phase1_out.kappa0, kappa1=phase1_out.kappa1,
-        extra={"alignment_s": alignment.s, "s_id": s_id},
-    )
+        kappa0=phase1_out.kappa0, kappa1=kappa1, s_id=s_id)

@@ -115,8 +115,13 @@ def _erm(klass: StructuredClass, terms: list[tuple[np.ndarray, np.ndarray]],
     (G + RIDGE I) v = r with G = sum_jk kron(F_j'F_k, L_j'L_k) and
     r = vec(sum_j L_j' R' F_j). The clamped v is scored as
     (v'Gv - 2v'r + ||R||^2) / n, floored at the 0 that roundoff can cross on
-    exact fits; the lowest loss wins, ties to the lowest index.
+    exact fits; the lowest loss wins, ties to the lowest index. Both public
+    fits rely on its refusal of empty or non-finite targets.
     """
+    if targets.shape[0] == 0:
+        raise ValidationError("empty data")
+    if not np.all(np.isfinite(targets)):
+        raise ValidationError("targets must be finite")
     resid = np.ascontiguousarray(
         targets if offsets is None else targets - np.atleast_2d(np.asarray(offsets, dtype=float)))
     n, m_out = resid.shape[0], klass.output_dim
@@ -157,12 +162,8 @@ def erm_fit(klass: StructuredClass, observations: np.ndarray, targets: np.ndarra
     obs = np.atleast_2d(np.asarray(observations, dtype=float))
     tgt = np.atleast_2d(np.asarray(targets, dtype=float))
     n = obs.shape[0]
-    if n == 0:
-        raise ValidationError("empty data")
     if tgt.shape != (n, klass.output_dim):
         raise ValidationError(f"targets must be ({n}, {klass.output_dim}), got {tgt.shape}")
-    if not np.all(np.isfinite(tgt)):
-        raise ValidationError("targets must be finite")
     return _erm(klass, [(np.eye(klass.output_dim), obs)], tgt, offsets)
 
 
@@ -180,12 +181,8 @@ def erm_fit_increment(klass: StructuredClass, obs_now: np.ndarray, obs_next: np.
     left = np.atleast_2d(np.asarray(left, dtype=float))
     shift = np.atleast_2d(np.asarray(shift, dtype=float))
     n = y_now.shape[0]
-    if n == 0:
-        raise ValidationError("empty data")
     if y_next.shape[0] != n or tgt.shape[0] != n:
         raise ValidationError("sample counts differ between inputs and targets")
     if left.shape[0] != tgt.shape[1]:
         raise ValidationError("left factor rows must match target dimension")
-    if not np.all(np.isfinite(tgt)):
-        raise ValidationError("targets must be finite")
     return _erm(klass, [(left, y_next), (-left @ shift, y_now)], tgt, offsets)

@@ -18,6 +18,7 @@ from .phase1 import Phase1Output
 from .phase2 import SysIdEstimates
 from .phase3 import DecoderStack, InitialStatePieces, LearnedPolicy
 from .regression import DecoderClass, FittedRegressor
+from .system import SystemSpec
 
 
 def _fmt(x: float) -> str:
@@ -38,12 +39,14 @@ def _loading(path: Path):
         raise ValidationError(f"{path}: missing or malformed ({exc!r})") from None
 
 
-def _parse_matrix(lines: list[str]) -> np.ndarray:
-    """The matrix whose "rows,cols" header is lines[0]."""
+def _parse_matrix(lines: list[str], shape: tuple | None = None) -> np.ndarray:
+    """The matrix whose "rows,cols" header is lines[0]; of the given shape, if any."""
     rows, cols = (int(v) for v in lines[0].split(","))
     data = np.array([[float(v) for v in line.split(",")] for line in lines[1:1 + rows]])
     if data.shape != (rows, cols):
         raise ValueError(f"header says {rows}x{cols}, data is {data.shape}")
+    if shape is not None and data.shape != shape:
+        raise ValueError(f"shape {data.shape}, expected {shape}")
     return data
 
 
@@ -51,9 +54,9 @@ def save_matrix(path: Path, m: np.ndarray) -> None:
     Path(path).write_text("\n".join(_matrix_lines(m)) + "\n")
 
 
-def load_matrix(path: Path) -> np.ndarray:
+def load_matrix(path: Path, shape: tuple | None = None) -> np.ndarray:
     with _loading(path):
-        return _parse_matrix(Path(path).read_text().strip().splitlines())
+        return _parse_matrix(Path(path).read_text().strip().splitlines(), shape)
 
 
 def save_regressor(path: Path, reg: FittedRegressor) -> None:
@@ -61,13 +64,14 @@ def save_regressor(path: Path, reg: FittedRegressor) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_regressor(path: Path, decoder_class: DecoderClass) -> FittedRegressor:
+def load_regressor(path: Path, decoder_class: DecoderClass,
+                   shape: tuple | None = None) -> FittedRegressor:
     with _loading(path):
         lines = Path(path).read_text().strip().splitlines()
         tag, idx = lines[0].split(",")
-        if tag != "candidate":
-            raise ValueError("expected a candidate header")
-        return FittedRegressor(candidate_index=int(idx), m=_parse_matrix(lines[1:]),
+        if tag != "candidate" or not 0 <= int(idx) < len(decoder_class):
+            raise ValueError(f"expected candidate,<index in [0, {len(decoder_class)})>")
+        return FittedRegressor(candidate_index=int(idx), m=_parse_matrix(lines[1:], shape),
                                empirical_loss=float("nan"), decoder_class=decoder_class)
 
 
@@ -114,30 +118,30 @@ def save_phase1(outdir: Path, out: Phase1Output) -> None:
     save_key_values(outdir / "meta.csv", [("kappa0", out.kappa0), ("kappa1", out.kappa1)])
 
 
-def load_phase1(outdir: Path, decoder_class: DecoderClass) -> Phase1Output:
+def load_phase1(outdir: Path, decoder_class: DecoderClass, spec: SystemSpec) -> Phase1Output:
+    """The saved coarse decoder; its matrices must be (kappa d_u) x d_x."""
     outdir = Path(outdir)
     meta = load_key_values(outdir / "meta.csv", {"kappa0": int, "kappa1": int})
-    return Phase1Output(h_id=load_regressor(outdir / "h_id.csv", decoder_class),
-                        v_id=load_matrix(outdir / "v_id.csv"),
+    shape = ((meta["kappa1"] - meta["kappa0"]) * spec.d_u, spec.d_x)
+    return Phase1Output(h_id=load_regressor(outdir / "h_id.csv", decoder_class, shape),
+                        v_id=load_matrix(outdir / "v_id.csv", shape),
                         kappa0=meta["kappa0"], kappa1=meta["kappa1"],
                         eigenvalues=np.array([]))
+
+
+_ESTIMATES = ("a_hat", "b_hat", "sigma_w_hat", "q_hat")
 
 
 def save_sysid(outdir: Path, est: SysIdEstimates) -> None:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    save_matrix(outdir / "a_hat.csv", est.a_hat)
-    save_matrix(outdir / "b_hat.csv", est.b_hat)
-    save_matrix(outdir / "sigma_w_hat.csv", est.sigma_w_hat)
-    save_matrix(outdir / "q_hat.csv", est.q_hat)
+    for name in _ESTIMATES:
+        save_matrix(outdir / f"{name}.csv", getattr(est, name))
 
 
 def load_sysid(outdir: Path) -> SysIdEstimates:
     outdir = Path(outdir)
-    return SysIdEstimates(a_hat=load_matrix(outdir / "a_hat.csv"),
-                          b_hat=load_matrix(outdir / "b_hat.csv"),
-                          sigma_w_hat=load_matrix(outdir / "sigma_w_hat.csv"),
-                          q_hat=load_matrix(outdir / "q_hat.csv"))
+    return SysIdEstimates(**{name: load_matrix(outdir / f"{name}.csv") for name in _ESTIMATES})
 
 
 def save_policy(outdir: Path, learned: LearnedPolicy) -> None:
@@ -145,19 +149,14 @@ def save_policy(outdir: Path, learned: LearnedPolicy) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     stack = learned.stack
     save_matrix(outdir / "k_gain.csv", stack.k_gain)
-    save_matrix(outdir / "p_hat.csv", stack.p_hat)
     save_matrix(outdir / "a_hat.csv", stack.a_hat)
     save_matrix(outdir / "b_hat.csv", stack.b_hat)
     for t, reg in enumerate(stack.residual_regressors):
         save_regressor(outdir / f"h_{t}.csv", reg)
-    for t, regs in stack.first_stage.items():
-        for k, reg in enumerate(regs, start=1):
-            save_regressor(outdir / f"h_{t}_k{k}.csv", reg)
-    if stack.initial is not None:
-        save_regressor(outdir / "init_h_ol1.csv", stack.initial.h_ol1)
-        save_regressor(outdir / "init_h_ol0.csv", stack.initial.h_ol0)
-        save_matrix(outdir / "init_sigma_cov.csv", stack.initial.sigma_cov)
-        save_matrix(outdir / "init_gain.csv", stack.initial.gain)
+    save_regressor(outdir / "init_h_ol1.csv", stack.initial.h_ol1)
+    save_regressor(outdir / "init_h_ol0.csv", stack.initial.h_ol0)
+    save_matrix(outdir / "init_sigma_cov.csv", stack.initial.sigma_cov)
+    save_matrix(outdir / "init_gain.csv", stack.initial.gain)
     save_key_values(outdir / "meta.csv", [
         ("sigma", float(learned.sigma)),
         ("b_bar", float(stack.b_bar)),
@@ -166,23 +165,24 @@ def save_policy(outdir: Path, learned: LearnedPolicy) -> None:
     ])
 
 
-def load_policy(outdir: Path, decoder_class: DecoderClass) -> LearnedPolicy:
+def load_policy(outdir: Path, decoder_class: DecoderClass, spec: SystemSpec) -> LearnedPolicy:
+    """The saved policy; every matrix must have the shape spec's d_x and d_u imply."""
     outdir = Path(outdir)
     meta = load_key_values(outdir / "meta.csv", {"sigma": float, "b_bar": float,
                                                  "t_horizon": int, "trajectories_used": int})
-    stack = DecoderStack(a_hat=load_matrix(outdir / "a_hat.csv"),
-                         b_hat=load_matrix(outdir / "b_hat.csv"),
-                         k_gain=load_matrix(outdir / "k_gain.csv"),
-                         p_hat=load_matrix(outdir / "p_hat.csv"),
+    square = (spec.d_x, spec.d_x)
+    stack = DecoderStack(a_hat=load_matrix(outdir / "a_hat.csv", square),
+                         b_hat=load_matrix(outdir / "b_hat.csv", (spec.d_x, spec.d_u)),
+                         k_gain=load_matrix(outdir / "k_gain.csv", (spec.d_u, spec.d_x)),
                          b_bar=meta["b_bar"])
     for t in range(meta["t_horizon"]):
-        stack.residual_regressors.append(load_regressor(outdir / f"h_{t}.csv", decoder_class))
-    if (outdir / "init_h_ol1.csv").exists():
-        stack.initial = InitialStatePieces(
-            h_ol1=load_regressor(outdir / "init_h_ol1.csv", decoder_class),
-            sigma_cov=load_matrix(outdir / "init_sigma_cov.csv"),
-            h_ol0=load_regressor(outdir / "init_h_ol0.csv", decoder_class),
-            gain=load_matrix(outdir / "init_gain.csv"))
+        stack.residual_regressors.append(
+            load_regressor(outdir / f"h_{t}.csv", decoder_class, square))
+    stack.initial = InitialStatePieces(
+        h_ol1=load_regressor(outdir / "init_h_ol1.csv", decoder_class, square),
+        sigma_cov=load_matrix(outdir / "init_sigma_cov.csv", square),
+        h_ol0=load_regressor(outdir / "init_h_ol0.csv", decoder_class, square),
+        gain=load_matrix(outdir / "init_gain.csv", square))
     return LearnedPolicy(stack=stack, sigma=meta["sigma"],
                          trajectories_used=meta["trajectories_used"])
 

@@ -229,8 +229,7 @@ def test_criterion_7_noise_shaping_and_increment_fidelity():
         shaping = build_noise_shaping(spec.a, spec.b, spec.sigma_w, sigma=1.0, kappa=1)
         assert abs(shaping.lambda_m - 1.0) <= 1e-9
         sol = solve_dare(spec.a, spec.b, spec.q, spec.r)
-        stack = DecoderStack(a_hat=spec.a, b_hat=spec.b, k_gain=sol.k, p_hat=sol.p,
-                             b_bar=50.0)
+        stack = DecoderStack(a_hat=spec.a, b_hat=spec.b, k_gain=sol.k, b_bar=50.0)
         config = Phase3Config(n_op=20_000, sigma=1.0, t_horizon=1, kappa=1, r_op=8.0)
         halves, _ = collect_onpolicy(spec, emission, stack, 0, config, seed=71)
         _, h_t = fit_residual_regressors(halves, stack, shaping, 0, config,
@@ -255,8 +254,7 @@ def test_criterion_8_initial_state_subroutine():
         est = SysIdEstimates(a_hat=spec.a, b_hat=spec.b, sigma_w_hat=spec.sigma_w,
                              q_hat=spec.q)
         sol = solve_dare(spec.a, spec.b, spec.q, spec.r)
-        stack = DecoderStack(a_hat=spec.a, b_hat=spec.b, k_gain=sol.k, p_hat=sol.p,
-                             b_bar=50.0)
+        stack = DecoderStack(a_hat=spec.a, b_hat=spec.b, k_gain=sol.k, b_bar=50.0)
         config = Phase3Config(n_op=100_000, sigma=1.0, t_horizon=1, kappa=1, r_op=8.0,
                               n_init=100_000)
         shaping = build_noise_shaping(spec.a, spec.b, spec.sigma_w, sigma=1.0, kappa=1)

@@ -16,6 +16,12 @@ def write_config(path: Path, **overrides) -> Path:
     return path
 
 
+def set_candidate(path: Path, index: int) -> None:
+    """Rewrite the candidate header of a saved regressor."""
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(f"candidate,{index}\n" + "".join(lines[1:]))
+
+
 def files_under(root: Path) -> dict:
     """Relative path -> bytes of every file below root."""
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
@@ -106,15 +112,53 @@ class TestExitCodes:
         (lambda policy: (policy / "meta.csv").write_text(re.sub(
             r"^sigma,.*$", "sigma,abc", (policy / "meta.csv").read_text(), flags=re.M)),
          "meta.csv"),
-    ], ids=["garbled-regressor", "missing-meta", "unparsable-sigma"])
+        (lambda policy: (policy / "k_gain.csv").write_text("1,1\n0.5\n"), "k_gain.csv"),
+        (lambda policy: set_candidate(policy / "h_1.csv", -1), "h_1.csv"),
+        (lambda policy: set_candidate(policy / "h_1.csv", 99), "h_1.csv"),
+        (lambda policy: (policy / "init_h_ol1.csv").unlink(), "init_h_ol1.csv"),
+    ], ids=["garbled-regressor", "missing-meta", "unparsable-sigma", "one-by-one-gain",
+            "negative-candidate", "candidate-out-of-range", "missing-initial-state"])
     def test_damaged_saved_policy_for_eval_is_2(self, tmp_path, capsys, damage, named):
-        cfg = write_config(tmp_path / "run.cfg")
+        # di-cubic-lift: d_x = d_u = 2 and eight candidate decoders
+        cfg = write_config(tmp_path / "run.cfg", instance="di-cubic-lift")
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
         damage(out / "policy")
         assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
         assert str(out / "policy" / named) in capsys.readouterr().err
         assert not (out / "eval_report.csv").exists()
+
+    @pytest.mark.parametrize("name", ["v_id.csv", "h_id.csv"])
+    def test_misshaped_phase1_for_eval_is_2(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path / "run.cfg", instance="di-cubic-lift")
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        # drop the last column, leaving a (kappa d_u) x (d_x - 1) matrix
+        path = out / "phase1" / name
+        lines = path.read_text().splitlines()
+        header = 1 if name == "h_id.csv" else 0  # the "candidate,<index>" line
+        rows, cols = (int(v) for v in lines[header].split(","))
+        body = [line.rsplit(",", 1)[0] for line in lines[header + 1:]]
+        path.write_text("\n".join(lines[:header] + [f"{rows},{cols - 1}"] + body) + "\n")
+        assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not (out / "eval_report.csv").exists()
+
+    def test_duplicate_key_is_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "bad.cfg")
+        cfg.write_text(cfg.read_text() + "sigma = 0.9\n")
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "duplicate key 'sigma'" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
+    def test_overrides_win_over_the_config(self, tmp_path):
+        cfg = write_config(tmp_path / "run.cfg", seed=3)
+        out = tmp_path / "o"
+        assert main(["phase1", "--config", str(cfg), "--out", str(out), "--seed", "4"]) == 0
+        assert main(["phase1", "--config", str(write_config(tmp_path / "four.cfg", seed=4)),
+                     "--out", str(tmp_path / "four")]) == 0
+        assert files_under(out) == files_under(tmp_path / "four")
 
     def test_eval_horizon_mismatch_is_2(self, tmp_path, capsys, monkeypatch):
         import latentlqr.system as system

@@ -5,8 +5,9 @@ import scipy.linalg
 
 from latentlqr import (UnstableMatrixError, ValidationError,
                        controllability, make_benchmark_instance, open_loop_state_cov,
-                       optimal_policy, psd_project, rollout, solve_dare, solve_lyapunov,
-                       strong_stability_cert)
+                       optimal_policy, parameter_bounds, psd_project, rollout, solve_dare,
+                       solve_lyapunov, strong_stability_cert)
+from latentlqr.benchmarks import CATALOG
 from latentlqr.control import controllability_matrix, rowmap
 from latentlqr.system import CHUNK_ROWS
 
@@ -79,6 +80,41 @@ class TestStrongStability:
             assert np.linalg.norm(s, 2) * np.linalg.norm(s_inv, 2) <= cert.alpha * (1 + 1e-9)
             assert np.linalg.norm(s_inv @ x @ s, 2) <= cert.gamma + 1e-9
             assert cert.gamma < 1.0
+
+
+class TestValueWitness:
+    """The closed-loop certificate from the Riccati solution, the
+    stability_witness = value path of parameter_bounds."""
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_closed_loop_certificate_is_sound(self, name):
+        spec, _, _ = make_benchmark_instance(name)
+        sol = solve_dare(spec.a, spec.b, spec.q, spec.r)
+        a_cl = spec.a + spec.b @ sol.k
+        cert = strong_stability_cert(a_cl, p=sol.p, y=spec.q + sol.k.T @ spec.r @ sol.k)
+        assert cert.gamma < 1.0
+        for n in range(51):
+            norm_n = np.linalg.norm(np.linalg.matrix_power(a_cl, n), 2)
+            assert norm_n <= cert.alpha * cert.gamma**n * (1 + 1e-6)
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_bounds_agree_with_the_lyapunov_witness_on_kappa(self, name):
+        spec, _, _ = make_benchmark_instance(name)
+        value = parameter_bounds(spec, witness="value")
+        lyapunov = parameter_bounds(spec, witness="lyapunov")
+        assert value.kappa == lyapunov.kappa
+        assert value.gamma_star < 1.0
+        assert value.psi_star == lyapunov.psi_star
+        if name == "stable2x1-lift5":  # the value witness is the tighter one here
+            assert value.alpha_star == pytest.approx(1.2389, abs=1e-4)
+            assert lyapunov.alpha_star == pytest.approx(1.3109, abs=1e-4)
+        else:
+            assert value.alpha_star == lyapunov.alpha_star
+
+    def test_unknown_witness_rejected(self):
+        spec, _, _ = make_benchmark_instance("scalar-identity")
+        with pytest.raises(ValidationError, match="witness"):
+            parameter_bounds(spec, witness="bogus")
 
 
 class TestDare:

@@ -1,4 +1,5 @@
 """Evaluation harness: cost estimation, alignment, pipeline reports."""
+import dataclasses
 import sys
 import threading
 import tracemalloc
@@ -13,7 +14,7 @@ from latentlqr import (ExperimentConfig, PolicyDef, SystemSpec, ValidationError,
                        rollout, rollout_columns, run_pipeline, solve_dare, solve_lyapunov)
 from latentlqr import pipeline, system
 from latentlqr.benchmarks import CATALOG
-from latentlqr.evaluate import EvalReport, estimate_gap, mean_stderr, trajectory_costs
+from latentlqr.evaluate import estimate_gap, mean_stderr, trajectory_costs
 from latentlqr.system import CurrentObsDecoder
 
 from helpers import closed_form_step_cost, constant_policy
@@ -225,7 +226,13 @@ class TestPipeline:
         result = run_pipeline(self._config(), outdir=tmp_path)
         lines = (tmp_path / "report.csv").read_text().strip().splitlines()
         names = [line.split(",")[0] for line in lines]
-        assert names == ["metric"] + list(EvalReport.METRIC_ORDER)
+        assert names == [
+            "metric", "j_learned", "j_learned_stderr", "j_optimal", "j_optimal_stderr",
+            "gap", "gap_stderr", "j_zero", "j_zero_stderr", "gap_zero",
+            "decoder_align_residual", "decoder_align_sigma_min",
+            "clip_fraction", "clip_events",
+            "trajectories_phase12", "trajectories_phase3", "trajectories_eval",
+            "kappa0", "kappa1"]
         decoder_lines = (tmp_path / "decoder_errors.csv").read_text().strip().splitlines()
         assert decoder_lines[0] == "t,mse"
         assert len(decoder_lines) == 4
@@ -249,18 +256,27 @@ class TestPipeline:
         assert sum(simulated) == (rep.trajectories_phase12 + rep.trajectories_phase3
                                   + rep.trajectories_eval)
 
+    def test_value_stability_witness_runs(self):
+        config = ExperimentConfig(instance="scalar-identity", n_id=1500, n_op=600,
+                                  t_horizon=3, n_eval=400, seed=5, sigma=0.15,
+                                  stability_witness="value")
+        rep = run_pipeline(config).report
+        assert np.isfinite(rep.gap) and rep.gap < rep.gap_zero
+        # both witnesses give scalar-identity the same bounds, hence the same run
+        lyapunov = dataclasses.replace(config, stability_witness="lyapunov")
+        assert rep.rows() == run_pipeline(lyapunov).report.rows()
+
     def test_stop_after(self, tmp_path):
         config = self._config()
         full = run_pipeline(config)
         for stage, present in (("phase1", 1), ("phase2", 2), ("phase3", 3)):
             result = run_pipeline(config, outdir=tmp_path / stage, stop_after=stage)
-            fields = (result.phase1_out, result.estimates, result.learned, result.report,
-                      result.s_id)
+            fields = (result.phase1_out, result.estimates, result.learned, result.report)
             assert all(f is not None for f in fields[:present])
             assert all(f is None for f in fields[present:])
             assert not (tmp_path / stage / "report.csv").exists()
         assert np.array_equal(result.learned.stack.a_hat, full.learned.stack.a_hat)
-        assert full.s_id is full.report.extra["s_id"]
+        assert full.report.s_id.shape == (1, 1)
         with pytest.raises(ValidationError, match="stop_after"):
             run_pipeline(config, stop_after="phase4")
 
@@ -275,7 +291,7 @@ class TestPipeline:
         result = run_pipeline(config)
         assert result.report.clip_events > 0
         spec, emission, _ = make_benchmark_instance(config.instance)
-        again = evaluate_policy(config, spec, emission, result.learned, result.phase1_out, 1)
+        again = evaluate_policy(config, spec, emission, result.learned, result.phase1_out)
         assert again.rows() == result.report.rows()
 
     def test_artifacts_written(self, tmp_path):
@@ -315,8 +331,7 @@ class TestDecoderErrors:
 
         spec, emission, cls = make_benchmark_instance(name)
         sol = solve_dare(spec.a, spec.b, spec.q, spec.r)
-        stack = DecoderStack(a_hat=spec.a, b_hat=spec.b, k_gain=sol.k, p_hat=sol.p,
-                             b_bar=3.0)
+        stack = DecoderStack(a_hat=spec.a, b_hat=spec.b, k_gain=sol.k, b_bar=3.0)
         for scale in (1.0, 0.9, 1.1):
             decoder_update(FittedRegressor(candidate_index=0, m=scale * np.eye(spec.d_x),
                                            empirical_loss=0.0, decoder_class=truth_only(cls)),

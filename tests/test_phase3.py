@@ -24,8 +24,7 @@ def scalar_pieces(a=0.5, sw=1.0, s0=1.0):
 
 def stack_for(spec, est, b_bar=50.0):
     sol = solve_dare(est.a_hat, est.b_hat, est.q_hat, spec.r)
-    return DecoderStack(a_hat=est.a_hat, b_hat=est.b_hat, k_gain=sol.k, p_hat=sol.p,
-                        b_bar=b_bar)
+    return DecoderStack(a_hat=est.a_hat, b_hat=est.b_hat, k_gain=sol.k, b_bar=b_bar)
 
 
 class TestNoiseShaping:

@@ -1,11 +1,13 @@
 """Round trips for the matrix CSV format and model folders."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from latentlqr import (ExperimentConfig, make_benchmark_instance, run_pipeline)
 from latentlqr.regression import DecoderClass, FittedRegressor
-from latentlqr.serialize import (load_matrix, load_policy, load_regressor, load_sysid,
-                                 save_matrix, save_regressor)
+from latentlqr.serialize import (load_matrix, load_phase1, load_policy, load_regressor,
+                                 load_sysid, save_matrix, save_regressor)
 
 
 class TestMatrixCsv:
@@ -40,7 +42,7 @@ class TestModelFolders:
                                   kappa0_override=4)
         result = run_pipeline(config, outdir=tmp_path)
         spec, emission, cls = make_benchmark_instance(name)
-        loaded = load_policy(tmp_path / "policy", cls)
+        loaded = load_policy(tmp_path / "policy", cls, spec)
         est = load_sysid(tmp_path / "sysid")
         assert np.allclose(est.a_hat, result.estimates.a_hat)
 
@@ -51,3 +53,26 @@ class TestModelFolders:
         b2 = rollout(spec, emission, loaded.policy(), horizon=2, n_traj=20, base_seed=123)
         assert np.array_equal(b1.inputs, b2.inputs)
         assert np.array_equal(b1.costs, b2.costs)
+
+    @pytest.mark.parametrize("name", ["scalar-identity", "di-cubic-lift"])
+    def test_every_saved_file_is_read_back(self, tmp_path, monkeypatch, name):
+        # a file the savers write and no loader reads is dead weight on disk
+        config = ExperimentConfig(instance=name, n_id=1200, n_op=500,
+                                  t_horizon=2, n_eval=100, seed=9, sigma=0.3,
+                                  kappa0_override=4)
+        run_pipeline(config, outdir=tmp_path, stop_after="phase3")
+        written = {p for p in tmp_path.rglob("*") if p.is_file()}
+        read = set()
+        read_text = Path.read_text
+
+        def recording_read_text(path, *args, **kwargs):
+            read.add(path)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", recording_read_text)
+        spec, _, cls = make_benchmark_instance(name)
+        load_phase1(tmp_path / "phase1", cls, spec)
+        load_sysid(tmp_path / "sysid")
+        load_policy(tmp_path / "policy", cls, spec)
+        assert {p.parent.name for p in written} == {"phase1", "sysid", "policy"}
+        assert sorted(str(p.relative_to(tmp_path)) for p in written - read) == []

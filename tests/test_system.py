@@ -248,7 +248,7 @@ def stack_policy(name: str, sigma: float) -> tuple:
     """An instance and a gain-decoder policy on a two-regressor decoder stack."""
     spec, emission, cls = make_benchmark_instance(name)
     sol = solve_dare(spec.a, spec.b, spec.q, spec.r)
-    stack = DecoderStack(a_hat=spec.a, b_hat=spec.b, k_gain=sol.k, p_hat=sol.p, b_bar=50.0)
+    stack = DecoderStack(a_hat=spec.a, b_hat=spec.b, k_gain=sol.k, b_bar=50.0)
     for scale in (1.0, 0.9):
         decoder_update(FittedRegressor(candidate_index=0, m=scale * np.eye(spec.d_x),
                                        empirical_loss=0.0, decoder_class=truth_only(cls)),
