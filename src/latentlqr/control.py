@@ -34,6 +34,16 @@ def rowmap(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return x @ (m.T if x.shape[0] < 2 else np.ascontiguousarray(m.T))
 
 
+def row_sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared row norms of x: the squared columns summed in index order, off
+    numpy's slow short-axis reduction. Bitwise np.sum(x * x, axis=1) for up
+    to 7 columns; numpy sums longer rows pairwise."""
+    out = x[:, 0] * x[:, 0]
+    for j in range(1, x.shape[1]):
+        out += x[:, j] * x[:, j]
+    return out
+
+
 def spectral_radius(x: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(x))))
 

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng as rngmod
-from .control import controllability_matrix, psd_project, rowmap, solve_dare
+from .control import controllability_matrix, psd_project, row_sq_norms, rowmap, solve_dare
 from .errors import IllConditionedCovarianceError, NumericalError, ValidationError, tagged
 from .regression import DecoderClass, FittedRegressor, StructuredClass, erm_fit, erm_fit_increment
 from .system import EmissionModel, PolicyDef, SystemSpec, rollout_columns
@@ -123,6 +123,13 @@ def build_noise_shaping(a: np.ndarray, b: np.ndarray, sigma_w: np.ndarray,
     return NoiseShaping(m_k=tuple(m_list), big_m=big_m, m_bar=m_bar, lambda_m=lambda_m)
 
 
+def _features(h: FittedRegressor, y: np.ndarray, memo: Optional[tuple]) -> tuple:
+    """A memo of h's candidate features of y: the given one if it holds them."""
+    if memo is not None and memo[0] is h.decoder_class and memo[1] == h.candidate_index:
+        return memo
+    return h.decoder_class, h.candidate_index, h.decoder_class.features(h.candidate_index, y)
+
+
 @dataclass
 class InitialStatePieces:
     """Regressors and covariance for predicting A x_0 from the first observation."""
@@ -132,14 +139,16 @@ class InitialStatePieces:
     h_ol0: FittedRegressor
     gain: np.ndarray  # sigma_w_hat @ sigma_cov^{-1}
 
-    def f_a0(self, y0: np.ndarray) -> np.ndarray:
-        return rowmap(self.h_ol0.predict(y0), self.gain)
+    def f_a0(self, y0: np.ndarray, memo: Optional[tuple] = None) -> np.ndarray:
+        """The predicted A x_0, reusing a memo of y_0's features if it fits h_ol0."""
+        return rowmap(rowmap(_features(self.h_ol0, y0, memo)[2], self.h_ol0.m), self.gain)
 
 
 @dataclass
 class _StackState:
     value: np.ndarray
     prev_obs: Optional[np.ndarray]
+    memo: Optional[tuple] = None  # (decoder class, candidate index, features of prev_obs)
 
 
 @dataclass
@@ -147,14 +156,15 @@ class DecoderStack:
     """Per-time decoders built from the residual regressors.
 
     f_0 = 0; f_1 uses the initial-state pieces; for t >= 1,
-    f_{t+1}(y_{0:t+1}) = clip( h_t(y_{t+1}) - A f... h_t(y_t) + A f_t(y_{0:t}) ),
+    f_{t+1}(y_{0:t+1}) = clip( h_t(y_{t+1}) - A h_t(y_t) + A f_t(y_{0:t}) ),
     where clip zeroes any value with norm above b_bar. Values beyond the
     learned depth are zero, which makes the same object drive both the
     roll-in/roll-out collection policy and the final learned policy.
 
     Stepping is pure: step returns the value, the mask of rows it clipped
     (None where no radius check runs) and the next state, and leaves the
-    stack as it was, so concurrent rollouts may share one stack.
+    stack as it was, so concurrent rollouts may share one stack. The state
+    carries y_t's features, which h_t reuses if it shares h_{t-1}'s candidate.
     """
 
     a_hat: np.ndarray
@@ -180,18 +190,19 @@ class DecoderStack:
     def step(self, state: _StackState, t: int, y: np.ndarray):
         n = y.shape[0]
         if t == 0 or t > len(self.residual_regressors):
-            value, clipped = np.zeros((n, self.d_x)), None
+            value, clipped, now = np.zeros((n, self.d_x)), None, None
         else:
             h = self.residual_regressors[t - 1]
-            base = h.predict(y) - rowmap(h.predict(state.prev_obs), self.a_hat)
+            prev, now = _features(h, state.prev_obs, state.memo), _features(h, y, None)
+            base = rowmap(now[2], h.m) - rowmap(rowmap(prev[2], h.m), self.a_hat)
             if t == 1 and self.initial is not None:
-                carry = self.initial.f_a0(state.prev_obs)
+                carry = self.initial.f_a0(state.prev_obs, prev)
             else:
                 carry = rowmap(state.value, self.a_hat)
             value = base + carry
-            clipped = ~(np.linalg.norm(value, axis=1) <= self.b_bar)
+            clipped = ~(np.sqrt(row_sq_norms(value)) <= self.b_bar)
             value[clipped] = 0.0
-        return value, clipped, _StackState(value=value, prev_obs=y)
+        return value, clipped, _StackState(value=value, prev_obs=y, memo=now)
 
     def values_all(self, observations: np.ndarray, t_max: int) -> np.ndarray:
         out = np.zeros((observations.shape[0], t_max + 1, self.d_x))

@@ -83,7 +83,12 @@ def save_key_values(path: Path, pairs: list[tuple[str, object]]) -> None:
 def load_key_values(path: Path, kinds: dict) -> dict:
     """{key: kind(value)} for each key: kind in kinds, read off "key,value" lines."""
     with _loading(path):
-        raw = dict(line.split(",", 1) for line in Path(path).read_text().strip().splitlines())
+        raw = {}
+        for line in Path(path).read_text().strip().splitlines():
+            key, value = line.split(",", 1)
+            if key in raw:
+                raise ValueError(f"duplicate key {key!r}")
+            raw[key] = value
         return {key: kind(raw[key]) for key, kind in kinds.items()}
 
 

@@ -116,8 +116,11 @@ class TestExitCodes:
         (lambda policy: set_candidate(policy / "h_1.csv", -1), "h_1.csv"),
         (lambda policy: set_candidate(policy / "h_1.csv", 99), "h_1.csv"),
         (lambda policy: (policy / "init_h_ol1.csv").unlink(), "init_h_ol1.csv"),
+        (lambda policy: (policy / "meta.csv").write_text(
+            (policy / "meta.csv").read_text() + "sigma,0.9\n"), "meta.csv"),
     ], ids=["garbled-regressor", "missing-meta", "unparsable-sigma", "one-by-one-gain",
-            "negative-candidate", "candidate-out-of-range", "missing-initial-state"])
+            "negative-candidate", "candidate-out-of-range", "missing-initial-state",
+            "repeated-sigma"])
     def test_damaged_saved_policy_for_eval_is_2(self, tmp_path, capsys, damage, named):
         # di-cubic-lift: d_x = d_u = 2 and eight candidate decoders
         cfg = write_config(tmp_path / "run.cfg", instance="di-cubic-lift")

@@ -8,7 +8,7 @@ from latentlqr import (UnstableMatrixError, ValidationError,
                        optimal_policy, parameter_bounds, psd_project, rollout, solve_dare,
                        solve_lyapunov, strong_stability_cert)
 from latentlqr.benchmarks import CATALOG
-from latentlqr.control import controllability_matrix, rowmap
+from latentlqr.control import controllability_matrix, row_sq_norms, rowmap
 from latentlqr.system import CHUNK_ROWS
 
 from helpers import random_spd, random_stable
@@ -25,6 +25,21 @@ class TestRowmap:
         # a contiguous batch and a strided column view, as decoders receive
         for x in (np.ascontiguousarray(wide[:, :d_in]), wide[:, 1:1 + d_in]):
             assert np.array_equal(rowmap(x, m), x @ m.T)
+
+
+class TestRowSqNorms:
+    @pytest.mark.parametrize("d", range(1, 8))
+    @pytest.mark.parametrize("n", [1, 2, 3, 10_000])
+    def test_bitwise_equal_to_the_row_sum_and_norm(self, n, d):
+        rng = np.random.default_rng(100 * n + d)
+        wide = rng.standard_normal((n, d + 2)) * rng.uniform(0.1, 100.0, (n, d + 2))
+        for x in (np.ascontiguousarray(wide[:, :d]), wide[:, 1:1 + d]):
+            sq = row_sq_norms(x)
+            assert np.array_equal(sq, np.sum(x * x, axis=1))
+            assert np.array_equal(np.sqrt(sq), np.linalg.norm(x, axis=1))
+
+    def test_docstring_states_the_column_limit(self):
+        assert "up to 7 columns" in " ".join(row_sq_norms.__doc__.split())
 
 
 class TestLyapunov:

@@ -525,3 +525,25 @@ class TestSharedPass:
         finally:
             tracemalloc.stop()
         assert peak < n_eval * horizon * 8
+
+
+class TestRunningCostSum:
+    """The cost pass sums c_1..c_T in order per row: bitwise the row mean of
+    the (rows, T) cost block for T <= 7, within a few ulp of it beyond."""
+
+    @pytest.mark.parametrize("name", ["scalar-identity", "di-cubic-lift"])
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 33, 64])
+    def test_costs_are_the_row_mean_of_the_cost_columns(self, monkeypatch, name, horizon):
+        spec, emission, _ = make_benchmark_instance(name)
+        policies = (optimal_policy(spec, emission), PolicyDef(sigma=0.5))
+        monkeypatch.setattr(system, "CHUNK_ROWS", 7)
+        times = tuple(range(1, horizon + 1))
+        passed = trajectory_costs(spec, emission, policies, horizon, 40, 5)
+        for (costs, _, _), policy in zip(passed, policies):
+            cols = rollout_columns(spec, emission, policy, horizon=horizon, n_traj=40,
+                                   base_seed=5, cost_times=times)
+            row_mean = np.stack([cols["costs"][t] for t in times], axis=1).mean(axis=1)
+            if horizon <= 7:
+                assert bitwise(costs, row_mean)
+            else:
+                np.testing.assert_array_max_ulp(costs, row_mean, maxulp=16)

@@ -7,8 +7,9 @@ from latentlqr import (Phase3Config, SystemSpec, SysIdEstimates, ValidationError
                        decoder_update, fit_residual_regressors, learn_initial_state,
                        make_benchmark_instance, rollout, rollout_columns, solve_dare)
 from latentlqr import phase3
-from latentlqr.phase3 import DecoderStack, default_clip_radius
-from latentlqr.regression import FittedRegressor
+from latentlqr.control import rowmap
+from latentlqr.phase3 import DecoderStack, InitialStatePieces, default_clip_radius
+from latentlqr.regression import DecoderClass, FittedRegressor
 from latentlqr import system
 from latentlqr.system import PolicyDef
 
@@ -185,6 +186,84 @@ class TestDecoderStack:
         chunked, chunked_masks = collect_onpolicy(spec, emission, stack, 1, cfg, seed=31)
         assert list(chunked_masks) == [1] and np.array_equal(chunked_masks[1], clipped)
         assert np.array_equal(np.vstack([half.f_t for half in chunked]), f_1)
+
+
+def feature_class(calls: list, scale: float = 1.0) -> DecoderClass:
+    """Three two-dimensional candidates that record the rows of each featurization."""
+    def counted(f):
+        def candidate(y):
+            calls.append(y.shape[0])
+            return f(y)
+        return candidate
+    return DecoderClass(candidates=tuple(counted(f) for f in (
+        lambda y: scale * y, lambda y: scale * y * y * y, lambda y: np.sin(scale * y))))
+
+
+def memo_stack(picks, initial, b_bar=3.0):
+    """A 2-d stack whose h_t is candidate picks[t][1] of class picks[t][0], with
+    initial-state pieces on candidate initial[1] of class initial[0] (or none)."""
+    rng = np.random.default_rng(4)
+
+    def reg(cls, idx):
+        return FittedRegressor(candidate_index=idx, m=0.7 * rng.standard_normal((2, 2)),
+                               empirical_loss=0.0, decoder_class=cls)
+
+    stack = DecoderStack(a_hat=0.6 * rng.standard_normal((2, 2)), b_hat=np.eye(2),
+                         k_gain=np.eye(2), b_bar=b_bar)
+    for cls, idx in picks:
+        decoder_update(reg(cls, idx), stack)
+    if initial is not None:
+        stack.initial = InitialStatePieces(h_ol1=reg(*initial), sigma_cov=np.eye(2),
+                                           h_ol0=reg(*initial),
+                                           gain=rng.standard_normal((2, 2)))
+    return stack
+
+
+class TestFeatureMemo:
+    """The stack state carries y_t's features, so a step whose regressor
+    shares the previous one's candidate featurizes only the new observation."""
+
+    @pytest.mark.parametrize("initial", [None, "same", "other-candidate", "other-class"])
+    def test_steps_equal_the_formula_without_memo(self, initial):
+        cls, other = feature_class([]), feature_class([], scale=0.5)
+        # hit, miss, hit, then the same index in another class (a miss), hit
+        picks = [(cls, 0), (cls, 0), (cls, 1), (cls, 1), (other, 1), (other, 1)]
+        init = {None: None, "same": (cls, 0), "other-candidate": (cls, 2),
+                "other-class": (other, 0)}[initial]
+        stack = memo_stack(picks, init)
+        obs = np.random.default_rng(5).standard_normal((300, len(picks) + 2, 2))
+        state, value = stack.begin(300), np.zeros((300, 2))
+        clipped_rows = 0
+        for t in range(len(picks) + 2):
+            got, clipped, state = stack.step(state, t, obs[:, t])
+            if 1 <= t <= len(picks):
+                h = stack.residual_regressors[t - 1]
+                if t == 1 and stack.initial is not None:
+                    carry = rowmap(stack.initial.h_ol0.predict(obs[:, 0]), stack.initial.gain)
+                else:
+                    carry = rowmap(value, stack.a_hat)
+                value = h.predict(obs[:, t]) - rowmap(h.predict(obs[:, t - 1]), stack.a_hat) + carry
+                mask = ~(np.linalg.norm(value, axis=1) <= stack.b_bar)
+                value[mask] = 0.0
+                assert np.array_equal(clipped, mask), t
+                clipped_rows += int(mask.sum())
+            else:
+                value = np.zeros((300, 2))
+                assert clipped is None
+            assert got.tobytes() == value.tobytes(), t
+        assert 0 < clipped_rows < 300 * len(picks)
+
+    @pytest.mark.parametrize("with_initial", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_a_run_of_one_candidate_featurizes_each_observation_once(self, k, with_initial):
+        calls = []
+        cls = feature_class(calls)
+        stack = memo_stack([(cls, 1)] * k, (cls, 1) if with_initial else None)
+        obs = np.random.default_rng(6).standard_normal((50, k + 2, 2))
+        stack.values_all(obs, k + 1)
+        # y_0..y_k once each; without the memo every step featurizes two
+        # observations, and step 1 featurizes y_0 once more for h_ol0
+        assert calls == [50] * (k + 1)
 
 
 class TestResidualRegression:

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from latentlqr import (ExperimentConfig, make_benchmark_instance, run_pipeline)
+from latentlqr.errors import ValidationError
 from latentlqr.regression import DecoderClass, FittedRegressor
-from latentlqr.serialize import (load_matrix, load_phase1, load_policy, load_regressor,
-                                 load_sysid, save_matrix, save_regressor)
+from latentlqr.serialize import (load_key_values, load_matrix, load_phase1, load_policy,
+                                 load_regressor, load_sysid, save_matrix, save_regressor)
 
 
 class TestMatrixCsv:
@@ -32,6 +33,17 @@ class TestMatrixCsv:
         assert np.array_equal(loaded.m, reg.m)
         obs = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert np.allclose(loaded.predict(obs), reg.predict(obs))
+
+
+class TestKeyValues:
+    @pytest.mark.parametrize("key", ["sigma", "t_horizon"])
+    def test_repeated_key_is_refused(self, tmp_path, key):
+        # refused whether or not the repeated key is one of those asked for
+        path = tmp_path / "meta.csv"
+        path.write_text("sigma,0.2\nt_horizon,4\nb_bar,3.5\n" + f"{key},9\n")
+        with pytest.raises(ValidationError) as err:
+            load_key_values(path, {"sigma": float, "b_bar": float})
+        assert str(path) in str(err.value) and f"duplicate key {key!r}" in str(err.value)
 
 
 class TestModelFolders:
