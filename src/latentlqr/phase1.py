@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import system
 from .control import controllability_matrix, open_loop_state_cov
 from .errors import DegenerateSpectrumError, InfeasibleBurnInError, ValidationError
 from .regression import DecoderClass, FittedRegressor, StructuredClass, erm_fit
-from .system import EmissionModel, PolicyDef, SystemSpec, rollout_columns
+from .system import EmissionModel, PolicyDef, SystemSpec
 
 EIGENGAP_TOL = 1e-12
 # Largest burn-in the formula may give before the run is refused as infeasible.
@@ -87,13 +88,14 @@ def burn_in_kappa0(config: Phase1Config) -> int:
 
 @dataclass
 class IdBatch:
-    """Columns recorded from one batch of excitation trajectories."""
+    """Columns recorded from one batch of excitation trajectories; a field
+    that the batch's own fit does not read is None."""
 
-    y_now: np.ndarray    # observation at kappa_1,      (n, d_y)
-    y_next: np.ndarray   # observation at kappa_1 + 1,  (n, d_y)
-    u_now: np.ndarray    # input at kappa_1,            (n, d_u)
-    cost_now: np.ndarray  # revealed cost at kappa_1,   (n,)
-    v: np.ndarray        # stacked inputs kappa_0..kappa_1-1, (n, kappa * d_u)
+    y_now: np.ndarray | None = None     # observation at kappa_1,      (n, d_y)
+    y_next: np.ndarray | None = None    # observation at kappa_1 + 1,  (n, d_y)
+    u_now: np.ndarray | None = None     # input at kappa_1,            (n, d_u)
+    cost_now: np.ndarray | None = None  # revealed cost at kappa_1,   (n,)
+    v: np.ndarray | None = None         # stacked inputs kappa_0..kappa_1-1, (n, kappa * d_u)
 
     @property
     def n(self) -> int:
@@ -113,36 +115,45 @@ class IdData:
 
 def collect_id_data(spec: SystemSpec, emission: EmissionModel, config: Phase1Config,
                     seed: int) -> IdData:
-    """3 n_id excitation trajectories, reduced to the recorded columns.
+    """3 n_id excitation trajectories, reduced to the columns each batch's fit reads.
 
-    Inputs are u_t ~ N(0, I) through time kappa_1; each trajectory records
-    (y_k1, y_k1+1, u_k1, c_k1) and the stacked window v. The simulator starts
+    Inputs are u_t ~ N(0, I) through time kappa_1. Every batch records
+    y_k1; batch 1 (h_id's regression) also the stacked window v, and batch 3
+    (system identification) y_k1+1, u_k1 and c_k1. The simulator starts
     at kappa_0 from the exact marginal N(0, Sigma_{kappa_0}) of the state
     after the burn-in, so only the kappa + 2 recorded times are simulated;
     the law of every column is that of a rollout from t = 0. The three
     batches are the index ranges [0, n), [n, 2n), [2n, 3n) of a single
-    collection, so they are disjoint by construction.
+    rollout, so they are disjoint by construction, and each chunk of it is
+    copied straight into the arrays of the batches its rows belong to.
     """
     kappa0 = burn_in_kappa0(config)
     kappa1 = kappa0 + config.kappa
-    n_total = 3 * config.n_id
-    cols = rollout_columns(
-        spec, emission, PolicyDef(sigma=1.0), horizon=kappa1 + 1, n_traj=n_total,
-        base_seed=seed, obs_times=(kappa1, kappa1 + 1),
-        input_times=tuple(range(kappa0, kappa1 + 1)),
-        cost_times=(kappa1,), start=kappa0)
-    v = np.hstack([cols["inputs"][t] for t in range(kappa0, kappa1)])
+    n, d_u = config.n_id, config.d_u
+    batches = (IdBatch(), IdBatch(), IdBatch())
+    # (key, t) -> [(batch index, IdBatch field, its column index after the row slice)]
+    table = {("obs", kappa1): [(k, "y_now", ()) for k in range(3)],
+             ("obs", kappa1 + 1): [(2, "y_next", ())], ("inputs", kappa1): [(2, "u_now", ())],
+             ("costs", kappa1): [(2, "cost_now", ())]}
+    for j, t in enumerate(range(kappa0, kappa1)):
+        table["inputs", t] = [(0, "v", (slice(j * d_u, (j + 1) * d_u),))]
+    times = {key: {t for other, t in table if other == key} for key, _ in table}
 
-    def batch(lo: int, hi: int) -> IdBatch:
-        return IdBatch(y_now=cols["obs"][kappa1][lo:hi],
-                       y_next=cols["obs"][kappa1 + 1][lo:hi],
-                       u_now=cols["inputs"][kappa1][lo:hi],
-                       cost_now=cols["costs"][kappa1][lo:hi],
-                       v=v[lo:hi])
+    def keep(_, key, rows, t, part):
+        for k, field, cols in table.get((key, t), ()):
+            lo, hi = max(rows.start, k * n), min(rows.stop, (k + 1) * n)
+            if lo >= hi:
+                continue
+            column = getattr(batches[k], field)
+            if column is None:  # allocated on first write
+                shape = (n, config.kappa * d_u) if cols else (n,) + part.shape[1:]
+                column = np.empty(shape, part.dtype)
+                setattr(batches[k], field, column)
+            column[(slice(lo - k * n, hi - k * n),) + cols] = part[lo - rows.start:hi - rows.start]
 
-    n = config.n_id
-    return IdData(batch1=batch(0, n), batch2=batch(n, 2 * n), batch3=batch(2 * n, 3 * n),
-                  kappa0=kappa0, kappa1=kappa1)
+    system._drive(spec, emission, (PolicyDef(sigma=1.0),), kappa1 + 1, 3 * n, seed,
+                  times, keep, kappa0)
+    return IdData(*batches, kappa0=kappa0, kappa1=kappa1)
 
 
 @dataclass

@@ -34,20 +34,19 @@ class SysIdEstimates:
             setattr(self, name, m)
 
 
-def fit_dynamics(batch3: IdBatch, decoder: Callable[[np.ndarray], np.ndarray],
+def fit_dynamics(batch3: IdBatch, x_now: np.ndarray, x_next: np.ndarray,
                  d_x: int) -> tuple[np.ndarray, np.ndarray]:
-    """Joint least squares of decoded next states on decoded states and inputs."""
-    x_now = decoder(batch3.y_now)
-    x_next = decoder(batch3.y_next)
+    """Joint least squares of decoded next states on decoded states and inputs
+    (x_now, x_next: batch3's y_now, y_next decoded, as in the fits below)."""
     design = np.hstack([x_now, batch3.u_now])
     m = fit_linear_map(design, x_next)
     return m[:, :d_x], m[:, d_x:]
 
 
-def fit_noise_cov(batch3: IdBatch, decoder: Callable[[np.ndarray], np.ndarray],
+def fit_noise_cov(batch3: IdBatch, x_now: np.ndarray, x_next: np.ndarray,
                   a_hat: np.ndarray, b_hat: np.ndarray) -> np.ndarray:
     """Empirical second moment of the one-step residuals, PSD-projected."""
-    resid = decoder(batch3.y_next) - decoder(batch3.y_now) @ a_hat.T - batch3.u_now @ b_hat.T
+    resid = x_next - x_now @ a_hat.T - batch3.u_now @ b_hat.T
     sigma = resid.T @ resid / batch3.n
     return psd_project((sigma + sigma.T) / 2.0)
 
@@ -71,14 +70,12 @@ def _sym_features(x: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
     return np.column_stack(cols), index
 
 
-def fit_cost(batch3: IdBatch, decoder: Callable[[np.ndarray], np.ndarray],
-             r: np.ndarray) -> np.ndarray:
+def fit_cost(batch3: IdBatch, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Quadratic fit of the revealed costs minus the known input penalty.
 
     Solved on the d_x(d_x+1)/2-dimensional symmetric parameterization to
     avoid the null space of the full vectorization, then PSD-projected.
     """
-    x = decoder(batch3.y_now)
     d = x.shape[1]
     n_params = d * (d + 1) // 2
     if batch3.n < n_params:
@@ -96,8 +93,10 @@ def fit_cost(batch3: IdBatch, decoder: Callable[[np.ndarray], np.ndarray],
 
 def run_sysid(batch3: IdBatch, decoder: Callable[[np.ndarray], np.ndarray],
               r: np.ndarray, d_x: int) -> SysIdEstimates:
-    """All three regressions on the third excitation batch."""
-    a_hat, b_hat = fit_dynamics(batch3, decoder, d_x)
-    sigma_w_hat = fit_noise_cov(batch3, decoder, a_hat, b_hat)
-    q_hat = fit_cost(batch3, decoder, r)
+    """All three regressions on the third excitation batch, which the decoder
+    decodes once per observation column."""
+    x_now, x_next = decoder(batch3.y_now), decoder(batch3.y_next)
+    a_hat, b_hat = fit_dynamics(batch3, x_now, x_next, d_x)
+    sigma_w_hat = fit_noise_cov(batch3, x_now, x_next, a_hat, b_hat)
+    q_hat = fit_cost(batch3, x_now, r)
     return SysIdEstimates(a_hat=a_hat, b_hat=b_hat, sigma_w_hat=sigma_w_hat, q_hat=q_hat)

@@ -190,12 +190,15 @@ def run_pipeline(config: ExperimentConfig, outdir: Path | None = None,
         data = collect_id_data(spec, emission, p1_config,
                                rngmod.derive_seed(config.seed, rngmod.TAG_PHASE1))
         phase1_out = fit_coarse_decoder(data.batch1, data.batch2, decoder_class, p1_config)
+        batch3 = data.batch3
+        del data  # batches 1 and 2 have no reader left, and batch 3 none after sysid
     if outdir is not None:
         save_phase1(outdir / "phase1", phase1_out)
     if stop_after == "phase1":
         return PipelineResult(phase1_out)
     with tagged("pipeline stage=phase2"):
-        estimates = run_sysid(data.batch3, phase1_out.decode, spec.r, spec.d_x)
+        estimates = run_sysid(batch3, phase1_out.decode, spec.r, spec.d_x)
+        del batch3
     if outdir is not None:
         save_sysid(outdir / "sysid", estimates)
     if stop_after == "phase2":

@@ -3,6 +3,7 @@ import dataclasses
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -255,6 +256,34 @@ class TestPipeline:
         assert rep.trajectories_eval == 3 * 400 + 2000 + 400
         assert sum(simulated) == (rep.trajectories_phase12 + rep.trajectories_phase3
                                   + rep.trajectories_eval)
+
+    def test_phase1_columns_are_released(self, monkeypatch):
+        """Batches 1 and 2 are let go once the coarse decoder is fit, batch 3
+        once system identification returns."""
+        refs = []
+        alive = {}
+        collect, sysid, policy = (pipeline.collect_id_data, pipeline.run_sysid,
+                                  pipeline.compute_policy)
+
+        def collecting(*args):
+            data = collect(*args)
+            for batch in (data.batch1, data.batch2, data.batch3):
+                refs.append([weakref.ref(column) for column in vars(batch).values()
+                             if column is not None])
+            return data
+
+        def count_alive(stage, fn):
+            def wrapped(*args):
+                alive[stage] = [sum(ref() is not None for ref in batch) for batch in refs]
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(pipeline, "collect_id_data", collecting)
+        monkeypatch.setattr(pipeline, "run_sysid", count_alive("sysid", sysid))
+        monkeypatch.setattr(pipeline, "compute_policy", count_alive("policy", policy))
+        run_pipeline(self._config(), stop_after="phase3")
+        assert alive == {"sysid": [0, 0, 4], "policy": [0, 0, 0]}
+        assert [len(batch) for batch in refs] == [2, 1, 4]
 
     def test_value_stability_witness_runs(self):
         config = ExperimentConfig(instance="scalar-identity", n_id=1500, n_op=600,

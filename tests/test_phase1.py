@@ -61,31 +61,61 @@ class TestBurnIn:
             config(n_id=0)
 
 
+# The columns each batch's fit reads: h_id's regression, the PCA, system identification.
+KEPT = ({"y_now", "v"}, {"y_now"}, {"y_now", "y_next", "u_now", "cost_now"})
+
+
+def reference_columns(spec, emission, data, n_traj, seed):
+    """The recorded columns of one rollout of all n_traj rows, from kappa0."""
+    k0, k1 = data.kappa0, data.kappa1
+    return rollout_columns(spec, emission, PolicyDef(sigma=1.0), horizon=k1 + 1,
+                           n_traj=n_traj, base_seed=seed, obs_times=(k1, k1 + 1),
+                           input_times=tuple(range(k0, k1 + 1)), cost_times=(k1,), start=k0)
+
+
+def assert_batches_are_row_ranges(data, full, n):
+    """Batch k keeps rows [k n, (k + 1) n) of each column its fit reads, in an
+    array of its own; every other field is None."""
+    k0, k1 = data.kappa0, data.kappa1
+    columns = {"y_now": full["obs"][k1], "y_next": full["obs"][k1 + 1],
+               "u_now": full["inputs"][k1], "cost_now": full["costs"][k1],
+               "v": np.hstack([full["inputs"][t] for t in range(k0, k1)])}
+    for k, (batch, kept) in enumerate(zip((data.batch1, data.batch2, data.batch3), KEPT)):
+        for name, column in columns.items():
+            value = getattr(batch, name)
+            if name in kept:
+                assert value.base is None, (k, name)
+                assert np.array_equal(value, column[k * n:(k + 1) * n]), (k, name)
+            else:
+                assert value is None, (k, name)
+
+
 class TestCollect:
     def test_window_dimension_and_batches(self):
         spec, emission, _ = make_benchmark_instance("scalar-identity")
         cfg = config(n_id=50, kappa=1, kappa0_override=3, d_x=1, d_u=1)
         data = collect_id_data(spec, emission, cfg, seed=0)
         assert data.kappa0 == 3 and data.kappa1 == 4
+        assert data.batch1.v.shape == (50, 1)
         for batch in (data.batch1, data.batch2, data.batch3):
-            assert batch.v.shape == (50, 1)
-            assert batch.y_now.shape == (50, 1)
+            assert batch.y_now.shape == (50, 1) and batch.n == 50
+        assert_batches_are_row_ranges(data, reference_columns(spec, emission, data, 150, 0), 50)
 
     def test_batches_are_slices_of_one_run(self):
-        spec, emission, _ = make_benchmark_instance("scalar-identity")
-        cfg = config(n_id=20, kappa=1, kappa0_override=2)
-        data = collect_id_data(spec, emission, cfg, seed=5)
-        k0, k1 = data.kappa0, data.kappa1
-        # the one run simulates the recorded window only, from kappa0
-        full = rollout_columns(spec, emission, PolicyDef(sigma=1.0),
-                               horizon=k1 + 1, n_traj=60, base_seed=5,
-                               obs_times=(k1, k1 + 1), input_times=(k0,), cost_times=(k1,),
-                               start=k0)
-        assert np.array_equal(data.batch1.y_now, full["obs"][k1][:20])
-        assert np.array_equal(data.batch2.y_now, full["obs"][k1][20:40])
-        assert np.array_equal(data.batch3.y_next, full["obs"][k1 + 1][40:60])
-        assert np.array_equal(data.batch3.cost_now, full["costs"][k1][40:60])
-        assert np.array_equal(data.batch2.v, full["inputs"][k0][20:40])
+        # di-cubic-lift's window holds two 2-d inputs, so v is filled at offsets
+        for name, kappa in (("scalar-identity", 1), ("di-cubic-lift", 2)):
+            spec, emission, _ = make_benchmark_instance(name)
+            cfg = config(n_id=20, kappa=kappa, kappa0_override=2, d_x=spec.d_x, d_u=spec.d_u)
+            data = collect_id_data(spec, emission, cfg, seed=5)
+            k1 = data.kappa1
+            # the one run simulates the recorded window only, from kappa0
+            full = reference_columns(spec, emission, data, 60, 5)
+            assert np.array_equal(data.batch1.y_now, full["obs"][k1][:20])
+            assert np.array_equal(data.batch2.y_now, full["obs"][k1][20:40])
+            assert np.array_equal(data.batch3.y_next, full["obs"][k1 + 1][40:60])
+            assert np.array_equal(data.batch3.cost_now, full["costs"][k1][40:60])
+            assert data.batch1.v.shape == (20, kappa * spec.d_u)
+            assert_batches_are_row_ranges(data, full, 20)
 
     @pytest.mark.parametrize("name", ["di-cubic-lift", "stable2x1-lift5"])
     def test_window_has_the_law_of_a_full_run(self, name):
@@ -106,10 +136,9 @@ class TestCollect:
                                       base_seed=9, state_times=(k1,), input_times=window,
                                       start=start)
                       for start in (0, k0))
-        v = np.vstack([data.batch1.v, data.batch2.v, data.batch3.v])
-        u_now = np.vstack([data.batch1.u_now, data.batch2.u_now, data.batch3.u_now])
-        assert np.array_equal(v, np.hstack([full["inputs"][t] for t in window[:-1]]))
-        assert np.array_equal(u_now, full["inputs"][k1])
+        v = np.hstack([full["inputs"][t] for t in window[:-1]])
+        assert np.array_equal(data.batch1.v, v[:cfg.n_id])
+        assert np.array_equal(data.batch3.u_now, full["inputs"][k1][2 * cfg.n_id:])
         for t in window:
             assert np.array_equal(part["inputs"][t], full["inputs"][t])
         target = open_loop_state_cov(spec.a, spec.b, spec.sigma_w, spec.sigma_0, k1)
@@ -124,7 +153,10 @@ class TestCollect:
         spec, emission, _ = make_benchmark_instance("scalar-identity")
         cfg = config(n_id=34000, kappa=2, kappa0_override=0, d_u=1)
         data = collect_id_data(spec, emission, cfg, seed=1)
-        v = np.vstack([data.batch1.v, data.batch2.v, data.batch3.v])
+        # the 3 n_id window rows of the collection's one run
+        full = reference_columns(spec, emission, data, 3 * cfg.n_id, 1)
+        v = np.hstack([full["inputs"][t] for t in range(data.kappa0, data.kappa1)])
+        assert np.array_equal(data.batch1.v, v[:cfg.n_id])
         cov = v.T @ v / v.shape[0]
         assert np.linalg.norm(cov - np.eye(2), 2) <= 0.02
 

@@ -17,6 +17,11 @@ def id_config(spec, n_id, kappa0=8, kappa=None):
                         kappa0_override=kappa0)
 
 
+def decoded(batch, emission):
+    """The batch's y_now and y_next through the true decoder, as the fits take them."""
+    return emission.decode_batch(batch.y_now), emission.decode_batch(batch.y_next)
+
+
 class TestFitDynamics:
     def test_noiseless_exact(self):
         spec, emission, _ = make_benchmark_instance("scalar-identity")
@@ -25,7 +30,7 @@ class TestFitDynamics:
         cfg = Phase1Config(n_id=200, kappa=1, psi_star=2.0, alpha_star=1.2,
                            gamma_star=0.6, d_x=1, d_u=1, kappa0_override=2)
         data = collect_id_data(quiet, emission, cfg, seed=0)
-        a_hat, b_hat = fit_dynamics(data.batch3, emission.decode_batch, 1)
+        a_hat, b_hat = fit_dynamics(data.batch3, *decoded(data.batch3, emission), 1)
         assert abs(a_hat[0, 0] - 0.5) < 1e-8
         assert abs(b_hat[0, 0] - 1.0) < 1e-8
 
@@ -33,7 +38,7 @@ class TestFitDynamics:
         spec, emission, _ = make_benchmark_instance("scalar-identity")
         cfg = id_config(spec, n_id=50_000, kappa0=10)
         data = collect_id_data(spec, emission, cfg, seed=1)
-        a_hat, b_hat = fit_dynamics(data.batch3, emission.decode_batch, 1)
+        a_hat, b_hat = fit_dynamics(data.batch3, *decoded(data.batch3, emission), 1)
         assert abs(a_hat[0, 0] - 0.5) <= 0.05
         assert abs(b_hat[0, 0] - 1.0) <= 0.05
 
@@ -44,7 +49,7 @@ class TestFitDynamics:
         cfg = Phase1Config(n_id=20_000, kappa=1, psi_star=2.0, alpha_star=1.2,
                            gamma_star=0.6, d_x=1, d_u=1, kappa0_override=2)
         data = collect_id_data(zero, emission, cfg, seed=2)
-        a_hat, b_hat = fit_dynamics(data.batch3, emission.decode_batch, 1)
+        a_hat, b_hat = fit_dynamics(data.batch3, *decoded(data.batch3, emission), 1)
         assert abs(a_hat[0, 0]) <= 0.05
         assert abs(b_hat[0, 0]) <= 0.05
 
@@ -54,7 +59,7 @@ class TestFitNoiseCov:
         spec, emission, _ = make_benchmark_instance("scalar-identity")
         cfg = id_config(spec, n_id=50_000, kappa0=10)
         data = collect_id_data(spec, emission, cfg, seed=3)
-        sw = fit_noise_cov(data.batch3, emission.decode_batch, spec.a, spec.b)
+        sw = fit_noise_cov(data.batch3, *decoded(data.batch3, emission), spec.a, spec.b)
         assert abs(sw[0, 0] - 1.0) <= 0.05
 
     def test_noiseless_zero(self):
@@ -64,15 +69,15 @@ class TestFitNoiseCov:
         cfg = Phase1Config(n_id=500, kappa=1, psi_star=2.0, alpha_star=1.2,
                            gamma_star=0.6, d_x=1, d_u=1, kappa0_override=2)
         data = collect_id_data(quiet, emission, cfg, seed=4)
-        sw = fit_noise_cov(data.batch3, emission.decode_batch, quiet.a, quiet.b)
+        sw = fit_noise_cov(data.batch3, *decoded(data.batch3, emission), quiet.a, quiet.b)
         assert abs(sw[0, 0]) < 1e-12
 
     def test_always_psd(self):
         spec, emission, _ = make_benchmark_instance("di-cubic-lift")
         cfg = id_config(spec, n_id=2_000)
         data = collect_id_data(spec, emission, cfg, seed=5)
-        a_hat, b_hat = fit_dynamics(data.batch3, emission.decode_batch, 2)
-        sw = fit_noise_cov(data.batch3, emission.decode_batch, a_hat, b_hat)
+        a_hat, b_hat = fit_dynamics(data.batch3, *decoded(data.batch3, emission), 2)
+        sw = fit_noise_cov(data.batch3, *decoded(data.batch3, emission), a_hat, b_hat)
         assert np.min(np.linalg.eigvalsh(sw)) >= -1e-12
         assert np.allclose(sw, sw.T)
 
@@ -83,14 +88,14 @@ class TestFitCost:
         cfg = Phase1Config(n_id=300, kappa=1, psi_star=2.0, alpha_star=1.2,
                            gamma_star=0.6, d_x=1, d_u=1, kappa0_override=2)
         data = collect_id_data(spec, emission, cfg, seed=6)
-        q = fit_cost(data.batch3, emission.decode_batch, spec.r)
+        q = fit_cost(data.batch3, emission.decode_batch(data.batch3.y_now), spec.r)
         assert abs(q[0, 0] - 1.0) < 1e-6
 
     def test_statistical_recovery_2d(self):
         spec, emission, _ = make_benchmark_instance("di-cubic-lift")
         cfg = id_config(spec, n_id=50_000)
         data = collect_id_data(spec, emission, cfg, seed=7)
-        q = fit_cost(data.batch3, emission.decode_batch, spec.r)
+        q = fit_cost(data.batch3, emission.decode_batch(data.batch3.y_now), spec.r)
         assert np.linalg.norm(q - np.eye(2), 2) <= 0.05
 
     def test_too_few_samples(self):
@@ -98,16 +103,15 @@ class TestFitCost:
         cfg = id_config(spec, n_id=2_000)
         data = collect_id_data(spec, emission, cfg, seed=8)
         small = type(data.batch3)(y_now=data.batch3.y_now[:2], y_next=data.batch3.y_next[:2],
-                                  u_now=data.batch3.u_now[:2], cost_now=data.batch3.cost_now[:2],
-                                  v=data.batch3.v[:2])
+                                  u_now=data.batch3.u_now[:2], cost_now=data.batch3.cost_now[:2])
         with pytest.raises(ValidationError):
-            fit_cost(small, emission.decode_batch, spec.r)
+            fit_cost(small, emission.decode_batch(small.y_now), spec.r)
 
     def test_symmetric_psd(self):
         spec, emission, _ = make_benchmark_instance("di-cubic-lift")
         cfg = id_config(spec, n_id=3_000)
         data = collect_id_data(spec, emission, cfg, seed=9)
-        q = fit_cost(data.batch3, emission.decode_batch, spec.r)
+        q = fit_cost(data.batch3, emission.decode_batch(data.batch3.y_now), spec.r)
         assert np.allclose(q, q.T)
         assert np.min(np.linalg.eigvalsh(q)) >= -1e-12
 
@@ -141,7 +145,7 @@ class TestBasisConsistency:
         spec, emission, _ = make_benchmark_instance("di-cubic-lift")
         cfg = id_config(spec, n_id=5_000)
         data = collect_id_data(spec, emission, cfg, seed=10)
-        a_hat, b_hat = fit_dynamics(data.batch3, emission.decode_batch, 2)
+        a_hat, b_hat = fit_dynamics(data.batch3, *decoded(data.batch3, emission), 2)
         x_now = emission.decode_batch(data.batch3.y_now)
         x_next = emission.decode_batch(data.batch3.y_next)
         design = np.hstack([x_now, data.batch3.u_now])
@@ -149,3 +153,32 @@ class TestBasisConsistency:
         cross = np.linalg.norm(resid.T @ design, "fro")
         scale = np.linalg.norm(design, "fro") * np.linalg.norm(x_next, "fro")
         assert cross <= 1e-6 * scale
+
+
+class TestRunSysid:
+    def test_each_column_is_decoded_once(self):
+        """run_sysid decodes y_now and y_next once each, and its estimates are
+        bitwise those of fits that each decode the columns afresh."""
+        spec, emission, cls = make_benchmark_instance("di-cubic-lift")
+        cfg = id_config(spec, n_id=3_000)
+        data = collect_id_data(spec, emission, cfg, seed=11)
+        out = fit_coarse_decoder(data.batch1, data.batch2, cls, cfg)
+        calls = []
+
+        def counting(y):
+            calls.append(y)
+            return out.decode(y)
+
+        est = run_sysid(data.batch3, counting, spec.r, spec.d_x)
+        assert len(calls) == 2
+        assert {id(y) for y in calls} == {id(data.batch3.y_now), id(data.batch3.y_next)}
+        batch, decode = data.batch3, out.decode
+        a_hat, b_hat = fit_dynamics(batch, decode(batch.y_now), decode(batch.y_next), spec.d_x)
+        expected = dict(
+            a_hat=a_hat, b_hat=b_hat,
+            sigma_w_hat=fit_noise_cov(batch, decode(batch.y_now), decode(batch.y_next),
+                                      a_hat, b_hat),
+            q_hat=fit_cost(batch, decode(batch.y_now), spec.r))
+        for name, value in expected.items():
+            got = getattr(est, name)
+            assert got.shape == value.shape and got.tobytes() == value.tobytes(), name
