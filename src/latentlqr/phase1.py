@@ -4,9 +4,10 @@ Standard normal inputs drive the system for kappa_0 burn-in steps plus
 kappa further steps; regressing the last kappa inputs onto the observation
 at time kappa_1 = kappa_0 + kappa recovers the true decoder up to a linear
 map, and PCA of the regressor outputs reduces to the latent dimension.
-The burn-in inputs are never recorded, so the simulator starts each
-trajectory at kappa_0 from the exact state marginal N(0, Sigma_{kappa_0})
-and simulates only the window it records.
+Three independent batches feed the window regression, the PCA and system
+identification, each drawn by a rollout of its own. The burn-in inputs are
+never recorded, so each rollout starts at its first recorded time from the
+exact state marginal there and simulates only the steps its batch reads.
 """
 from __future__ import annotations
 
@@ -15,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import system
+from . import rng as rngmod
 from .control import controllability_matrix, open_loop_state_cov
 from .errors import DegenerateSpectrumError, InfeasibleBurnInError, ValidationError
 from .regression import DecoderClass, FittedRegressor, StructuredClass, erm_fit
-from .system import EmissionModel, PolicyDef, SystemSpec
+from .system import EmissionModel, PolicyDef, SystemSpec, rollout_columns
 
 EIGENGAP_TOL = 1e-12
 # Largest burn-in the formula may give before the run is refused as infeasible.
@@ -104,7 +105,7 @@ class IdBatch:
 
 @dataclass
 class IdData:
-    """Three disjoint batches: regression fit, PCA, and system identification."""
+    """Three independent batches: regression fit, PCA, and system identification."""
 
     batch1: IdBatch
     batch2: IdBatch
@@ -115,45 +116,35 @@ class IdData:
 
 def collect_id_data(spec: SystemSpec, emission: EmissionModel, config: Phase1Config,
                     seed: int) -> IdData:
-    """3 n_id excitation trajectories, reduced to the columns each batch's fit reads.
+    """Three independent batches of n_id excitation trajectories, each from a
+    rollout of its own that records only the columns its batch's fit reads.
 
-    Inputs are u_t ~ N(0, I) through time kappa_1. Every batch records
-    y_k1; batch 1 (h_id's regression) also the stacked window v, and batch 3
-    (system identification) y_k1+1, u_k1 and c_k1. The simulator starts
-    at kappa_0 from the exact marginal N(0, Sigma_{kappa_0}) of the state
-    after the burn-in, so only the kappa + 2 recorded times are simulated;
-    the law of every column is that of a rollout from t = 0. The three
-    batches are the index ranges [0, n), [n, 2n), [2n, 3n) of a single
-    rollout, so they are disjoint by construction, and each chunk of it is
-    copied straight into the arrays of the batches its rows belong to.
+    Inputs are u_t ~ N(0, I). Each rollout starts at its first recorded time
+    s from the exact marginal N(0, Sigma_s) of the state there (rollout_columns
+    with start = s), so every column has the law of a rollout from t = 0:
+    batch 1 (h_id's regression) runs kappa_0..kappa_1 for y_k1 and the stacked
+    window v; batch 2 (the PCA) draws y_k1 and takes no step; batch 3 (system
+    identification) takes the one step from kappa_1 for y_k1, y_k1+1, u_k1 and
+    c_k1. Rollout k reads seed derive_seed(seed, k), so the batches are
+    independent.
     """
     kappa0 = burn_in_kappa0(config)
     kappa1 = kappa0 + config.kappa
-    n, d_u = config.n_id, config.d_u
-    batches = (IdBatch(), IdBatch(), IdBatch())
-    # (key, t) -> [(batch index, IdBatch field, its column index after the row slice)]
-    table = {("obs", kappa1): [(k, "y_now", ()) for k in range(3)],
-             ("obs", kappa1 + 1): [(2, "y_next", ())], ("inputs", kappa1): [(2, "u_now", ())],
-             ("costs", kappa1): [(2, "cost_now", ())]}
-    for j, t in enumerate(range(kappa0, kappa1)):
-        table["inputs", t] = [(0, "v", (slice(j * d_u, (j + 1) * d_u),))]
-    times = {key: {t for other, t in table if other == key} for key, _ in table}
 
-    def keep(_, key, rows, t, part):
-        for k, field, cols in table.get((key, t), ()):
-            lo, hi = max(rows.start, k * n), min(rows.stop, (k + 1) * n)
-            if lo >= hi:
-                continue
-            column = getattr(batches[k], field)
-            if column is None:  # allocated on first write
-                shape = (n, config.kappa * d_u) if cols else (n,) + part.shape[1:]
-                column = np.empty(shape, part.dtype)
-                setattr(batches[k], field, column)
-            column[(slice(lo - k * n, hi - k * n),) + cols] = part[lo - rows.start:hi - rows.start]
+    def columns(k, start, horizon, **times):
+        return rollout_columns(spec, emission, PolicyDef(sigma=1.0), horizon, config.n_id,
+                               rngmod.derive_seed(seed, k), start=start, **times)
 
-    system._drive(spec, emission, (PolicyDef(sigma=1.0),), kappa1 + 1, 3 * n, seed,
-                  times, keep, kappa0)
-    return IdData(*batches, kappa0=kappa0, kappa1=kappa1)
+    window = tuple(range(kappa0, kappa1))
+    first = columns(1, kappa0, kappa1, obs_times=(kappa1,), input_times=window)
+    batch1 = IdBatch(y_now=first["obs"][kappa1],
+                     v=np.hstack([first["inputs"].pop(t) for t in window]))
+    batch2 = IdBatch(y_now=columns(2, kappa1, kappa1, obs_times=(kappa1,))["obs"][kappa1])
+    third = columns(3, kappa1, kappa1 + 1, obs_times=(kappa1, kappa1 + 1),
+                    input_times=(kappa1,), cost_times=(kappa1,))
+    batch3 = IdBatch(y_now=third["obs"][kappa1], y_next=third["obs"][kappa1 + 1],
+                     u_now=third["inputs"][kappa1], cost_now=third["costs"][kappa1])
+    return IdData(batch1, batch2, batch3, kappa0=kappa0, kappa1=kappa1)
 
 
 @dataclass

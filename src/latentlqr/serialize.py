@@ -8,6 +8,7 @@ with repr-roundtrip precision so identical runs produce identical bytes.
 from __future__ import annotations
 
 import csv
+import math
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -124,9 +125,11 @@ def save_phase1(outdir: Path, out: Phase1Output) -> None:
 
 
 def load_phase1(outdir: Path, decoder_class: DecoderClass, spec: SystemSpec) -> Phase1Output:
-    """The saved coarse decoder; its matrices must be (kappa d_u) x d_x."""
+    """The saved coarse decoder; kappa0 >= 0, and its matrices must be (kappa d_u) x d_x."""
     outdir = Path(outdir)
     meta = load_key_values(outdir / "meta.csv", {"kappa0": int, "kappa1": int})
+    if meta["kappa0"] < 0:
+        raise ValidationError(f"{outdir / 'meta.csv'}: kappa0 must be >= 0")
     shape = ((meta["kappa1"] - meta["kappa0"]) * spec.d_u, spec.d_x)
     return Phase1Output(h_id=load_regressor(outdir / "h_id.csv", decoder_class, shape),
                         v_id=load_matrix(outdir / "v_id.csv", shape),
@@ -171,10 +174,15 @@ def save_policy(outdir: Path, learned: LearnedPolicy) -> None:
 
 
 def load_policy(outdir: Path, decoder_class: DecoderClass, spec: SystemSpec) -> LearnedPolicy:
-    """The saved policy; every matrix must have the shape spec's d_x and d_u imply."""
+    """The saved policy; every matrix must have the shape spec's d_x and d_u imply,
+    and its meta.csv values must be ones a run can produce."""
     outdir = Path(outdir)
     meta = load_key_values(outdir / "meta.csv", {"sigma": float, "b_bar": float,
                                                  "t_horizon": int, "trajectories_used": int})
+    if not (0.0 < meta["sigma"] <= 1.0 and 0.0 < meta["b_bar"] < math.inf
+            and meta["trajectories_used"] >= 0):
+        raise ValidationError(f"{outdir / 'meta.csv'}: needs sigma in (0, 1], a finite "
+                              "b_bar > 0 and trajectories_used >= 0")
     square = (spec.d_x, spec.d_x)
     stack = DecoderStack(a_hat=load_matrix(outdir / "a_hat.csv", square),
                          b_hat=load_matrix(outdir / "b_hat.csv", (spec.d_x, spec.d_u)),

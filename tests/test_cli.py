@@ -22,6 +22,11 @@ def set_candidate(path: Path, index: int) -> None:
     path.write_text(f"candidate,{index}\n" + "".join(lines[1:]))
 
 
+def set_meta(path: Path, key: str, value: str) -> None:
+    """Rewrite the value of one key of a saved meta.csv."""
+    path.write_text(re.sub(rf"^{key},.*$", f"{key},{value}", path.read_text(), flags=re.M))
+
+
 def files_under(root: Path) -> dict:
     """Relative path -> bytes of every file below root."""
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
@@ -118,15 +123,31 @@ class TestExitCodes:
         (lambda policy: (policy / "init_h_ol1.csv").unlink(), "init_h_ol1.csv"),
         (lambda policy: (policy / "meta.csv").write_text(
             (policy / "meta.csv").read_text() + "sigma,0.9\n"), "meta.csv"),
+        (lambda policy: set_meta(policy / "meta.csv", "b_bar", "nan"), "meta.csv"),
+        (lambda policy: set_meta(policy / "meta.csv", "b_bar", "-1"), "meta.csv"),
+        (lambda policy: set_meta(policy / "meta.csv", "b_bar", "inf"), "meta.csv"),
+        (lambda policy: set_meta(policy / "meta.csv", "sigma", "0"), "meta.csv"),
+        (lambda policy: set_meta(policy / "meta.csv", "sigma", "5"), "meta.csv"),
+        (lambda policy: set_meta(policy / "meta.csv", "trajectories_used", "-7"), "meta.csv"),
     ], ids=["garbled-regressor", "missing-meta", "unparsable-sigma", "one-by-one-gain",
             "negative-candidate", "candidate-out-of-range", "missing-initial-state",
-            "repeated-sigma"])
-    def test_damaged_saved_policy_for_eval_is_2(self, tmp_path, capsys, damage, named):
+            "repeated-sigma", "nan-clip-radius", "negative-clip-radius",
+            "infinite-clip-radius", "zero-sigma", "sigma-above-one",
+            "negative-trajectories-used"])
+    def test_damaged_saved_policy_for_eval_is_2(self, tmp_path, capsys, monkeypatch,
+                                                damage, named):
+        import latentlqr.system as system
+
         # di-cubic-lift: d_x = d_u = 2 and eight candidate decoders
         cfg = write_config(tmp_path / "run.cfg", instance="di-cubic-lift")
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
         damage(out / "policy")
+
+        def no_simulation(*args):
+            raise AssertionError("simulated before the saved policy was checked")
+
+        monkeypatch.setattr(system, "_drive", no_simulation)
         assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
         assert str(out / "policy" / named) in capsys.readouterr().err
         assert not (out / "eval_report.csv").exists()
@@ -143,6 +164,26 @@ class TestExitCodes:
         rows, cols = (int(v) for v in lines[header].split(","))
         body = [line.rsplit(",", 1)[0] for line in lines[header + 1:]]
         path.write_text("\n".join(lines[:header] + [f"{rows},{cols - 1}"] + body) + "\n")
+        assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not (out / "eval_report.csv").exists()
+
+    @pytest.mark.parametrize("kappa0, kappa1", [(-1, 0), (-5, -4)])
+    def test_negative_kappa0_for_eval_is_2(self, tmp_path, capsys, monkeypatch,
+                                           kappa0, kappa1):
+        import latentlqr.system as system
+
+        # kappa1 - kappa0 is still kappa, so the matrices keep their saved shape
+        cfg = write_config(tmp_path / "run.cfg", instance="di-cubic-lift")
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        path = out / "phase1" / "meta.csv"
+        path.write_text(f"kappa0,{kappa0}\nkappa1,{kappa1}\n")
+
+        def no_simulation(*args):
+            raise AssertionError("simulated before the saved phase 1 was checked")
+
+        monkeypatch.setattr(system, "_drive", no_simulation)
         assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
         assert str(path) in capsys.readouterr().err
         assert not (out / "eval_report.csv").exists()

@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from latentlqr import (ExperimentConfig, PolicyDef, SystemSpec, ValidationError,
                        align_decoder, estimate_cost, estimate_gap,
-                       make_benchmark_instance, optimal_policy, parse_config,
+                       make_benchmark_instance, optimal_policy, parameter_bounds, parse_config,
                        rollout, rollout_columns, run_pipeline, solve_dare, solve_lyapunov)
 from latentlqr import pipeline, system
+from latentlqr import rng as rngmod
 from latentlqr.benchmarks import CATALOG
 from latentlqr.evaluate import estimate_gap, mean_stderr, trajectory_costs
 from latentlqr.system import CurrentObsDecoder
@@ -329,6 +330,52 @@ class TestPipeline:
                     "phase1/v_id.csv", "sysid/a_hat.csv", "policy/k_gain.csv",
                     "policy/h_0.csv", "policy/init_h_ol1.csv", "policy/meta.csv"):
             assert (tmp_path / rel).exists(), rel
+
+    def test_export_trajectories(self, tmp_path):
+        config = dataclasses.replace(self._config(), export_trajectories=True)
+        result = run_pipeline(config, outdir=tmp_path)
+        lines = (tmp_path / "trajectories.csv").read_text().splitlines()
+        assert lines[0] == "traj,t,x_0,y_0,u_0,c"
+        n, t_h = min(50, config.n_eval), config.t_horizon
+        assert len(lines) == 1 + n * (t_h + 1)
+        # the learned policy, rolled out again on the eval seed
+        spec, emission, _ = make_benchmark_instance(config.instance)
+        batch = rollout(spec, emission, result.learned.policy(), horizon=t_h, n_traj=n,
+                        base_seed=rngmod.derive_seed(config.seed, rngmod.TAG_EVAL))
+        for line in lines[1:]:
+            i, t, x, y, u, c = line.split(",")
+            i, t = int(i), int(t)
+            assert [float(x), float(y), float(u)] == [batch.states[i, t, 0],
+                                                      batch.observations[i, t, 0],
+                                                      batch.inputs[i, t, 0]]
+            assert (c == "") if t == 0 else (float(c) == batch.costs[i, t])
+        assert {int(line.split(",")[0]) for line in lines[1:]} == set(range(n))
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_cost_scale_equivariance(self, monkeypatch, name):
+        """Doubling Q and R under fixed bounds doubles q_hat and every cost
+        bitwise and leaves the dynamics estimates and the gain as they are."""
+        spec, emission, decoder_class = make_benchmark_instance(name)
+        bounds = parameter_bounds(spec)  # read off the unscaled Q and R, then held
+        config = ExperimentConfig(instance=name, n_id=4000, n_op=1000, t_horizon=4,
+                                  n_eval=400, seed=3, sigma=0.3, kappa=bounds.kappa,
+                                  psi_star=bounds.psi_star, alpha_star=bounds.alpha_star,
+                                  gamma_star=bounds.gamma_star)
+        runs = []
+        for scaled in (spec, dataclasses.replace(spec, q=2 * spec.q, r=2 * spec.r)):
+            monkeypatch.setattr(pipeline, "make_benchmark_instance",
+                                lambda _, scaled=scaled: (scaled, emission, decoder_class))
+            result = run_pipeline(config, stop_after="phase3")
+            policies = (result.learned.policy(), optimal_policy(scaled, emission), PolicyDef())
+            costs = [c for c, _, _ in trajectory_costs(scaled, emission, policies,
+                                                       config.t_horizon, 1000, seed=11)]
+            runs.append((result.estimates, result.learned.stack.k_gain, costs))
+        (est, k_gain, costs), (est2, k_gain2, costs2) = runs
+        assert bitwise(est2.q_hat, 2 * est.q_hat)
+        for a, b in ((est.a_hat, est2.a_hat), (est.b_hat, est2.b_hat), (k_gain, k_gain2)):
+            assert bitwise(a, b)
+        for c, c2 in zip(costs, costs2):
+            assert bitwise(c2, 2 * c)
 
     def test_partial_artifacts_retained_on_failure(self, tmp_path):
         # negligible exploration trips the initial-state covariance guard in

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from latentlqr import rng as rngmod
 from latentlqr import (DegenerateSpectrumError, DecoderClass, Phase1Config, SystemSpec,
                        ValidationError, align_decoder, bayes_map, burn_in_kappa0,
                        collect_id_data, fit_coarse_decoder, make_benchmark_instance,
@@ -66,26 +67,31 @@ KEPT = ({"y_now", "v"}, {"y_now"}, {"y_now", "y_next", "u_now", "cost_now"})
 
 
 def reference_columns(spec, emission, data, n_traj, seed):
-    """The recorded columns of one rollout of all n_traj rows, from kappa0."""
+    """Each batch's own rollout of n_traj rows: batch k reads seed derive_seed(seed, k)
+    and starts at kappa0, kappa1, kappa1; each records every column through kappa1 + 1."""
     k0, k1 = data.kappa0, data.kappa1
-    return rollout_columns(spec, emission, PolicyDef(sigma=1.0), horizon=k1 + 1,
-                           n_traj=n_traj, base_seed=seed, obs_times=(k1, k1 + 1),
-                           input_times=tuple(range(k0, k1 + 1)), cost_times=(k1,), start=k0)
+    return [rollout_columns(spec, emission, PolicyDef(sigma=1.0), horizon=k1 + 1,
+                            n_traj=n_traj, base_seed=rngmod.derive_seed(seed, k),
+                            obs_times=(k1, k1 + 1), input_times=tuple(range(start, k1 + 1)),
+                            cost_times=(k1,), start=start)
+            for k, start in ((1, k0), (2, k1), (3, k1))]
 
 
-def assert_batches_are_row_ranges(data, full, n):
-    """Batch k keeps rows [k n, (k + 1) n) of each column its fit reads, in an
-    array of its own; every other field is None."""
+def assert_batches_are_own_rollouts(data, references, n):
+    """Batch k keeps the first n rows of each column its fit reads from its own
+    rollout, in an array of its own; every other field is None."""
     k0, k1 = data.kappa0, data.kappa1
-    columns = {"y_now": full["obs"][k1], "y_next": full["obs"][k1 + 1],
-               "u_now": full["inputs"][k1], "cost_now": full["costs"][k1],
-               "v": np.hstack([full["inputs"][t] for t in range(k0, k1)])}
-    for k, (batch, kept) in enumerate(zip((data.batch1, data.batch2, data.batch3), KEPT)):
-        for name, column in columns.items():
+    for k, (batch, kept, ref) in enumerate(zip((data.batch1, data.batch2, data.batch3),
+                                               KEPT, references)):
+        columns = {"y_now": ref["obs"][k1], "y_next": ref["obs"][k1 + 1],
+                   "u_now": ref["inputs"][k1], "cost_now": ref["costs"][k1]}
+        if k == 0:  # only batch 1's rollout starts before kappa1
+            columns["v"] = np.hstack([ref["inputs"][t] for t in range(k0, k1)])
+        for name in ("y_now", "y_next", "u_now", "cost_now", "v"):
             value = getattr(batch, name)
             if name in kept:
                 assert value.base is None, (k, name)
-                assert np.array_equal(value, column[k * n:(k + 1) * n]), (k, name)
+                assert np.array_equal(value, columns[name][:n]), (k, name)
             else:
                 assert value is None, (k, name)
 
@@ -99,23 +105,27 @@ class TestCollect:
         assert data.batch1.v.shape == (50, 1)
         for batch in (data.batch1, data.batch2, data.batch3):
             assert batch.y_now.shape == (50, 1) and batch.n == 50
-        assert_batches_are_row_ranges(data, reference_columns(spec, emission, data, 150, 0), 50)
+        assert_batches_are_own_rollouts(data, reference_columns(spec, emission, data, 150, 0),
+                                        50)
 
-    def test_batches_are_slices_of_one_run(self):
-        # di-cubic-lift's window holds two 2-d inputs, so v is filled at offsets
+    def test_batches_are_rollouts_of_their_own(self):
+        # di-cubic-lift's window holds two 2-d inputs, so v stacks two columns
         for name, kappa in (("scalar-identity", 1), ("di-cubic-lift", 2)):
             spec, emission, _ = make_benchmark_instance(name)
             cfg = config(n_id=20, kappa=kappa, kappa0_override=2, d_x=spec.d_x, d_u=spec.d_u)
             data = collect_id_data(spec, emission, cfg, seed=5)
             k1 = data.kappa1
-            # the one run simulates the recorded window only, from kappa0
-            full = reference_columns(spec, emission, data, 60, 5)
-            assert np.array_equal(data.batch1.y_now, full["obs"][k1][:20])
-            assert np.array_equal(data.batch2.y_now, full["obs"][k1][20:40])
-            assert np.array_equal(data.batch3.y_next, full["obs"][k1 + 1][40:60])
-            assert np.array_equal(data.batch3.cost_now, full["costs"][k1][40:60])
+            # rows do not depend on n: each batch is the head of a longer run of its stream
+            first, second, third = reference_columns(spec, emission, data, 60, 5)
+            assert np.array_equal(data.batch1.y_now, first["obs"][k1][:20])
+            assert np.array_equal(data.batch2.y_now, second["obs"][k1][:20])
+            assert np.array_equal(data.batch3.y_next, third["obs"][k1 + 1][:20])
+            assert np.array_equal(data.batch3.cost_now, third["costs"][k1][:20])
             assert data.batch1.v.shape == (20, kappa * spec.d_u)
-            assert_batches_are_row_ranges(data, full, 20)
+            assert_batches_are_own_rollouts(data, (first, second, third), 20)
+            # three independent streams, not three views of one
+            assert not np.array_equal(data.batch1.y_now, data.batch2.y_now)
+            assert not np.array_equal(data.batch2.y_now, data.batch3.y_now)
 
     @pytest.mark.parametrize("name", ["di-cubic-lift", "stable2x1-lift5"])
     def test_window_has_the_law_of_a_full_run(self, name):
@@ -132,13 +142,16 @@ class TestCollect:
         assert k0 == burn_in_kappa0(cfg) > 30
         window = tuple(range(k0, k1 + 1))
         policy = PolicyDef(sigma=1.0)
+        # 3 n_id rows of batch 1's stream, from t = 0 and from kappa0
         full, part = (rollout_columns(spec, emission, policy, horizon=k1 + 1, n_traj=n,
-                                      base_seed=9, state_times=(k1,), input_times=window,
-                                      start=start)
+                                      base_seed=rngmod.derive_seed(9, 1), state_times=(k1,),
+                                      input_times=window, start=start)
                       for start in (0, k0))
         v = np.hstack([full["inputs"][t] for t in window[:-1]])
         assert np.array_equal(data.batch1.v, v[:cfg.n_id])
-        assert np.array_equal(data.batch3.u_now, full["inputs"][k1][2 * cfg.n_id:])
+        third = rollout_columns(spec, emission, policy, horizon=k1 + 1, n_traj=cfg.n_id,
+                                base_seed=rngmod.derive_seed(9, 3), input_times=(k1,))
+        assert np.array_equal(data.batch3.u_now, third["inputs"][k1])
         for t in window:
             assert np.array_equal(part["inputs"][t], full["inputs"][t])
         target = open_loop_state_cov(spec.a, spec.b, spec.sigma_w, spec.sigma_0, k1)
@@ -149,13 +162,26 @@ class TestCollect:
             assert np.all(np.abs(x.T @ x / n - target) <= 4 * stderr)
         assert not np.array_equal(part["states"][k1], full["states"][k1])
 
+    def test_every_batch_observes_the_marginal_at_kappa1(self):
+        """y = x on scalar-identity: batch 1 reaches x_kappa1 by simulation from
+        kappa0, batches 2 and 3 draw it from N(0, Sigma_kappa1) directly."""
+        spec, emission, _ = make_benchmark_instance("scalar-identity")
+        cfg = config(n_id=20_000, kappa=1, kappa0_override=1)
+        data = collect_id_data(spec, emission, cfg, seed=4)
+        target = open_loop_state_cov(spec.a, spec.b, spec.sigma_w, spec.sigma_0,
+                                     data.kappa1)[0, 0]
+        stderr = math.sqrt(2 * target**2 / cfg.n_id)
+        for batch in (data.batch1, data.batch2, data.batch3):
+            assert abs(float(batch.y_now[:, 0] @ batch.y_now[:, 0]) / cfg.n_id - target) \
+                <= 4 * stderr
+
     def test_window_covariance_is_identity(self):
         spec, emission, _ = make_benchmark_instance("scalar-identity")
         cfg = config(n_id=34000, kappa=2, kappa0_override=0, d_u=1)
         data = collect_id_data(spec, emission, cfg, seed=1)
-        # the 3 n_id window rows of the collection's one run
-        full = reference_columns(spec, emission, data, 3 * cfg.n_id, 1)
-        v = np.hstack([full["inputs"][t] for t in range(data.kappa0, data.kappa1)])
+        # 3 n_id window rows of batch 1's stream
+        first = reference_columns(spec, emission, data, 3 * cfg.n_id, 1)[0]
+        v = np.hstack([first["inputs"][t] for t in range(data.kappa0, data.kappa1)])
         assert np.array_equal(data.batch1.v, v[:cfg.n_id])
         cov = v.T @ v / v.shape[0]
         assert np.linalg.norm(cov - np.eye(2), 2) <= 0.02
