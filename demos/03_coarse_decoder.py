@@ -35,7 +35,7 @@ for name, loss in zip(decoders.names, out.h_id.all_losses):
     print(f"  {name:14s} {loss:.6f}{marker}")
 
 alignment = align_decoder(out.decode, emission.decode_batch, data.batch3.y_now[:5000])
-s_id = similarity_from_ground_truth(out, spec, bounds.kappa)
+s_id = similarity_from_ground_truth(out, spec)
 print()
 print(f"best linear alignment to the true decoder: residual {alignment.residual:.2e}")
 print("fitted alignment map S vs the exact similarity from ground truth:")

@@ -21,9 +21,9 @@ for n_id in (2_000, 8_000, 32_000):
                           d_x=spec.d_x, d_u=spec.d_u, kappa0_override=20)
     data = collect_id_data(spec, emission, config, seed=5)
     phase1 = fit_coarse_decoder(data.batch1, data.batch2, decoders, config)
-    estimates = run_sysid(data.batch3, phase1.decode, spec.r, spec.d_x)
+    estimates = run_sysid(data.batch3, phase1.decode, spec.r)
 
-    s_id = similarity_from_ground_truth(phase1, spec, bounds.kappa)
+    s_id = similarity_from_ground_truth(phase1, spec)
     s_inv = np.linalg.inv(s_id)
     errors = (
         np.linalg.norm(estimates.a_hat - s_id @ spec.a @ s_inv, 2),

@@ -198,11 +198,6 @@ class DareSolution:
     residual: float
     iterations: int
 
-    def input_weight(self, b: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Derived accessor for R + B' P B (the effective input weight)."""
-        b = np.atleast_2d(np.asarray(b, dtype=float))
-        return np.asarray(r, dtype=float) + b.T @ self.p @ b
-
 
 def solve_dare(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> DareSolution:
     """Riccati fixed point by value iteration from P0 = Q.

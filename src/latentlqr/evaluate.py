@@ -45,7 +45,7 @@ def trajectory_costs(spec: SystemSpec, emission: EmissionModel, policies,
                 sums[k] += part
             if t == t_horizon:
                 costs[k][rows] = sums[k] / t_horizon
-        elif key == "clipped" and part is not None and t in times:
+        else:  # "clipped"
             clips[k][0] += int(part.sum())
             clips[k][1] += part.size
 
@@ -105,10 +105,10 @@ def align_decoder(f_hat, f_star, observations: np.ndarray) -> AlignmentResult:
     return AlignmentResult(s=s, residual=residual)
 
 
-def similarity_from_ground_truth(phase1_out: Phase1Output, spec: SystemSpec,
-                                 kappa: int) -> np.ndarray:
-    """Exact similarity transform induced by the coarse decoder:
-    S = V_id' C_kappa' Sigma_{kappa_1}^{-1}, V_id' applied to the Bayes map."""
+def similarity_from_ground_truth(phase1_out: Phase1Output, spec: SystemSpec) -> np.ndarray:
+    """Exact similarity transform induced by the coarse decoder: V_id' applied
+    to the Bayes map, S = V_id' C_kappa' Sigma_{kappa_1}^{-1}, kappa = kappa_1 - kappa_0."""
+    kappa = phase1_out.kappa1 - phase1_out.kappa0
     return phase1_out.v_id.T @ bayes_map(spec, kappa, phase1_out.kappa1)
 
 
@@ -123,8 +123,7 @@ def decoder_errors_by_time(spec: SystemSpec, emission: EmissionModel, learned,
     t_horizon = learned.t_horizon
     times = tuple(range(1, t_horizon + 1))
     cols = rollout_columns(spec, emission, learned.policy(), horizon=t_horizon,
-                           n_traj=n_eval, base_seed=seed, obs_times=times,
-                           decoded_times=times)
+                           n_traj=n_eval, base_seed=seed, obs=times, decoded=times)
     errors = np.zeros(t_horizon)
     for t in times:
         truth = emission.decode_batch(cols["obs"][t]) @ s_id.T

@@ -136,12 +136,12 @@ def collect_id_data(spec: SystemSpec, emission: EmissionModel, config: Phase1Con
                                rngmod.derive_seed(seed, k), start=start, **times)
 
     window = tuple(range(kappa0, kappa1))
-    first = columns(1, kappa0, kappa1, obs_times=(kappa1,), input_times=window)
+    first = columns(1, kappa0, kappa1, obs=(kappa1,), inputs=window)
     batch1 = IdBatch(y_now=first["obs"][kappa1],
                      v=np.hstack([first["inputs"].pop(t) for t in window]))
-    batch2 = IdBatch(y_now=columns(2, kappa1, kappa1, obs_times=(kappa1,))["obs"][kappa1])
-    third = columns(3, kappa1, kappa1 + 1, obs_times=(kappa1, kappa1 + 1),
-                    input_times=(kappa1,), cost_times=(kappa1,))
+    batch2 = IdBatch(y_now=columns(2, kappa1, kappa1, obs=(kappa1,))["obs"][kappa1])
+    third = columns(3, kappa1, kappa1 + 1, obs=(kappa1, kappa1 + 1), inputs=(kappa1,),
+                    costs=(kappa1,))
     batch3 = IdBatch(y_now=third["obs"][kappa1], y_next=third["obs"][kappa1 + 1],
                      u_now=third["inputs"][kappa1], cost_now=third["costs"][kappa1])
     return IdData(batch1, batch2, batch3, kappa0=kappa0, kappa1=kappa1)

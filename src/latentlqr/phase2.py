@@ -34,12 +34,12 @@ class SysIdEstimates:
             setattr(self, name, m)
 
 
-def fit_dynamics(batch3: IdBatch, x_now: np.ndarray, x_next: np.ndarray,
-                 d_x: int) -> tuple[np.ndarray, np.ndarray]:
+def fit_dynamics(batch3: IdBatch, x_now: np.ndarray, x_next: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Joint least squares of decoded next states on decoded states and inputs
     (x_now, x_next: batch3's y_now, y_next decoded, as in the fits below)."""
-    design = np.hstack([x_now, batch3.u_now])
-    m = fit_linear_map(design, x_next)
+    d_x = x_now.shape[1]
+    m = fit_linear_map(np.hstack([x_now, batch3.u_now]), x_next)
     return m[:, :d_x], m[:, d_x:]
 
 
@@ -92,11 +92,11 @@ def fit_cost(batch3: IdBatch, x: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def run_sysid(batch3: IdBatch, decoder: Callable[[np.ndarray], np.ndarray],
-              r: np.ndarray, d_x: int) -> SysIdEstimates:
+              r: np.ndarray) -> SysIdEstimates:
     """All three regressions on the third excitation batch, which the decoder
     decodes once per observation column."""
     x_now, x_next = decoder(batch3.y_now), decoder(batch3.y_next)
-    a_hat, b_hat = fit_dynamics(batch3, x_now, x_next, d_x)
+    a_hat, b_hat = fit_dynamics(batch3, x_now, x_next)
     sigma_w_hat = fit_noise_cov(batch3, x_now, x_next, a_hat, b_hat)
     q_hat = fit_cost(batch3, x_now, r)
     return SysIdEstimates(a_hat=a_hat, b_hat=b_hat, sigma_w_hat=sigma_w_hat, q_hat=q_hat)

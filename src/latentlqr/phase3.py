@@ -253,9 +253,8 @@ def collect_onpolicy(spec: SystemSpec, emission: EmissionModel, stack: DecoderSt
     policy = PolicyDef(sigma=config.sigma, gain=stack.k_gain, decoders=stack)
     obs_times = tuple(range(t, t + kappa + 1))
     cols = rollout_columns(spec, emission, policy, horizon=t + kappa,
-                           n_traj=2 * config.n_op, base_seed=seed, obs_times=obs_times,
-                           injected_times=obs_times[:-1], decoded_times=(t,),
-                           clipped_times=tuple(range(1, t + 1)))
+                           n_traj=2 * config.n_op, base_seed=seed, obs=obs_times,
+                           injected=obs_times[:-1], decoded=(t,), clipped=tuple(range(1, t + 1)))
     observations = np.stack([cols["obs"][s] for s in obs_times], axis=1)
     injected = np.stack([cols["injected"][s] for s in obs_times[:-1]], axis=1)
     f_t = cols["decoded"][t]
@@ -266,7 +265,7 @@ def collect_onpolicy(spec: SystemSpec, emission: EmissionModel, stack: DecoderSt
 
 
 def fit_residual_regressors(halves: tuple[OnPolicyHalf, OnPolicyHalf],
-                            stack: DecoderStack, shaping: NoiseShaping, t: int,
+                            stack: DecoderStack, shaping: NoiseShaping,
                             config: Phase3Config, decoder_class: DecoderClass
                             ) -> tuple[list[FittedRegressor], FittedRegressor]:
     """Two-step regression at iteration t, on halves from collect_onpolicy.
@@ -408,8 +407,8 @@ def compute_policy(spec: SystemSpec, emission: EmissionModel, estimates: SysIdEs
             clipped, checked = learning_counts.get(tau, (0, 0))
             learning_counts[tau] = (clipped + int(mask.sum()), checked + mask.size)
         with tagged(f"phase3 t={t} stage=regress"):
-            first_stage, h_t = fit_residual_regressors(halves, stack, shaping, t,
-                                                       config, decoder_class)
+            first_stage, h_t = fit_residual_regressors(halves, stack, shaping, config,
+                                                       decoder_class)
         stack.first_stage[t] = first_stage
         if t == 0:
             with tagged(f"phase3 t={t} stage=initial-state"):
@@ -417,7 +416,7 @@ def compute_policy(spec: SystemSpec, emission: EmissionModel, estimates: SysIdEs
                 init = rollout_columns(spec, emission, PolicyDef(sigma=config.sigma),
                                        horizon=1, n_traj=2 * n_init,
                                        base_seed=rngmod.derive_seed(seed, rngmod.TAG_PHASE3_INIT),
-                                       obs_times=(0, 1), injected_times=(0,))
+                                       obs=(0, 1), injected=(0,))
                 stack.initial = learn_initial_state(init["obs"][0], init["obs"][1],
                                                     init["injected"][0], h_t, estimates,
                                                     config, decoder_class)

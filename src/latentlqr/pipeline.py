@@ -161,6 +161,10 @@ def _resolve(config: ExperimentConfig):
                               "psi_star**3 overflows") from None
     p3 = Phase3Config(n_op=config.n_op, sigma=sigma, t_horizon=config.t_horizon,
                       kappa=kappa, r_op=r_op, n_init=config.n_init, b_bar=b_bar)
+    if p3.n_init_effective < spec.d_x:  # the initial-state covariance would be singular
+        key = "n_op (n_init unset)" if config.n_init is None else "n_init"
+        raise ValidationError(f"{key} = {p3.n_init_effective} is below d_x = {spec.d_x} of "
+                              f"instance {config.instance}")
     return spec, emission, decoder_class, p1, p3
 
 
@@ -197,7 +201,7 @@ def run_pipeline(config: ExperimentConfig, outdir: Path | None = None,
     if stop_after == "phase1":
         return PipelineResult(phase1_out)
     with tagged("pipeline stage=phase2"):
-        estimates = run_sysid(batch3, phase1_out.decode, spec.r, spec.d_x)
+        estimates = run_sysid(batch3, phase1_out.decode, spec.r)
         del batch3
     if outdir is not None:
         save_sysid(outdir / "sysid", estimates)
@@ -251,12 +255,12 @@ def evaluate_policy(config: ExperimentConfig, spec, emission, learned, phase1_ou
     clip_fraction = clipped / checked if checked else 0.0
 
     kappa1 = phase1_out.kappa1
-    s_id = similarity_from_ground_truth(phase1_out, spec, kappa1 - phase1_out.kappa0)
+    s_id = similarity_from_ground_truth(phase1_out, spec)
     n_align = max(spec.d_x + 1, 2000)
     align_obs = rollout_columns(spec, emission, PolicyDef(sigma=1.0),
                                horizon=kappa1, n_traj=n_align,
                                base_seed=rngmod.derive_seed(eval_seed, rngmod.TAG_EVAL, 1),
-                               obs_times=(kappa1,), start=kappa1)["obs"][kappa1]
+                               obs=(kappa1,), start=kappa1)["obs"][kappa1]
     alignment = align_decoder(phase1_out.decode, emission.decode_batch, align_obs)
     n_metric = min(config.metric_rollouts, config.n_eval)
     decoder_errors = decoder_errors_by_time(

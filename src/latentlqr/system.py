@@ -223,9 +223,9 @@ def rollout(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef,
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
     every = tuple(range(horizon + 1))
-    cols = rollout_columns(spec, emission, policy, horizon, n_traj, base_seed,
-                           state_times=every, obs_times=every, input_times=every,
-                           injected_times=every, noise_times=every[:-1], cost_times=every)
+    cols = rollout_columns(spec, emission, policy, horizon, n_traj, base_seed, states=every,
+                           obs=every, inputs=every, injected=every, noises=every[:-1],
+                           costs=every)
 
     def stacked(key):  # frees each field's columns once they are stacked
         by_time = cols.pop(key)
@@ -236,30 +236,25 @@ def rollout(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef,
                            noises=stacked("noises"), costs=stacked("costs"))
 
 
+# The columns a rollout records, each requested and returned under its name.
+COLUMNS = ("states", "obs", "inputs", "injected", "noises", "costs", "decoded", "clipped")
+
+
 def rollout_columns(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef,
-                    horizon: int, n_traj: int, base_seed: int, *,
-                    state_times: tuple[int, ...] = (),
-                    obs_times: tuple[int, ...] = (),
-                    input_times: tuple[int, ...] = (),
-                    injected_times: tuple[int, ...] = (),
-                    noise_times: tuple[int, ...] = (),
-                    cost_times: tuple[int, ...] = (),
-                    decoded_times: tuple[int, ...] = (),
-                    clipped_times: tuple[int, ...] = (),
-                    start: int = 0) -> dict:
+                    horizon: int, n_traj: int, base_seed: int, *, start: int = 0,
+                    **times: tuple[int, ...]) -> dict:
     """A rollout that keeps only the requested columns.
 
-    Returns {"states", "obs", "inputs", "injected", "noises", "costs",
-    "decoded", "clipped"}, each a dict from time to an (n_traj, ...) column:
-    x_t, y_t, u_t, the sigma-scaled noise nu_t, the process noise w_t that
-    drives x_{t+1}, c_t, the value the policy's decoder produced at t, and
-    the boolean mask of rows whose decoder value was clipped at t (kept only
-    where the decoder checks the radius). Row i of every column is the same
-    whatever n_traj (for n_traj >= 2; see _drive). Costs are
-    computed only at cost_times, and an open-loop policy emits observations
-    only at obs_times. The policy acts at t = horizon only when a column at
-    the horizon records the action. A column it cannot produce (past the
-    horizon, a noise at it, no rows) raises ValidationError before any draw.
+    Each keyword, a name in COLUMNS, gives the times its column is recorded
+    at, e.g. obs=(2, 5). Returns every name in COLUMNS, each a dict from time to an
+    (n_traj, ...) column: x_t, y_t, u_t, the sigma-scaled noise nu_t, the
+    process noise w_t that drives x_{t+1}, c_t, the value the policy's
+    decoder produced at t, and the boolean mask of rows whose decoder value
+    was clipped at t (kept only where the decoder checks the radius). Row i
+    of every column is the same whatever n_traj (for n_traj >= 2; see
+    _drive), and _drive decides what is emitted, costed and acted on. An
+    unknown name or a column no rollout can produce (past the horizon, a
+    noise at it, no rows) raises ValidationError before any draw.
 
     start > 0 simulates only t = start..horizon, for an open-loop policy:
     x_start is drawn from its exact marginal N(0, Sigma_start)
@@ -267,32 +262,31 @@ def rollout_columns(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef
     start on has the law of a rollout from t = 0, and the input and process
     draws at t >= start are bitwise those of that rollout.
     """
+    unknown = sorted(set(times) - set(COLUMNS))
+    if unknown:
+        raise ValidationError(f"unknown columns {unknown}; a rollout records {COLUMNS}")
     if n_traj < 1:
         raise ValidationError("n_traj must be >= 1")
-    if decoded_times and policy.decoders is None:
-        raise ValidationError("decoded_times needs a policy with decoders")
+    if times.get("decoded") and policy.decoders is None:
+        raise ValidationError("decoded columns need a policy with decoders")
     if not 0 <= start <= horizon:
         raise ValidationError(f"start must lie in [0, horizon={horizon}], got {start}")
     if start > 0 and policy.decoders is not None:
         raise ValidationError("start > 0 needs an open-loop policy")
-    times = {"states": set(state_times), "obs": set(obs_times), "inputs": set(input_times),
-             "injected": set(injected_times), "noises": set(noise_times),
-             "costs": set(cost_times), "decoded": set(decoded_times),
-             "clipped": set(clipped_times)}
-    if any(t < start for ts in times.values() for t in ts):
-        raise ValidationError(f"a requested column lies before start={start}")
+    times = {key: set(times.get(key, ())) for key in COLUMNS}
     for key, ts in times.items():
         last = horizon - 1 if key == "noises" else horizon
+        if any(t < start for t in ts):
+            raise ValidationError(f"a requested column lies before start={start}")
         if any(t > last for t in ts):
             raise ValidationError(f"{key} columns run only through t={last}")
-    columns = {key: {} for key in times}
+    columns = {key: {} for key in COLUMNS}
 
     def keep(_, key, rows, t, part):
-        if part is not None and t in times[key]:
-            column = columns[key].get(t)
-            if column is None:
-                column = columns[key][t] = np.empty((n_traj,) + part.shape[1:], part.dtype)
-            column[rows] = part
+        column = columns[key].get(t)
+        if column is None:
+            column = columns[key][t] = np.empty((n_traj,) + part.shape[1:], part.dtype)
+        column[rows] = part
 
     _drive(spec, emission, (policy,), horizon, n_traj, base_seed, times, keep, start)
     return columns
@@ -317,8 +311,8 @@ def _row_chunks(n: int) -> list[tuple[int, int]]:
 
 def _drive(spec, emission, policies, horizon, n, seed, times, keep, start) -> None:
     """Advance n trajectories of each of the given policies through
-    t = start..horizon, handing each chunk's columns to
-    keep(k, key, rows, t, part), where k indexes policies.
+    t = start..horizon, handing each chunk's part of every column that
+    times requests to keep(k, key, rows, t, part), where k indexes policies.
 
     Rows run in chunks (_row_chunks), each chunk through every t before the
     next one starts. Each (role, time) substream is one Generator, read in
@@ -338,13 +332,15 @@ def _drive(spec, emission, policies, horizon, n, seed, times, keep, start) -> No
     draw re-raises here, and leaving the executor joins its thread, so no
     draw runs past the rollout, whichever side raised.
 
-    times maps a column key to the times that key is recorded at; a missing
-    key records nothing. The action at t = horizon is taken only when a
-    column at the horizon records it (costs, inputs, injected, decoded or
-    clipped): no other column reads it, so otherwise its input substream is
-    never created. Observations are emitted wherever a policy with decoders
-    runs or times["obs"] holds t, costs only where times["costs"] does;
-    neither feeds the dynamics. The state at start comes from the
+    times maps a name in COLUMNS to the times that column is recorded at; a
+    missing name records nothing. keep sees only the (key, t) pairs in times,
+    and never a part the policy lacks (an open-loop policy's decoded value, a
+    clip mask where the decoder does not check). The action at t = horizon is
+    taken only when a column at the horizon records it (costs, inputs,
+    injected, decoded or clipped), so otherwise its input substream is never
+    created. Observations are emitted wherever a policy with decoders runs or
+    times["obs"] holds t, costs only where times["costs"] does; neither feeds
+    the dynamics. The state at start comes from the
     (ROLE_INIT_STATE, start) substream, scaled by the square root of Sigma_0
     at start = 0 and of the policy's open-loop marginal Sigma_start otherwise.
     """
@@ -382,11 +378,15 @@ def _drive(spec, emission, policies, horizon, n, seed, times, keep, start) -> No
             pending.append(pool.submit(gen.standard_normal, out=block))
         return pending.popleft().result()
 
+    def record(k, key, rows, t, part):
+        if part is not None and t in times.get(key, ()):
+            keep(k, key, rows, t, part)
+
     def observe(k, rows, t, x):
-        keep(k, "states", rows, t, x)
+        record(k, "states", rows, t, x)
         if policies[k].decoders is not None or t in obs_times:
             y = emission.emit_batch(x)
-            keep(k, "obs", rows, t, y)
+            record(k, "obs", rows, t, y)
             return y
         return None
 
@@ -409,7 +409,7 @@ def _drive(spec, emission, policies, horizon, n, seed, times, keep, start) -> No
                         keep(k, "costs", rows, t, _quad_rows(xs[k], spec.q) + _quad_rows(u, spec.r))
                     for key, part in (("inputs", u), ("injected", nus[k]), ("decoded", value),
                                       ("clipped", clipped), ("noises", w)):
-                        keep(k, key, rows, t, part)
+                        record(k, key, rows, t, part)
                     if w is not None:
                         xs[k] = rowmap(xs[k], spec.a) + rowmap(u, spec.b) + w
                         ys[k] = observe(k, rows, t + 1, xs[k])

@@ -122,7 +122,7 @@ def test_criterion_4_phase1_recovery():
                                   d_x=2, d_u=2, kappa0_override=20)
             data = collect_id_data(spec, emission, config, seed=seed)
             out = fit_coarse_decoder(data.batch1, data.batch2, cls, config)
-            s_id = similarity_from_ground_truth(out, spec, bounds.kappa)
+            s_id = similarity_from_ground_truth(out, spec)
             recovery = float(np.mean(np.sum(
                 (out.decode(eval_obs) - truth_states @ s_id.T) ** 2, axis=1)))
             return out, recovery
@@ -151,8 +151,8 @@ def test_criterion_5_phase2_recovery_in_identified_basis():
                               d_x=2, d_u=2, kappa0_override=20)
         data = collect_id_data(spec, emission, config, seed=51)
         out = fit_coarse_decoder(data.batch1, data.batch2, cls, config)
-        s_id = similarity_from_ground_truth(out, spec, bounds.kappa)
-        est = run_sysid(data.batch3, out.decode, spec.r, spec.d_x)
+        s_id = similarity_from_ground_truth(out, spec)
+        est = run_sysid(data.batch3, out.decode, spec.r)
         s_inv = np.linalg.inv(s_id)
         errors = {
             "A": np.linalg.norm(est.a_hat - s_id @ spec.a @ s_inv, 2),
@@ -232,7 +232,7 @@ def test_criterion_7_noise_shaping_and_increment_fidelity():
         stack = DecoderStack(a_hat=spec.a, b_hat=spec.b, k_gain=sol.k, b_bar=50.0)
         config = Phase3Config(n_op=20_000, sigma=1.0, t_horizon=1, kappa=1, r_op=8.0)
         halves, _ = collect_onpolicy(spec, emission, stack, 0, config, seed=71)
-        _, h_t = fit_residual_regressors(halves, stack, shaping, 0, config,
+        _, h_t = fit_residual_regressors(halves, stack, shaping, config,
                                          truth_only(cls))
         fresh = rollout(spec, emission, PolicyDef(sigma=1.0, gain=sol.k, decoders=stack),
                         horizon=1, n_traj=20_000, base_seed=72)
@@ -259,11 +259,11 @@ def test_criterion_8_initial_state_subroutine():
                               n_init=100_000)
         shaping = build_noise_shaping(spec.a, spec.b, spec.sigma_w, sigma=1.0, kappa=1)
         halves, _ = collect_onpolicy(spec, emission, stack, 0, config, seed=81)
-        _, h_0 = fit_residual_regressors(halves, stack, shaping, 0, config,
+        _, h_0 = fit_residual_regressors(halves, stack, shaping, config,
                                          truth_only(cls))
         cols = rollout_columns(spec, emission, PolicyDef(sigma=1.0),
-                               horizon=1, n_traj=200_000, base_seed=82, obs_times=(0, 1),
-                               injected_times=(0,))
+                               horizon=1, n_traj=200_000, base_seed=82, obs=(0, 1),
+                               injected=(0,))
         pieces = learn_initial_state(cols["obs"][0], cols["obs"][1], cols["injected"][0], h_0,
                                      est, config, truth_only(cls))
         # Sigma_cov target: Sigma_w^2 / (sigma^2 B^2 + Sigma_w) = 1/2

@@ -234,10 +234,13 @@ class TestExitCodes:
         dict(b_bar="nan"),
         dict(r_op="inf"),
         dict(psi_star="1e150"),
+        # fewer initial-state rows than d_x = 2 leave their covariance singular
+        dict(instance="di-cubic-lift", n_init=1),
+        dict(instance="di-cubic-lift", n_op=1),
     ], ids=["unparsable-int", "negative-seed", "negative-eval-seed", "sigma-and-epsilon",
             "one-eval-rollout", "no-metric-rollouts", "nan-psi", "inf-alpha",
             "overflowing-psi-burn-in", "nan-epsilon", "nan-clip-radius", "inf-r-op",
-            "overflowing-psi-cube"])
+            "overflowing-psi-cube", "n-init-below-d-x", "n-op-below-d-x"])
     def test_bad_config_is_2_before_simulating(self, tmp_path, capsys, monkeypatch, overrides):
         import latentlqr.system as system
 

@@ -167,11 +167,6 @@ class TestDare:
         with pytest.raises(ValidationError):
             solve_dare([[0.5]], [[1.0]], [[-1.0]], [[1.0]])
 
-    def test_input_weight_accessor(self):
-        sol = solve_dare([[0.5]], [[1.0]], [[1.0]], [[1.0]])
-        expected = 1.0 + sol.p[0, 0]
-        assert abs(sol.input_weight([[1.0]], [[1.0]])[0, 0] - expected) < 1e-12
-
 
 class TestControllability:
     def test_double_integrator(self):

@@ -416,7 +416,7 @@ class TestDecoderErrors:
         s_id = np.random.default_rng(8).standard_normal((spec.d_x, spec.d_x))
         errors = decoder_errors_by_time(spec, emission, learned, s_id, 500, seed=17)
         masks = rollout_columns(spec, emission, learned.policy(), horizon=3, n_traj=500,
-                                base_seed=17, clipped_times=(1, 2, 3))["clipped"]
+                                base_seed=17, clipped=(1, 2, 3))["clipped"]
         assert sum(int(m.sum()) for m in masks.values()) > 0
 
         batch = rollout(spec, emission, learned.policy(), horizon=3, n_traj=500, base_seed=17)
@@ -457,8 +457,7 @@ class TestPureDecoders:
         times = tuple(range(1, config.t_horizon + 1))
         cols = rollout_columns(spec, emission, result.learned.policy(),
                                horizon=config.t_horizon, n_traj=config.n_eval,
-                               base_seed=config.eval_seed, decoded_times=times,
-                               clipped_times=times)
+                               base_seed=config.eval_seed, decoded=times, clipped=times)
         masks = cols["clipped"]
         assert sorted(masks) == list(times)
         by_hand = sum(int(masks[t].sum()) for t in times)
@@ -478,9 +477,8 @@ class TestPureDecoders:
 
         def columns():
             return rollout_columns(spec, emission, policy, horizon=config.t_horizon,
-                                   n_traj=3000, base_seed=41, obs_times=times,
-                                   input_times=times, decoded_times=times,
-                                   clipped_times=times)
+                                   n_traj=3000, base_seed=41, obs=times, inputs=times,
+                                   decoded=times, clipped=times)
 
         serial = columns()
         threaded = [None] * 4
@@ -539,8 +537,7 @@ class TestSharedPass:
             parts = {}
 
             def keep(k, key, rows, t, part):
-                if part is not None:
-                    parts.setdefault((k, key, t), []).append(part.copy())
+                parts.setdefault((k, key, t), []).append(part.copy())
 
             system._drive(spec, emission, policies, horizon, n, 5, times, keep, 0)
             return {key: np.concatenate(chunks) for key, chunks in parts.items()}
@@ -617,7 +614,7 @@ class TestRunningCostSum:
         passed = trajectory_costs(spec, emission, policies, horizon, 40, 5)
         for (costs, _, _), policy in zip(passed, policies):
             cols = rollout_columns(spec, emission, policy, horizon=horizon, n_traj=40,
-                                   base_seed=5, cost_times=times)
+                                   base_seed=5, costs=times)
             row_mean = np.stack([cols["costs"][t] for t in times], axis=1).mean(axis=1)
             if horizon <= 7:
                 assert bitwise(costs, row_mean)

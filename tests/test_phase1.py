@@ -72,8 +72,8 @@ def reference_columns(spec, emission, data, n_traj, seed):
     k0, k1 = data.kappa0, data.kappa1
     return [rollout_columns(spec, emission, PolicyDef(sigma=1.0), horizon=k1 + 1,
                             n_traj=n_traj, base_seed=rngmod.derive_seed(seed, k),
-                            obs_times=(k1, k1 + 1), input_times=tuple(range(start, k1 + 1)),
-                            cost_times=(k1,), start=start)
+                            obs=(k1, k1 + 1), inputs=tuple(range(start, k1 + 1)),
+                            costs=(k1,), start=start)
             for k, start in ((1, k0), (2, k1), (3, k1))]
 
 
@@ -144,13 +144,13 @@ class TestCollect:
         policy = PolicyDef(sigma=1.0)
         # 3 n_id rows of batch 1's stream, from t = 0 and from kappa0
         full, part = (rollout_columns(spec, emission, policy, horizon=k1 + 1, n_traj=n,
-                                      base_seed=rngmod.derive_seed(9, 1), state_times=(k1,),
-                                      input_times=window, start=start)
+                                      base_seed=rngmod.derive_seed(9, 1), states=(k1,),
+                                      inputs=window, start=start)
                       for start in (0, k0))
         v = np.hstack([full["inputs"][t] for t in window[:-1]])
         assert np.array_equal(data.batch1.v, v[:cfg.n_id])
         third = rollout_columns(spec, emission, policy, horizon=k1 + 1, n_traj=cfg.n_id,
-                                base_seed=rngmod.derive_seed(9, 3), input_times=(k1,))
+                                base_seed=rngmod.derive_seed(9, 3), inputs=(k1,))
         assert np.array_equal(data.batch3.u_now, third["inputs"][k1])
         for t in window:
             assert np.array_equal(part["inputs"][t], full["inputs"][t])
@@ -265,7 +265,7 @@ class TestFitCoarseDecoder:
                          alpha_star=bounds.alpha_star, gamma_star=bounds.gamma_star)
             data = collect_id_data(spec, emission, cfg, seed=8)
             out = fit_coarse_decoder(data.batch1, data.batch2, truth_only(cls), cfg)
-            s_id = similarity_from_ground_truth(out, spec, cfg.kappa)
+            s_id = similarity_from_ground_truth(out, spec)
             sigma_min = np.linalg.svd(s_id, compute_uv=False)[-1]
             assert sigma_min > 0
             # analysis lower bound, recorded for reference (loose by design)

@@ -30,7 +30,7 @@ class TestFitDynamics:
         cfg = Phase1Config(n_id=200, kappa=1, psi_star=2.0, alpha_star=1.2,
                            gamma_star=0.6, d_x=1, d_u=1, kappa0_override=2)
         data = collect_id_data(quiet, emission, cfg, seed=0)
-        a_hat, b_hat = fit_dynamics(data.batch3, *decoded(data.batch3, emission), 1)
+        a_hat, b_hat = fit_dynamics(data.batch3, *decoded(data.batch3, emission))
         assert abs(a_hat[0, 0] - 0.5) < 1e-8
         assert abs(b_hat[0, 0] - 1.0) < 1e-8
 
@@ -38,7 +38,7 @@ class TestFitDynamics:
         spec, emission, _ = make_benchmark_instance("scalar-identity")
         cfg = id_config(spec, n_id=50_000, kappa0=10)
         data = collect_id_data(spec, emission, cfg, seed=1)
-        a_hat, b_hat = fit_dynamics(data.batch3, *decoded(data.batch3, emission), 1)
+        a_hat, b_hat = fit_dynamics(data.batch3, *decoded(data.batch3, emission))
         assert abs(a_hat[0, 0] - 0.5) <= 0.05
         assert abs(b_hat[0, 0] - 1.0) <= 0.05
 
@@ -49,7 +49,7 @@ class TestFitDynamics:
         cfg = Phase1Config(n_id=20_000, kappa=1, psi_star=2.0, alpha_star=1.2,
                            gamma_star=0.6, d_x=1, d_u=1, kappa0_override=2)
         data = collect_id_data(zero, emission, cfg, seed=2)
-        a_hat, b_hat = fit_dynamics(data.batch3, *decoded(data.batch3, emission), 1)
+        a_hat, b_hat = fit_dynamics(data.batch3, *decoded(data.batch3, emission))
         assert abs(a_hat[0, 0]) <= 0.05
         assert abs(b_hat[0, 0]) <= 0.05
 
@@ -76,7 +76,7 @@ class TestFitNoiseCov:
         spec, emission, _ = make_benchmark_instance("di-cubic-lift")
         cfg = id_config(spec, n_id=2_000)
         data = collect_id_data(spec, emission, cfg, seed=5)
-        a_hat, b_hat = fit_dynamics(data.batch3, *decoded(data.batch3, emission), 2)
+        a_hat, b_hat = fit_dynamics(data.batch3, *decoded(data.batch3, emission))
         sw = fit_noise_cov(data.batch3, *decoded(data.batch3, emission), a_hat, b_hat)
         assert np.min(np.linalg.eigvalsh(sw)) >= -1e-12
         assert np.allclose(sw, sw.T)
@@ -125,8 +125,8 @@ class TestBasisConsistency:
             cfg = id_config(spec, n_id=n_id, kappa0=15)
             data = collect_id_data(spec, emission, cfg, seed=seed)
             out = fit_coarse_decoder(data.batch1, data.batch2, cls, cfg)
-            s_id = similarity_from_ground_truth(out, spec, cfg.kappa)
-            est = run_sysid(data.batch3, out.decode, spec.r, spec.d_x)
+            s_id = similarity_from_ground_truth(out, spec)
+            est = run_sysid(data.batch3, out.decode, spec.r)
             s_inv = np.linalg.inv(s_id)
             a_id = s_id @ spec.a @ s_inv
             b_id = s_id @ spec.b
@@ -145,7 +145,7 @@ class TestBasisConsistency:
         spec, emission, _ = make_benchmark_instance("di-cubic-lift")
         cfg = id_config(spec, n_id=5_000)
         data = collect_id_data(spec, emission, cfg, seed=10)
-        a_hat, b_hat = fit_dynamics(data.batch3, *decoded(data.batch3, emission), 2)
+        a_hat, b_hat = fit_dynamics(data.batch3, *decoded(data.batch3, emission))
         x_now = emission.decode_batch(data.batch3.y_now)
         x_next = emission.decode_batch(data.batch3.y_next)
         design = np.hstack([x_now, data.batch3.u_now])
@@ -169,11 +169,11 @@ class TestRunSysid:
             calls.append(y)
             return out.decode(y)
 
-        est = run_sysid(data.batch3, counting, spec.r, spec.d_x)
+        est = run_sysid(data.batch3, counting, spec.r)
         assert len(calls) == 2
         assert {id(y) for y in calls} == {id(data.batch3.y_now), id(data.batch3.y_next)}
         batch, decode = data.batch3, out.decode
-        a_hat, b_hat = fit_dynamics(batch, decode(batch.y_now), decode(batch.y_next), spec.d_x)
+        a_hat, b_hat = fit_dynamics(batch, decode(batch.y_now), decode(batch.y_next))
         expected = dict(
             a_hat=a_hat, b_hat=b_hat,
             sigma_w_hat=fit_noise_cov(batch, decode(batch.y_now), decode(batch.y_next),

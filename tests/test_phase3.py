@@ -274,7 +274,7 @@ class TestResidualRegression:
         assert np.array_equal(shap.big_m, shap.m_k[0])
         cfg = Phase3Config(n_op=5_000, sigma=1.0, t_horizon=1, kappa=1, r_op=8.0)
         halves, _ = collect_onpolicy(spec, emission, stack, 0, cfg, seed=5)
-        first, h_t = fit_residual_regressors(halves, stack, shap, 0, cfg, truth_only(cls))
+        first, h_t = fit_residual_regressors(halves, stack, shap, cfg, truth_only(cls))
         assert len(first) == 1
         # the stacked second stage refits the same increment map
         assert abs(h_t.m[0, 0] - first[0].m[0, 0]) <= 0.15
@@ -286,7 +286,7 @@ class TestResidualRegression:
         shap = build_noise_shaping(est.a_hat, est.b_hat, est.sigma_w_hat, sigma=1.0, kappa=1)
         cfg = Phase3Config(n_op=100_000, sigma=1.0, t_horizon=1, kappa=1, r_op=8.0)
         halves, _ = collect_onpolicy(spec, emission, stack, 0, cfg, seed=6)
-        first, _ = fit_residual_regressors(halves, stack, shap, 0, cfg, truth_only(cls))
+        first, _ = fit_residual_regressors(halves, stack, shap, cfg, truth_only(cls))
         # fitted composite map on y_{t+1} is M_1 * m; with A-hat=0 the y_t term drops
         composite = shap.m_k[0][0, 0] * first[0].m[0, 0]
         assert abs(composite - 0.5) <= 0.05
@@ -303,8 +303,8 @@ class TestInitialState:
         zero_reg = FittedRegressor(candidate_index=0, m=np.zeros((1, 1)), empirical_loss=0.0,
                                    decoder_class=truth_only(cls))
         cols = rollout_columns(spec, emission, PolicyDef(sigma=1e-6),
-                               horizon=1, n_traj=1000, base_seed=8, obs_times=(0, 1),
-                               injected_times=(0,))
+                               horizon=1, n_traj=1000, base_seed=8, obs=(0, 1),
+                               injected=(0,))
         with pytest.raises(IllConditionedCovarianceError):
             learn_initial_state(cols["obs"][0], cols["obs"][1], cols["injected"][0], zero_reg,
                                 est, cfg, truth_only(cls))
@@ -314,10 +314,10 @@ class TestInitialState:
         stack = stack_for(spec, est)
         cfg = Phase3Config(n_op=20_000, sigma=1.0, t_horizon=1, kappa=1, r_op=8.0)
         halves, _ = collect_onpolicy(spec, emission, stack, 0, cfg, seed=9)
-        _, h0 = fit_residual_regressors(halves, stack, shaping_for(est), 0, cfg, truth_only(cls))
+        _, h0 = fit_residual_regressors(halves, stack, shaping_for(est), cfg, truth_only(cls))
         cols = rollout_columns(spec, emission, PolicyDef(sigma=1.0),
-                               horizon=1, n_traj=40_000, base_seed=10, obs_times=(0, 1),
-                               injected_times=(0,))
+                               horizon=1, n_traj=40_000, base_seed=10, obs=(0, 1),
+                               injected=(0,))
         pieces = learn_initial_state(cols["obs"][0], cols["obs"][1], cols["injected"][0], h0,
                                      est, cfg, truth_only(cls))
         fa0 = pieces.f_a0(cols["obs"][0])

@@ -121,8 +121,7 @@ class TestRollout:
         full = rollout(spec, emission, policy, horizon=6, n_traj=5, base_seed=11)
         counted, emitted = counting_emission(emission)
         cols = rollout_columns(spec, counted, policy, horizon=6, n_traj=5, base_seed=11,
-                               obs_times=(2, 5), input_times=(1, 4), injected_times=(0, 3),
-                               cost_times=(3,))
+                               obs=(2, 5), inputs=(1, 4), injected=(0, 3), costs=(3,))
         # an open-loop policy reads no observations, so only t = 2, 5 are emitted
         assert emitted_times(emitted, full.states) == [2, 5]
         assert np.array_equal(cols["obs"][2], full.observations[:, 2])
@@ -141,7 +140,7 @@ class TestRollout:
         full = rollout(spec, emission, policy, horizon=6, n_traj=5, base_seed=12)
         counted, emitted = counting_emission(emission)
         cols = rollout_columns(spec, counted, policy, horizon=6, n_traj=5, base_seed=12,
-                               obs_times=(3,), injected_times=(1, 2), decoded_times=(0, 4))
+                               obs=(3,), injected=(1, 2), decoded=(0, 4))
         # a closed-loop policy reads every observation
         assert emitted_times(emitted, full.states) == list(range(7))
         assert np.array_equal(cols["obs"][3], full.observations[:, 3])
@@ -155,7 +154,7 @@ class TestRollout:
         spec, emission, _ = make_benchmark_instance("scalar-identity")
         with pytest.raises(ValidationError):
             rollout_columns(spec, emission, PolicyDef(sigma=1.0), horizon=2,
-                            n_traj=3, base_seed=0, decoded_times=(1,))
+                            n_traj=3, base_seed=0, decoded=(1,))
 
     def test_decoders_need_a_gain(self):
         spec, emission, _ = make_benchmark_instance("scalar-identity")
@@ -187,19 +186,22 @@ class TestStart:
             sigma=0.5, gain=-0.3 * np.ones((spec.d_u, spec.d_x)),
             decoders=CurrentObsDecoder(emission.decode_batch)), {}, "open-loop"),
         (2, lambda spec, emission: PolicyDef(sigma=1.0),
-         {"obs_times": (1, 3)}, "before start"),
+         {"obs": (1, 3)}, "before start"),
         # columns no rollout can produce, whatever the start
         (0, lambda spec, emission: PolicyDef(sigma=1.0), {"n_traj": 0}, "n_traj"),
         (0, lambda spec, emission: PolicyDef(sigma=1.0), {"n_traj": -3}, "n_traj"),
-        (0, lambda spec, emission: PolicyDef(sigma=1.0), {"obs_times": (7,)},
+        (0, lambda spec, emission: PolicyDef(sigma=1.0), {"obs": (7,)},
          "obs columns run only through t=4"),
-        (0, lambda spec, emission: PolicyDef(sigma=1.0), {"state_times": (2, 5)},
+        (0, lambda spec, emission: PolicyDef(sigma=1.0), {"states": (2, 5)},
          "states columns run only through t=4"),
-        (0, lambda spec, emission: PolicyDef(sigma=1.0), {"noise_times": (3, 4)},
+        (0, lambda spec, emission: PolicyDef(sigma=1.0), {"noises": (3, 4)},
          "noises columns run only through t=3"),
+        # a column is requested by the name it is returned under
+        (0, lambda spec, emission: PolicyDef(sigma=1.0), {"obs_times": (1,)},
+         "unknown columns"),
     ], ids=["negative", "past-horizon", "optimal", "gain-decoder", "column-before",
             "no-rows", "negative-rows", "obs-past-horizon", "state-past-horizon",
-            "noise-at-horizon"])
+            "noise-at-horizon", "unknown-column"])
     def test_bad_start_raises_before_any_draw(self, start, make_policy, times, match,
                                                monkeypatch):
         spec, emission, _ = make_benchmark_instance("di-cubic-lift")
@@ -219,7 +221,7 @@ class TestStart:
         state covariance under sigma-scaled inputs; start = horizon takes no step."""
         spec, emission, _ = make_benchmark_instance("di-cubic-lift")
         cols = rollout_columns(spec, emission, policy, horizon=4, n_traj=5, base_seed=3,
-                               state_times=(start,), obs_times=(start,), start=start)
+                               states=(start,), obs=(start,), start=start)
         cov = open_loop_state_cov(spec.a, policy.sigma * spec.b, spec.sigma_w, spec.sigma_0,
                                   start)
         x = noise_block(3, ROLE_INIT_STATE, start, 5, spec.d_x) @ psd_sqrt(cov).T
@@ -301,9 +303,8 @@ def all_columns(spec, emission, policy, horizon, n, seed, start=0) -> dict:
     """rollout_columns keeping every time of every column it has, stacked along t."""
     times = tuple(range(start, horizon + 1))
     cols = rollout_columns(spec, emission, policy, horizon=horizon, n_traj=n, base_seed=seed,
-                           obs_times=times, input_times=times, injected_times=times,
-                           cost_times=times,
-                           decoded_times=times if policy.decoders is not None else (),
+                           obs=times, inputs=times, injected=times, costs=times,
+                           decoded=times if policy.decoders is not None else (),
                            start=start)
     return {key: np.stack([cols[key][t] for t in times], axis=1) for key in cols if cols[key]}
 
@@ -394,12 +395,30 @@ class TestChunkedRollout:
         assert sorted(t for role, t in created if role == ROLE_INPUT) == [3, 4, 5]
         created.clear()
         cols = rollout_columns(spec, emission, PolicyDef(sigma=0.5), horizon=4,
-                               n_traj=5, base_seed=0, obs_times=(4,), start=4)
+                               n_traj=5, base_seed=0, obs=(4,), start=4)
         assert created == [(ROLE_INIT_STATE, 4)] and sorted(cols["obs"]) == [4]
         created.clear()
         trajectory_costs(spec, emission, (PolicyDef(sigma=0.5),), t_horizon=4,
                          n_eval=5, seed=0)
         assert (ROLE_INPUT, 4) in created
+
+    def test_drive_hands_keep_only_requested_columns(self, monkeypatch):
+        """_drive calls keep only for the (key, t) pairs times requests, and
+        never with a None part: an open-loop policy has no decoded value or
+        clip mask, and a depth-3 decoder stack no mask at t = 0 or past t = 2."""
+        spec, emission, stacked = stack_policy("di-cubic-lift", sigma=0.5)
+        monkeypatch.setattr(system, "CHUNK_ROWS", 2)
+        times = {"states": {1}, "obs": {2}, "inputs": {0, 4}, "injected": {3}, "noises": {1},
+                 "costs": {2}, "decoded": {0, 3}, "clipped": {0, 2, 4}}
+        calls = []
+        system._drive(spec, emission, (PolicyDef(sigma=1.0), stacked), 4, 5, 3, times,
+                      lambda k, key, rows, t, part: calls.append((k, key, t, part is None)), 0)
+        assert all(t in times[key] and not missing for _, key, t, missing in calls)
+        requested = {(key, t) for key, ts in times.items() for t in ts}
+        assert {(key, t) for k, key, t, _ in calls if k == 0} == {
+            (key, t) for key, t in requested if key not in ("decoded", "clipped")}
+        assert {(key, t) for k, key, t, _ in calls if k == 1} == requested - {
+            ("clipped", 0), ("clipped", 4)}
 
     @pytest.mark.parametrize("record_action", [False, True], ids=["state-only", "every-column"])
     def test_plan_no_longer_than_draw_ahead(self, record_action, monkeypatch):
@@ -413,7 +432,7 @@ class TestChunkedRollout:
             cols = all_columns(spec, emission, policy, 3, 2, 9, start=3)
         else:
             cols = {key: np.stack([column[3]], axis=1) for key, column in rollout_columns(
-                spec, emission, policy, horizon=3, n_traj=2, base_seed=9, obs_times=(3,),
+                spec, emission, policy, horizon=3, n_traj=2, base_seed=9, obs=(3,),
                 start=3).items() if column}
         assert len(created) == (2 if record_action else 1) <= system.DRAW_AHEAD
         ref = reference_rollout(spec, emission, policy, 3, 2, 9, start=3)
