@@ -25,7 +25,7 @@ print(f"  M_1 = {shaping.m_k[0][0,0]:.4f}  "
 config = Phase3Config(n_op=5_000, sigma=0.15, t_horizon=8, kappa=1, r_op=8.0)
 print()
 print(f"learning decoders for T = {config.t_horizon} steps "
-      f"(budget: {2 * config.n_op * config.t_horizon + 2 * config.n_op} trajectories) ...")
+      f"(budget: {2 * config.n_op * config.t_horizon + 2 * config.n_init} trajectories) ...")
 learned = compute_policy(spec, emission, estimates, decoders, config, seed=21)
 clipped = sum(c for c, _ in learned.learning_clip_counts.values())
 checked = sum(n for _, n in learned.learning_clip_counts.values())

@@ -70,6 +70,11 @@ def _sym_features(x: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
     return np.column_stack(cols), index
 
 
+def cost_fit_min_samples(d: int) -> int:
+    """Fewest samples fit_cost takes for a d x d cost: its d(d+1)/2 parameters."""
+    return d * (d + 1) // 2
+
+
 def fit_cost(batch3: IdBatch, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Quadratic fit of the revealed costs minus the known input penalty.
 
@@ -77,7 +82,7 @@ def fit_cost(batch3: IdBatch, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     avoid the null space of the full vectorization, then PSD-projected.
     """
     d = x.shape[1]
-    n_params = d * (d + 1) // 2
+    n_params = cost_fit_min_samples(d)
     if batch3.n < n_params:
         raise ValidationError(f"need at least {n_params} samples to fit a {d}x{d} cost")
     r = np.atleast_2d(np.asarray(r, dtype=float))

@@ -29,7 +29,7 @@ LAMBDA_WARN = 1e-8
 
 @dataclass(frozen=True)
 class Phase3Config:
-    """Sample sizes, exploration level, clip radius, and horizon."""
+    """Sample sizes (n_init defaults to n_op), exploration level, clip radius, horizon."""
 
     n_op: int
     sigma: float
@@ -52,10 +52,8 @@ class Phase3Config:
             raise ValidationError("r_op must be > 0")
         if self.b_bar is not None and self.b_bar <= 0:
             raise ValidationError("b_bar must be > 0")
-
-    @property
-    def n_init_effective(self) -> int:
-        return self.n_op if self.n_init is None else self.n_init
+        if self.n_init is None:
+            object.__setattr__(self, "n_init", self.n_op)
 
 
 def default_clip_radius(d_x: int, d_u: int, n_op: int) -> float:
@@ -74,6 +72,7 @@ def sigma_from_epsilon(epsilon: float, b_bar: float) -> float:
 class NoiseShaping:
     """Conditional-expectation prefactors M_k and their stacked aggregate.
 
+    a_powers = (A^0, ..., A^kappa), which the two-step regression reads too;
     m_k[k-1] = C_k' (C_k C_k' + sigma^-2 W_k)^{-1} with
     W_k = sum_{i=1}^{k} A^{i-1} Sigma_w (A^{i-1})'; big_m stacks the blocks
     [M_1; M_2 A; ...; M_kappa A^{kappa-1}]. m_bar holds the sigma -> 0 limit
@@ -81,6 +80,7 @@ class NoiseShaping:
     positive for increment recovery to be well posed.
     """
 
+    a_powers: tuple[np.ndarray, ...]
     m_k: tuple[np.ndarray, ...]
     big_m: np.ndarray
     m_bar: np.ndarray
@@ -98,20 +98,18 @@ def build_noise_shaping(a: np.ndarray, b: np.ndarray, sigma_w: np.ndarray,
     if np.min(np.linalg.eigvalsh((sigma_w + sigma_w.T) / 2.0)) <= 0:
         raise NumericalError("process noise covariance must be positive definite "
                              "for the shaping inverses")
+    powers = tuple(np.linalg.matrix_power(a, k) for k in range(kappa + 1))
     m_list = []
     bar_blocks = []
     w_k = np.zeros_like(sigma_w)
-    a_pow = np.eye(a.shape[0])
-    powers = [np.linalg.matrix_power(a, k) for k in range(kappa)]
     for k in range(1, kappa + 1):
-        w_k = w_k + a_pow @ sigma_w @ a_pow.T
+        w_k = w_k + powers[k - 1] @ sigma_w @ powers[k - 1].T
         c_k = controllability_matrix(a, b, k)
         inner = c_k @ c_k.T + w_k / sigma**2
         m_k = np.linalg.solve(inner, c_k).T
         m_list.append(m_k)
         m_bar_k = np.linalg.solve(w_k, c_k).T
         bar_blocks.append(m_bar_k @ powers[k - 1])
-        a_pow = a @ a_pow
     big_m = np.vstack([m_k @ a_km1 for m_k, a_km1 in zip(m_list, powers)])
     m_bar = np.vstack(bar_blocks)
     svals = np.linalg.svd(m_bar, compute_uv=False)
@@ -120,7 +118,8 @@ def build_noise_shaping(a: np.ndarray, b: np.ndarray, sigma_w: np.ndarray,
         logging.getLogger(__name__).warning(
             "limiting shaping matrix nearly singular (lambda = %.3e); "
             "increment recovery may be ill posed", lambda_m)
-    return NoiseShaping(m_k=tuple(m_list), big_m=big_m, m_bar=m_bar, lambda_m=lambda_m)
+    return NoiseShaping(a_powers=powers, m_k=tuple(m_list), big_m=big_m, m_bar=m_bar,
+                        lambda_m=lambda_m)
 
 
 def _features(h: FittedRegressor, y: np.ndarray, memo: Optional[tuple]) -> tuple:
@@ -268,45 +267,33 @@ def fit_residual_regressors(halves: tuple[OnPolicyHalf, OnPolicyHalf],
                             stack: DecoderStack, shaping: NoiseShaping,
                             config: Phase3Config, decoder_class: DecoderClass
                             ) -> tuple[list[FittedRegressor], FittedRegressor]:
-    """Two-step regression at iteration t, on halves from collect_onpolicy.
+    """Two-step regression at iteration t, on halves from collect_onpolicy,
+    in one pass over k = 1..kappa.
 
-    First half, per k: predict the injected-noise window nu_{t:t+k-1} from
-    M_k (h(y_{t+k}) - A^k h(y_t) - A^{k-1} B K f_t). Second half: predict the
-    stacked first-stage outputs from big_m (h(y_{t+1}) - A h(y_t) - B K f_t).
-    f_t is the roll-in value each half recorded, not a replay of the stack.
+    Stage k fits on half 1 to predict the injected-noise window nu_{t:t+k-1}
+    from M_k (h(y_{t+k}) - A^k h(y_t) - A^{k-1} B K f_t); its prediction on
+    half 2 is block k of the targets that h_t then fits on half 2 from
+    big_m (h(y_{t+1}) - A h(y_t) - B K f_t). f_t is the roll-in value each
+    half recorded, not a replay of the stack; A^k is shaping.a_powers[k].
     """
     half1, half2 = halves
-    a_hat, b_hat = stack.a_hat, stack.b_hat
-    d_x = stack.d_x
-    h_op = StructuredClass(base=decoder_class, output_dim=d_x, radius=config.r_op)
-    bk = b_hat @ stack.k_gain
-
-    powers = [np.linalg.matrix_power(a_hat, k) for k in range(config.kappa + 1)]
-    f_t_1 = half1.f_t
-    first_stage = []
+    h_op = StructuredClass(base=decoder_class, output_dim=stack.d_x, radius=config.r_op)
+    bk = stack.b_hat @ stack.k_gain
+    first_stage, phi_cols = [], []
     for k in range(1, config.kappa + 1):
-        m_k, a_k, a_km1 = shaping.m_k[k - 1], powers[k], powers[k - 1]
+        m_k, a_k, a_km1 = shaping.m_k[k - 1], shaping.a_powers[k], shaping.a_powers[k - 1]
         targets = half1.injected[:, :k].reshape(half1.n_traj, -1)
-        offsets = -(f_t_1 @ (m_k @ a_km1 @ bk).T)
         reg = erm_fit_increment(h_op, obs_now=half1.observations[:, 0],
-                                obs_next=half1.observations[:, k],
-                                left=m_k, shift=a_k, targets=targets, offsets=offsets)
+                                obs_next=half1.observations[:, k], left=m_k, shift=a_k,
+                                targets=targets, offsets=-(half1.f_t @ (m_k @ a_km1 @ bk).T))
         first_stage.append(reg)
-
-    f_t_2 = half2.f_t
-    phi_cols = []
-    for k in range(1, config.kappa + 1):
-        reg = first_stage[k - 1]
-        m_k, a_k, a_km1 = shaping.m_k[k - 1], powers[k], powers[k - 1]
-        pred = (reg.predict(half2.observations[:, k])
-                - reg.predict(half2.observations[:, 0]) @ a_k.T
-                - f_t_2 @ (a_km1 @ bk).T) @ m_k.T
-        phi_cols.append(pred)
-    phi = np.hstack(phi_cols)
-    offsets2 = -(f_t_2 @ (shaping.big_m @ bk).T)
+        phi_cols.append((reg.predict(half2.observations[:, k])
+                         - reg.predict(half2.observations[:, 0]) @ a_k.T
+                         - half2.f_t @ (a_km1 @ bk).T) @ m_k.T)
     h_t = erm_fit_increment(h_op, obs_now=half2.observations[:, 0],
-                            obs_next=half2.observations[:, 1],
-                            left=shaping.big_m, shift=a_hat, targets=phi, offsets=offsets2)
+                            obs_next=half2.observations[:, 1], left=shaping.big_m,
+                            shift=stack.a_hat, targets=np.hstack(phi_cols),
+                            offsets=-(half2.f_t @ (shaping.big_m @ bk).T))
     return first_stage, h_t
 
 
@@ -412,9 +399,8 @@ def compute_policy(spec: SystemSpec, emission: EmissionModel, estimates: SysIdEs
         stack.first_stage[t] = first_stage
         if t == 0:
             with tagged(f"phase3 t={t} stage=initial-state"):
-                n_init = config.n_init_effective
                 init = rollout_columns(spec, emission, PolicyDef(sigma=config.sigma),
-                                       horizon=1, n_traj=2 * n_init,
+                                       horizon=1, n_traj=2 * config.n_init,
                                        base_seed=rngmod.derive_seed(seed, rngmod.TAG_PHASE3_INIT),
                                        obs=(0, 1), injected=(0,))
                 stack.initial = learn_initial_state(init["obs"][0], init["obs"][1],
@@ -423,6 +409,6 @@ def compute_policy(spec: SystemSpec, emission: EmissionModel, estimates: SysIdEs
         with tagged(f"phase3 t={t} stage=update"):
             decoder_update(h_t, stack)
 
-    budget = 2 * config.n_op * config.t_horizon + 2 * config.n_init_effective
+    budget = 2 * config.n_op * config.t_horizon + 2 * config.n_init
     return LearnedPolicy(stack=stack, sigma=config.sigma, trajectories_used=budget,
                          learning_clip_counts=learning_counts)

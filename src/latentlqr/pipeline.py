@@ -24,7 +24,7 @@ from .errors import ValidationError, tagged
 from .evaluate import (EvalReport, align_decoder, decoder_errors_by_time, mean_stderr,
                        similarity_from_ground_truth, trajectory_costs)
 from .phase1 import Phase1Config, collect_id_data, fit_coarse_decoder
-from .phase2 import run_sysid
+from .phase2 import cost_fit_min_samples, run_sysid
 from .phase3 import (Phase3Config, compute_policy, default_clip_radius, sigma_from_epsilon)
 from .serialize import (export_trajectories_csv, save_phase1, save_policy, save_sysid,
                         write_decoder_errors_csv, write_report_csv)
@@ -150,6 +150,10 @@ def _resolve(config: ExperimentConfig):
     p1 = Phase1Config(n_id=config.n_id, kappa=kappa, psi_star=psi, alpha_star=alpha,
                       gamma_star=gamma, d_x=spec.d_x, d_u=spec.d_u, r_id=config.r_id,
                       kappa0_override=config.kappa0_override)
+    need = cost_fit_min_samples(spec.d_x)
+    if config.n_id < need:
+        raise ValidationError(f"n_id = {config.n_id} is below the {need} samples the cost "
+                              f"fit needs for d_x = {spec.d_x} of instance {config.instance}")
     b_bar = config.b_bar if config.b_bar is not None else default_clip_radius(
         spec.d_x, spec.d_u, config.n_op)
     sigma = config.sigma if config.sigma is not None else sigma_from_epsilon(
@@ -161,9 +165,9 @@ def _resolve(config: ExperimentConfig):
                               "psi_star**3 overflows") from None
     p3 = Phase3Config(n_op=config.n_op, sigma=sigma, t_horizon=config.t_horizon,
                       kappa=kappa, r_op=r_op, n_init=config.n_init, b_bar=b_bar)
-    if p3.n_init_effective < spec.d_x:  # the initial-state covariance would be singular
+    if p3.n_init < spec.d_x:  # the initial-state covariance would be singular
         key = "n_op (n_init unset)" if config.n_init is None else "n_init"
-        raise ValidationError(f"{key} = {p3.n_init_effective} is below d_x = {spec.d_x} of "
+        raise ValidationError(f"{key} = {p3.n_init} is below d_x = {spec.d_x} of "
                               f"instance {config.instance}")
     return spec, emission, decoder_class, p1, p3
 

@@ -41,13 +41,15 @@ def _loading(path: Path):
 
 
 def _parse_matrix(lines: list[str], shape: tuple | None = None) -> np.ndarray:
-    """The matrix whose "rows,cols" header is lines[0]; of the given shape, if any."""
+    """The finite matrix whose "rows,cols" header is lines[0]; of the given shape, if any."""
     rows, cols = (int(v) for v in lines[0].split(","))
     data = np.array([[float(v) for v in line.split(",")] for line in lines[1:1 + rows]])
     if data.shape != (rows, cols):
         raise ValueError(f"header says {rows}x{cols}, data is {data.shape}")
     if shape is not None and data.shape != shape:
         raise ValueError(f"shape {data.shape}, expected {shape}")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("non-finite entry")
     return data
 
 

@@ -27,6 +27,13 @@ def set_meta(path: Path, key: str, value: str) -> None:
     path.write_text(re.sub(rf"^{key},.*$", f"{key},{value}", path.read_text(), flags=re.M))
 
 
+def set_first_entry(path: Path, line: int, value: str) -> None:
+    """Rewrite the first entry on one line of a saved matrix or regressor."""
+    lines = path.read_text().splitlines()
+    lines[line] = ",".join([value] + lines[line].split(",")[1:])
+    path.write_text("\n".join(lines) + "\n")
+
+
 def files_under(root: Path) -> dict:
     """Relative path -> bytes of every file below root."""
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
@@ -129,11 +136,15 @@ class TestExitCodes:
         (lambda policy: set_meta(policy / "meta.csv", "sigma", "0"), "meta.csv"),
         (lambda policy: set_meta(policy / "meta.csv", "sigma", "5"), "meta.csv"),
         (lambda policy: set_meta(policy / "meta.csv", "trajectories_used", "-7"), "meta.csv"),
+        # line 0 of a matrix is its "rows,cols" header; a regressor has a
+        # "candidate,<index>" line before that
+        (lambda policy: set_first_entry(policy / "k_gain.csv", 1, "nan"), "k_gain.csv"),
+        (lambda policy: set_first_entry(policy / "h_0.csv", 2, "inf"), "h_0.csv"),
     ], ids=["garbled-regressor", "missing-meta", "unparsable-sigma", "one-by-one-gain",
             "negative-candidate", "candidate-out-of-range", "missing-initial-state",
             "repeated-sigma", "nan-clip-radius", "negative-clip-radius",
             "infinite-clip-radius", "zero-sigma", "sigma-above-one",
-            "negative-trajectories-used"])
+            "negative-trajectories-used", "nan-gain", "infinite-regressor"])
     def test_damaged_saved_policy_for_eval_is_2(self, tmp_path, capsys, monkeypatch,
                                                 damage, named):
         import latentlqr.system as system
@@ -179,6 +190,23 @@ class TestExitCodes:
         assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
         path = out / "phase1" / "meta.csv"
         path.write_text(f"kappa0,{kappa0}\nkappa1,{kappa1}\n")
+
+        def no_simulation(*args):
+            raise AssertionError("simulated before the saved phase 1 was checked")
+
+        monkeypatch.setattr(system, "_drive", no_simulation)
+        assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not (out / "eval_report.csv").exists()
+
+    def test_non_finite_phase1_for_eval_is_2(self, tmp_path, capsys, monkeypatch):
+        import latentlqr.system as system
+
+        cfg = write_config(tmp_path / "run.cfg", instance="di-cubic-lift")
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        path = out / "phase1" / "v_id.csv"
+        set_first_entry(path, 1, "nan")
 
         def no_simulation(*args):
             raise AssertionError("simulated before the saved phase 1 was checked")
@@ -237,10 +265,13 @@ class TestExitCodes:
         # fewer initial-state rows than d_x = 2 leave their covariance singular
         dict(instance="di-cubic-lift", n_init=1),
         dict(instance="di-cubic-lift", n_op=1),
+        # a 2x2 cost has 3 parameters, so its fit needs 3 phase-1 rows
+        dict(instance="di-cubic-lift", n_id=2),
     ], ids=["unparsable-int", "negative-seed", "negative-eval-seed", "sigma-and-epsilon",
             "one-eval-rollout", "no-metric-rollouts", "nan-psi", "inf-alpha",
             "overflowing-psi-burn-in", "nan-epsilon", "nan-clip-radius", "inf-r-op",
-            "overflowing-psi-cube", "n-init-below-d-x", "n-op-below-d-x"])
+            "overflowing-psi-cube", "n-init-below-d-x", "n-op-below-d-x",
+            "n-id-below-cost-fit"])
     def test_bad_config_is_2_before_simulating(self, tmp_path, capsys, monkeypatch, overrides):
         import latentlqr.system as system
 
@@ -252,10 +283,11 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
         assert not (out / "report.csv").exists()
+        assert not (out / "phase1").exists()
         err = capsys.readouterr().err
         # the message names the offending key
         assert all(key in err for key, value in overrides.items() if value is not None)
-        if "n_id" in overrides:
+        if overrides.get("n_id") == "1e4":
             assert "config line 2" in err
 
     @pytest.mark.parametrize("sigma", ["nan", "inf"])

@@ -9,7 +9,8 @@ from latentlqr import (Phase3Config, SystemSpec, SysIdEstimates, ValidationError
 from latentlqr import phase3
 from latentlqr.control import rowmap
 from latentlqr.phase3 import DecoderStack, InitialStatePieces, default_clip_radius
-from latentlqr.regression import DecoderClass, FittedRegressor
+from latentlqr.regression import (DecoderClass, FittedRegressor, StructuredClass,
+                                  erm_fit_increment)
 from latentlqr import system
 from latentlqr.system import PolicyDef
 
@@ -291,6 +292,38 @@ class TestResidualRegression:
         composite = shap.m_k[0][0, 0] * first[0].m[0, 0]
         assert abs(composite - 0.5) <= 0.05
 
+    def test_kappa2_second_stage_fits_the_stacked_half2_predictions(self):
+        # stable2x1-lift5 has kappa = 2; t = 1, so the roll-in values f_t are not zero
+        spec, emission, cls = make_benchmark_instance("stable2x1-lift5")
+        est = SysIdEstimates(a_hat=spec.a, b_hat=spec.b, sigma_w_hat=spec.sigma_w,
+                             q_hat=spec.q)
+        stack = stack_for(spec, est)
+        shap = shaping_for(est, sigma=0.5, kappa=2)
+        for k in range(3):
+            assert shap.a_powers[k].tobytes() == np.linalg.matrix_power(est.a_hat, k).tobytes()
+        cfg = Phase3Config(n_op=400, sigma=0.5, t_horizon=2, kappa=2, r_op=8.0)
+        halves, _ = collect_onpolicy(spec, emission, stack, 0, cfg, seed=12)
+        decoder_update(fit_residual_regressors(halves, stack, shap, cfg, cls)[1], stack)
+        (half1, half2), _ = collect_onpolicy(spec, emission, stack, 1, cfg, seed=13)
+        first, h_t = fit_residual_regressors((half1, half2), stack, shap, cfg, cls)
+        assert len(first) == 2 and np.any(half2.f_t != 0)
+
+        klass = StructuredClass(base=cls, output_dim=2, radius=cfg.r_op)
+        bk = est.b_hat @ stack.k_gain
+        blocks = []
+        for k, reg in enumerate(first, start=1):
+            m_k, a_k, a_km1 = shap.m_k[k - 1], shap.a_powers[k], shap.a_powers[k - 1]
+            blocks.append((reg.predict(half2.observations[:, k])
+                           - reg.predict(half2.observations[:, 0]) @ a_k.T
+                           - half2.f_t @ (a_km1 @ bk).T) @ m_k.T)
+        want = erm_fit_increment(klass, obs_now=half2.observations[:, 0],
+                                 obs_next=half2.observations[:, 1], left=shap.big_m,
+                                 shift=est.a_hat, targets=np.hstack(blocks),
+                                 offsets=-(half2.f_t @ (shap.big_m @ bk).T))
+        assert h_t.candidate_index == want.candidate_index
+        assert h_t.m.tobytes() == want.m.tobytes()
+        assert h_t.all_losses == want.all_losses
+
 
 class TestInitialState:
     def test_covariance_guard(self):
@@ -332,6 +365,11 @@ class TestComputePolicy:
     def test_sigma_zero_rejected(self):
         with pytest.raises(ValidationError):
             Phase3Config(n_op=100, sigma=0.0, t_horizon=1, kappa=1, r_op=8.0)
+
+    def test_n_init_defaults_to_n_op(self):
+        assert Phase3Config(n_op=7, sigma=0.3, t_horizon=1, kappa=1, r_op=8.0).n_init == 7
+        cfg = Phase3Config(n_op=7, sigma=0.3, t_horizon=1, kappa=1, r_op=8.0, n_init=3)
+        assert cfg.n_init == 3
 
     def test_stack_length(self):
         spec, emission, cls, est = scalar_pieces()
