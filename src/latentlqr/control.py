@@ -13,9 +13,10 @@ import numpy as np
 
 from .errors import ConvergenceError, UnstableMatrixError, ValidationError
 
-# Eigenvalue floor used by symmetric matrix square roots and inverses.
+# Eigenvalue floor of the inverse square root in strong_stability_cert.
 EIG_FLOOR = 1e-14
 
+SYM_TOL = 1e-9
 LYAP_TOL = 1e-10
 DARE_TOL = 1e-12
 MAX_ITER = 100_000
@@ -55,40 +56,30 @@ def _check_square(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def _check_symmetric(m: np.ndarray, name: str, tol: float = 1e-9) -> np.ndarray:
+def _check_symmetric(m: np.ndarray, name: str) -> np.ndarray:
     m = _check_square(m, name)
-    if m.size and np.max(np.abs(m - m.T)) > tol:
-        raise ValidationError(f"{name} is not symmetric within {tol}")
+    if m.size and np.max(np.abs(m - m.T)) > SYM_TOL:
+        raise ValidationError(f"{name} is not symmetric within {SYM_TOL}")
     return m
 
 
+def _sym_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of the symmetric part of m, once m is checked symmetric within SYM_TOL."""
+    m = _check_symmetric(m, "matrix")
+    return np.linalg.eigh((m + m.T) / 2.0)
+
+
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition with eigenvalue floor."""
-    m = _check_symmetric(m, "matrix")
-    w, v = np.linalg.eigh((m + m.T) / 2.0)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.T
-
-
-def psd_inv_sqrt(m: np.ndarray) -> np.ndarray:
-    """Inverse symmetric square root; eigenvalues floored at EIG_FLOOR."""
-    m = _check_symmetric(m, "matrix")
-    w, v = np.linalg.eigh((m + m.T) / 2.0)
-    w = np.clip(w, EIG_FLOOR, None)
-    return (v / np.sqrt(w)) @ v.T
+    """Symmetric PSD square root; negative eigenvalues are clipped to zero."""
+    w, v = _sym_eigh(m)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
 
 def psd_project(m: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest PSD matrix: clamp negative eigenvalues to zero.
-
-    Input must already be symmetric (asymmetry beyond 1e-9 is an error);
-    callers symmetrize first.
-    """
-    m = _check_symmetric(m, "matrix")
-    sym = (m + m.T) / 2.0
-    w, v = np.linalg.eigh(sym)
-    w = np.clip(w, 0.0, None)
-    return (v * w) @ v.T
+    """Frobenius-nearest PSD matrix to the symmetric part of m (asymmetry
+    beyond SYM_TOL is an error): negative eigenvalues clamped to zero."""
+    w, v = _sym_eigh(m)
+    return (v * np.clip(w, 0.0, None)) @ v.T
 
 
 def solve_lyapunov(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -136,7 +127,8 @@ def strong_stability_cert(x: np.ndarray, p: np.ndarray | None = None,
     By default Y = I and P is solved here. Supplying (p, y) lets callers use
     a value-function witness instead (e.g. the Riccati solution for a closed
     loop). With S = P^{-1/2}, one has S^{-1} X S = P^{1/2} X P^{-1/2} whose
-    squared norm equals ||I - P^{-1/2} Y P^{-1/2}||_op.
+    squared norm equals ||I - P^{-1/2} Y P^{-1/2}||_op. Both roots come from
+    one eigendecomposition of P; the inverse one floors it at EIG_FLOOR.
     """
     x = _check_square(x, "X")
     d = x.shape[0]
@@ -144,8 +136,9 @@ def strong_stability_cert(x: np.ndarray, p: np.ndarray | None = None,
         y = np.eye(d)
     if p is None:
         p = solve_lyapunov(x, y)
-    p_half = psd_sqrt(p)
-    p_inv_half = psd_inv_sqrt(p)
+    w, v = _sym_eigh(p)
+    p_half = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    p_inv_half = (v / np.sqrt(np.clip(w, EIG_FLOOR, None))) @ v.T
     alpha = float(np.linalg.norm(p_half, 2) * np.linalg.norm(p_inv_half, 2))
     gamma = float(np.sqrt(max(0.0, np.linalg.norm(np.eye(d) - p_inv_half @ y @ p_inv_half, 2))))
     return StabilityCert(witness=p_inv_half, alpha=alpha, gamma=gamma)
@@ -205,6 +198,8 @@ def solve_dare(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> Da
     P <- A'PA + Q - A'PB (R + B'PB)^{-1} B'PA, stopped when the relative
     Frobenius change is below DARE_TOL. Requires Q PSD and R PD (symmetric), and
     (A, B) stabilizable, prechecked as rho(A) < 1 or full controllability.
+    One Riccati step at the fixed point gives both the gain
+    K = -(R + B'PB)^{-1} B'PA and the residual certificate.
     """
     a = _check_square(a, "A")
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -233,11 +228,11 @@ def solve_dare(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> Da
     else:
         raise ConvergenceError("DARE value iteration hit the iteration cap")
 
-    k = -np.linalg.solve(r + b.T @ p @ b, b.T @ p @ a)
-    residual = float(np.linalg.norm(
-        p - (a.T @ p @ a + q - (b.T @ p @ a).T @ np.linalg.solve(r + b.T @ p @ b, b.T @ p @ a)),
-        "fro"))
-    return DareSolution(p=p, k=k, residual=residual, iterations=iterations)
+    bpb = r + b.T @ p @ b
+    bpa = b.T @ p @ a
+    gain = np.linalg.solve(bpb, bpa)
+    residual = float(np.linalg.norm(p - (a.T @ p @ a + q - bpa.T @ gain), "fro"))
+    return DareSolution(p=p, k=-gain, residual=residual, iterations=iterations)
 
 
 def open_loop_state_cov(a: np.ndarray, b: np.ndarray, sigma_w: np.ndarray,

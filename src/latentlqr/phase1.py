@@ -50,6 +50,9 @@ class Phase1Config:
             raise ValidationError("psi_star and alpha_star must be >= 1")
         if self.kappa < 1:
             raise ValidationError("kappa must be >= 1")
+        if self.kappa * self.d_u < self.d_x:
+            raise ValidationError(f"kappa * d_u = {self.kappa * self.d_u} inputs cannot "
+                                  f"span d_x = {self.d_x} states")
         if self.r_id is not None and self.r_id <= 0:
             raise ValidationError("r_id must be > 0")
 

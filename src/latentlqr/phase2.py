@@ -48,7 +48,7 @@ def fit_noise_cov(batch3: IdBatch, x_now: np.ndarray, x_next: np.ndarray,
     """Empirical second moment of the one-step residuals, PSD-projected."""
     resid = x_next - x_now @ a_hat.T - batch3.u_now @ b_hat.T
     sigma = resid.T @ resid / batch3.n
-    return psd_project((sigma + sigma.T) / 2.0)
+    return psd_project(sigma)
 
 
 def _sym_features(x: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -93,7 +93,7 @@ def fit_cost(batch3: IdBatch, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     for c, (j, k) in zip(coef, index):
         q[j, k] = c
         q[k, j] = c
-    return psd_project((q + q.T) / 2.0)
+    return psd_project(q)
 
 
 def run_sysid(batch3: IdBatch, decoder: Callable[[np.ndarray], np.ndarray],

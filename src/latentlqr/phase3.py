@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng as rngmod
-from .control import controllability_matrix, psd_project, row_sq_norms, rowmap, solve_dare
+from .control import psd_project, row_sq_norms, rowmap, solve_dare
 from .errors import IllConditionedCovarianceError, NumericalError, ValidationError, tagged
 from .regression import DecoderClass, FittedRegressor, StructuredClass, erm_fit, erm_fit_increment
 from .system import EmissionModel, PolicyDef, SystemSpec, rollout_columns
@@ -104,7 +104,7 @@ def build_noise_shaping(a: np.ndarray, b: np.ndarray, sigma_w: np.ndarray,
     w_k = np.zeros_like(sigma_w)
     for k in range(1, kappa + 1):
         w_k = w_k + powers[k - 1] @ sigma_w @ powers[k - 1].T
-        c_k = controllability_matrix(a, b, k)
+        c_k = np.hstack([powers[k - 1 - j] @ b for j in range(k)])
         inner = c_k @ c_k.T + w_k / sigma**2
         m_k = np.linalg.solve(inner, c_k).T
         m_list.append(m_k)

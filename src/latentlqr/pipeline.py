@@ -144,6 +144,9 @@ def _resolve(config: ExperimentConfig):
     spec, emission, decoder_class = make_benchmark_instance(config.instance)
     bounds = parameter_bounds(spec, witness=config.stability_witness)
     kappa = config.kappa if config.kappa is not None else bounds.kappa
+    if kappa < bounds.kappa:
+        raise ValidationError(f"kappa = {kappa} is below the controllability index "
+                              f"kappa* = {bounds.kappa} of instance {config.instance}")
     psi = config.psi_star if config.psi_star is not None else bounds.psi_star
     alpha = config.alpha_star if config.alpha_star is not None else bounds.alpha_star
     gamma = config.gamma_star if config.gamma_star is not None else bounds.gamma_star

@@ -152,19 +152,15 @@ def _erm(klass: StructuredClass, terms: list[tuple[np.ndarray, np.ndarray]],
     return best
 
 
-def erm_fit(klass: StructuredClass, observations: np.ndarray, targets: np.ndarray,
-            offsets: np.ndarray | None = None) -> FittedRegressor:
-    """Empirical risk minimization of ||M f(y_i) + offset_i - target_i||^2.
-
-    Offsets are the known additive part of the prediction; supplying them is
-    equivalent to regressing against targets - offsets.
-    """
+def erm_fit(klass: StructuredClass, observations: np.ndarray,
+            targets: np.ndarray) -> FittedRegressor:
+    """Empirical risk minimization of ||M f(y_i) - target_i||^2."""
     obs = np.atleast_2d(np.asarray(observations, dtype=float))
     tgt = np.atleast_2d(np.asarray(targets, dtype=float))
     n = obs.shape[0]
     if tgt.shape != (n, klass.output_dim):
         raise ValidationError(f"targets must be ({n}, {klass.output_dim}), got {tgt.shape}")
-    return _erm(klass, [(np.eye(klass.output_dim), obs)], tgt, offsets)
+    return _erm(klass, [(np.eye(klass.output_dim), obs)], tgt, None)
 
 
 def erm_fit_increment(klass: StructuredClass, obs_now: np.ndarray, obs_next: np.ndarray,

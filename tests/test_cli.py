@@ -267,11 +267,13 @@ class TestExitCodes:
         dict(instance="di-cubic-lift", n_op=1),
         # a 2x2 cost has 3 parameters, so its fit needs 3 phase-1 rows
         dict(instance="di-cubic-lift", n_id=2),
+        # stable2x1-lift5 needs two scalar inputs to reach its 2-dim state
+        dict(instance="stable2x1-lift5", kappa=1),
     ], ids=["unparsable-int", "negative-seed", "negative-eval-seed", "sigma-and-epsilon",
             "one-eval-rollout", "no-metric-rollouts", "nan-psi", "inf-alpha",
             "overflowing-psi-burn-in", "nan-epsilon", "nan-clip-radius", "inf-r-op",
             "overflowing-psi-cube", "n-init-below-d-x", "n-op-below-d-x",
-            "n-id-below-cost-fit"])
+            "n-id-below-cost-fit", "kappa-below-kappa-star"])
     def test_bad_config_is_2_before_simulating(self, tmp_path, capsys, monkeypatch, overrides):
         import latentlqr.system as system
 

@@ -61,6 +61,12 @@ class TestBurnIn:
         with pytest.raises(ValidationError):
             config(n_id=0)
 
+    def test_input_window_narrower_than_state(self):
+        # one scalar input per window cannot span a two-dimensional state
+        with pytest.raises(ValidationError, match="kappa"):
+            config(kappa=1, d_x=2, d_u=1)
+        assert config(kappa=2, d_x=2, d_u=1).kappa == 2
+
 
 # The columns each batch's fit reads: h_id's regression, the PCA, system identification.
 KEPT = ({"y_now", "v"}, {"y_now"}, {"y_now", "y_next", "u_now", "cost_now"})

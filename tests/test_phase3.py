@@ -7,7 +7,7 @@ from latentlqr import (Phase3Config, SystemSpec, SysIdEstimates, ValidationError
                        decoder_update, fit_residual_regressors, learn_initial_state,
                        make_benchmark_instance, rollout, rollout_columns, solve_dare)
 from latentlqr import phase3
-from latentlqr.control import rowmap
+from latentlqr.control import controllability_matrix, rowmap
 from latentlqr.phase3 import DecoderStack, InitialStatePieces, default_clip_radius
 from latentlqr.regression import (DecoderClass, FittedRegressor, StructuredClass,
                                   erm_fit_increment)
@@ -49,6 +49,20 @@ class TestNoiseShaping:
         w2 = np.array([[1.0 + 0.25]])
         m2 = c2.T @ np.linalg.inv(c2 @ c2.T + w2 / 0.49)
         assert np.allclose(shap.m_k[1], m2, atol=1e-12)
+
+    def test_m_k_from_controllability_matrices(self):
+        # kappa = 3 reaches C_3 = [A^2 B | A B | B], here built from the shaping's powers
+        spec, _, _ = make_benchmark_instance("stable2x1-lift5")
+        sigma = 0.4
+        shap = build_noise_shaping(spec.a, spec.b, spec.sigma_w, sigma=sigma, kappa=3)
+        w_k = np.zeros_like(spec.sigma_w)
+        for k in range(1, 4):
+            a_km1 = np.linalg.matrix_power(spec.a, k - 1)
+            w_k = w_k + a_km1 @ spec.sigma_w @ a_km1.T
+            c_k = controllability_matrix(spec.a, spec.b, k)
+            expected = np.linalg.solve(c_k @ c_k.T + w_k / sigma**2, c_k).T
+            assert shap.m_k[k - 1].shape == (k * spec.d_u, spec.d_x)
+            assert shap.m_k[k - 1].tobytes() == expected.tobytes()
 
     def test_singular_noise_rejected(self):
         from latentlqr.errors import NumericalError

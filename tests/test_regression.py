@@ -131,17 +131,6 @@ class TestErmFit:
             expected = manual(f, alone.m)
             assert abs(best.all_losses[idx] - expected) <= 1e-9 * expected
 
-    def test_offsets_equivalent_to_shifted_targets(self):
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal((80, 2))
-        y = rng.standard_normal((80, 2))
-        e = rng.standard_normal((80, 2))
-        klass = StructuredClass(base=identity_class(), output_dim=2, radius=10.0)
-        with_offsets = erm_fit(klass, x, y, offsets=e)
-        shifted = erm_fit(klass, x, y - e)
-        assert np.allclose(with_offsets.m, shifted.m, atol=1e-12)
-        assert abs(with_offsets.empirical_loss - shifted.empirical_loss) < 1e-12
-
     def test_empty_data(self):
         klass = StructuredClass(base=identity_class(), output_dim=2, radius=1.0)
         with pytest.raises(ValidationError):
