@@ -15,7 +15,7 @@ from .benchmarks import make_benchmark_instance
 from .control import optimal_policy
 from .errors import NumericalError, ValidationError
 from .pipeline import evaluate_policy, load_config, run_pipeline
-from .serialize import (export_trajectories_csv, load_phase1, load_policy,
+from .serialize import (export_trajectories_csv, load_phase1, load_policy, load_sysid,
                         write_decoder_errors_csv, write_report_csv)
 from .system import PolicyDef, rollout
 
@@ -57,9 +57,7 @@ def _load(args) -> tuple:
 def _require_out(args) -> Path:
     if args.out is None:
         raise ValidationError("--out is required for this command")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(args.out)
 
 
 def _cmd_simulate(args) -> None:
@@ -80,6 +78,7 @@ def _cmd_simulate(args) -> None:
         policy = PolicyDef(sigma=args.sigma)
     batch = rollout(spec, emission, policy, horizon=args.horizon,
                     n_traj=args.n_traj, base_seed=seed)
+    out.mkdir(parents=True, exist_ok=True)
     export_trajectories_csv(out / "trajectories.csv", batch)
     print(f"wrote {out / 'trajectories.csv'} ({args.n_traj} trajectories, horizon {args.horizon})")
 
@@ -116,17 +115,18 @@ def _cmd_pipeline(args) -> None:
 
 
 def _cmd_eval(args) -> None:
-    """The pipeline's evaluate stage, run on the phase1/ and policy/ under --out."""
+    """The pipeline's evaluate stage, run on the phase1/, sysid/ and policy/ under --out."""
     out = _require_out(args)
     config = _load(args)
     spec, emission, decoder_class = make_benchmark_instance(config.instance)
-    for folder, stage in (("phase1", "phase1"), ("policy", "phase3")):
+    for folder, stage in (("phase1", "phase1"), ("sysid", "phase2"), ("policy", "phase3")):
         if not (out / folder).exists():
             raise ValidationError(f"no saved {folder} under {out}; run {stage} or pipeline first")
-    learned = load_policy(out / "policy", decoder_class, spec)
+    estimates = load_sysid(out / "sysid", spec)
+    learned = load_policy(out / "policy", decoder_class, spec, estimates)
     if learned.t_horizon != config.t_horizon:
-        raise ValidationError(f"config t_horizon = {config.t_horizon}, but the saved policy "
-                              f"has horizon {learned.t_horizon}")
+        raise ValidationError(f"{out / 'policy' / 'meta.csv'}: horizon {learned.t_horizon}, "
+                              f"but the config has t_horizon = {config.t_horizon}")
     phase1_out = load_phase1(out / "phase1", decoder_class, spec)
     report = evaluate_policy(config, spec, emission, learned, phase1_out)
     write_report_csv(out / "eval_report.csv", report)

@@ -85,8 +85,9 @@ def psd_project(m: np.ndarray) -> np.ndarray:
 def solve_lyapunov(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Solve P = X' P X + Y for stable X and PSD Y by iterating the recursion.
 
-    Raises UnstableMatrixError when rho(X) >= 1 and ConvergenceError when the
-    residual has not reached 1e-10 * (1 + ||P||_F) within the iteration cap.
+    Raises UnstableMatrixError when rho(X) >= 1, and ConvergenceError at the
+    first iterate with a non-finite entry or when the residual has not reached
+    1e-10 * (1 + ||P||_F) within the iteration cap.
     """
     x = _check_square(x, "X")
     y = _check_symmetric(y, "Y")
@@ -98,6 +99,8 @@ def solve_lyapunov(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     p = y.copy()
     for _ in range(MAX_ITER):
         p_next = x.T @ p @ x + y
+        if not np.all(np.isfinite(p_next)):
+            raise ConvergenceError("Lyapunov iteration reached a non-finite iterate")
         if np.linalg.norm(p_next - p, "fro") <= LYAP_TOL * (1.0 + np.linalg.norm(p_next, "fro")):
             p = (p_next + p_next.T) / 2.0
             resid = np.linalg.norm(p - x.T @ p @ x - y, "fro")
@@ -199,7 +202,9 @@ def solve_dare(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> Da
     Frobenius change is below DARE_TOL. Requires Q PSD and R PD (symmetric), and
     (A, B) stabilizable, prechecked as rho(A) < 1 or full controllability.
     One Riccati step at the fixed point gives both the gain
-    K = -(R + B'PB)^{-1} B'PA and the residual certificate.
+    K = -(R + B'PB)^{-1} B'PA and the residual certificate. Raises
+    ConvergenceError at the first iterate with a non-finite entry, or at the
+    iteration cap.
     """
     a = _check_square(a, "A")
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -221,6 +226,8 @@ def solve_dare(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> Da
         bpa = b.T @ p @ a
         p_next = a.T @ p @ a + q - bpa.T @ np.linalg.solve(bpb, bpa)
         p_next = (p_next + p_next.T) / 2.0
+        if not np.all(np.isfinite(p_next)):
+            raise ConvergenceError(f"DARE iteration went non-finite at iteration {iterations}")
         change = np.linalg.norm(p_next - p, "fro")
         p = p_next
         if change <= DARE_TOL * max(1.0, np.linalg.norm(p, "fro")):

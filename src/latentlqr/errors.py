@@ -24,7 +24,7 @@ class UnstableMatrixError(NumericalError):
 
 
 class ConvergenceError(NumericalError):
-    """Fixed-point iteration exceeded its iteration cap."""
+    """Fixed-point iteration exceeded its iteration cap or left the finite range."""
 
 
 class DegenerateSpectrumError(NumericalError):

@@ -20,7 +20,7 @@ import numpy as np
 from . import rng as rngmod
 from .benchmarks import make_benchmark_instance, parameter_bounds
 from .control import optimal_policy
-from .errors import ValidationError, tagged
+from .errors import NumericalError, ValidationError, tagged
 from .evaluate import (EvalReport, align_decoder, decoder_errors_by_time, mean_stderr,
                        similarity_from_ground_truth, trajectory_costs)
 from .phase1 import Phase1Config, collect_id_data, fit_coarse_decoder
@@ -245,7 +245,8 @@ def evaluate_policy(config: ExperimentConfig, spec, emission, learned, phase1_ou
     true one on fresh open-loop observations y_{kappa_1}, drawn from their
     exact marginal without simulating the steps before, and each per-step
     decoder is scored against S_id f_star. The clip statistics are the masks
-    recorded by the learned policy's cost pass.
+    recorded by the learned policy's cost pass. A non-finite figure (a finite
+    model can overflow) raises NumericalError naming the first one.
     """
     pi_opt = optimal_policy(spec, emission)
     eval_seed = _eval_seed(config)
@@ -274,7 +275,7 @@ def evaluate_policy(config: ExperimentConfig, spec, emission, learned, phase1_ou
         spec, emission, learned, s_id, n_metric,
         rngmod.derive_seed(eval_seed, rngmod.TAG_EVAL, 2))
 
-    return EvalReport(
+    report = EvalReport(
         j_learned=j_learned, j_learned_stderr=j_learned_se,
         j_optimal=j_opt, j_optimal_stderr=j_opt_se,
         gap=gap, gap_stderr=gap_se,
@@ -288,3 +289,8 @@ def evaluate_policy(config: ExperimentConfig, spec, emission, learned, phase1_ou
         trajectories_phase3=learned.trajectories_used,
         trajectories_eval=3 * config.n_eval + n_align + n_metric,
         kappa0=phase1_out.kappa0, kappa1=kappa1, s_id=s_id)
+    errors = [(f"decoder_errors at t = {t}", e) for t, e in enumerate(decoder_errors, start=1)]
+    for name, value in report.rows() + errors:
+        if not math.isfinite(value):
+            raise NumericalError(f"evaluation gave a non-finite {name} ({value})")
+    return report

@@ -41,9 +41,12 @@ def _loading(path: Path):
 
 
 def _parse_matrix(lines: list[str], shape: tuple | None = None) -> np.ndarray:
-    """The finite matrix whose "rows,cols" header is lines[0]; of the given shape, if any."""
+    """The finite matrix whose "rows,cols" header is lines[0] and counts every later
+    line, so a missing or an extra row is refused; of the given shape, if any."""
     rows, cols = (int(v) for v in lines[0].split(","))
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:1 + rows]])
+    if len(lines) != 1 + rows:
+        raise ValueError(f"header says {rows} rows, {len(lines) - 1} follow")
+    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     if data.shape != (rows, cols):
         raise ValueError(f"header says {rows}x{cols}, data is {data.shape}")
     if shape is not None and data.shape != shape:
@@ -127,11 +130,11 @@ def save_phase1(outdir: Path, out: Phase1Output) -> None:
 
 
 def load_phase1(outdir: Path, decoder_class: DecoderClass, spec: SystemSpec) -> Phase1Output:
-    """The saved coarse decoder; kappa0 >= 0, and its matrices must be (kappa d_u) x d_x."""
+    """The saved coarse decoder; 0 <= kappa0 < kappa1, and its matrices are (kappa d_u) x d_x."""
     outdir = Path(outdir)
     meta = load_key_values(outdir / "meta.csv", {"kappa0": int, "kappa1": int})
-    if meta["kappa0"] < 0:
-        raise ValidationError(f"{outdir / 'meta.csv'}: kappa0 must be >= 0")
+    if not 0 <= meta["kappa0"] < meta["kappa1"]:
+        raise ValidationError(f"{outdir / 'meta.csv'}: needs 0 <= kappa0 < kappa1")
     shape = ((meta["kappa1"] - meta["kappa0"]) * spec.d_u, spec.d_x)
     return Phase1Output(h_id=load_regressor(outdir / "h_id.csv", decoder_class, shape),
                         v_id=load_matrix(outdir / "v_id.csv", shape),
@@ -149,9 +152,11 @@ def save_sysid(outdir: Path, est: SysIdEstimates) -> None:
         save_matrix(outdir / f"{name}.csv", getattr(est, name))
 
 
-def load_sysid(outdir: Path) -> SysIdEstimates:
+def load_sysid(outdir: Path, spec: SystemSpec) -> SysIdEstimates:
+    """The saved estimates; b_hat must be d_x x d_u and the other three d_x x d_x."""
     outdir = Path(outdir)
-    return SysIdEstimates(**{name: load_matrix(outdir / f"{name}.csv") for name in _ESTIMATES})
+    return SysIdEstimates(**{name: load_matrix(outdir / f"{name}.csv", (
+        spec.d_x, spec.d_u if name == "b_hat" else spec.d_x)) for name in _ESTIMATES})
 
 
 def save_policy(outdir: Path, learned: LearnedPolicy) -> None:
@@ -159,8 +164,6 @@ def save_policy(outdir: Path, learned: LearnedPolicy) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     stack = learned.stack
     save_matrix(outdir / "k_gain.csv", stack.k_gain)
-    save_matrix(outdir / "a_hat.csv", stack.a_hat)
-    save_matrix(outdir / "b_hat.csv", stack.b_hat)
     for t, reg in enumerate(stack.residual_regressors):
         save_regressor(outdir / f"h_{t}.csv", reg)
     save_regressor(outdir / "init_h_ol1.csv", stack.initial.h_ol1)
@@ -175,9 +178,11 @@ def save_policy(outdir: Path, learned: LearnedPolicy) -> None:
     ])
 
 
-def load_policy(outdir: Path, decoder_class: DecoderClass, spec: SystemSpec) -> LearnedPolicy:
-    """The saved policy; every matrix must have the shape spec's d_x and d_u imply,
-    and its meta.csv values must be ones a run can produce."""
+def load_policy(outdir: Path, decoder_class: DecoderClass, spec: SystemSpec,
+                estimates: SysIdEstimates) -> LearnedPolicy:
+    """The saved policy, acting on the identified system of estimates (see load_sysid);
+    every matrix must have the shape spec's d_x and d_u imply, and its meta.csv
+    values must be ones a run can produce."""
     outdir = Path(outdir)
     meta = load_key_values(outdir / "meta.csv", {"sigma": float, "b_bar": float,
                                                  "t_horizon": int, "trajectories_used": int})
@@ -186,8 +191,7 @@ def load_policy(outdir: Path, decoder_class: DecoderClass, spec: SystemSpec) -> 
         raise ValidationError(f"{outdir / 'meta.csv'}: needs sigma in (0, 1], a finite "
                               "b_bar > 0 and trajectories_used >= 0")
     square = (spec.d_x, spec.d_x)
-    stack = DecoderStack(a_hat=load_matrix(outdir / "a_hat.csv", square),
-                         b_hat=load_matrix(outdir / "b_hat.csv", (spec.d_x, spec.d_u)),
+    stack = DecoderStack(a_hat=estimates.a_hat, b_hat=estimates.b_hat,
                          k_gain=load_matrix(outdir / "k_gain.csv", (spec.d_u, spec.d_x)),
                          b_bar=meta["b_bar"])
     for t in range(meta["t_horizon"]):

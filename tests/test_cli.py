@@ -1,9 +1,16 @@
 """Command-line interface: subcommands, exit codes, determinism."""
+import contextlib
+import io
+import math
 import re
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import latentlqr.system as system
 from latentlqr.cli import main
 
 
@@ -32,6 +39,12 @@ def set_first_entry(path: Path, line: int, value: str) -> None:
     lines = path.read_text().splitlines()
     lines[line] = ",".join([value] + lines[line].split(",")[1:])
     path.write_text("\n".join(lines) + "\n")
+
+
+def append_last_row(path: Path) -> None:
+    """Append a copy of the last line of a saved matrix or regressor."""
+    text = path.read_text()
+    path.write_text(text + text.splitlines()[-1] + "\n")
 
 
 def files_under(root: Path) -> dict:
@@ -140,11 +153,12 @@ class TestExitCodes:
         # "candidate,<index>" line before that
         (lambda policy: set_first_entry(policy / "k_gain.csv", 1, "nan"), "k_gain.csv"),
         (lambda policy: set_first_entry(policy / "h_0.csv", 2, "inf"), "h_0.csv"),
+        (lambda policy: append_last_row(policy / "h_0.csv"), "h_0.csv"),
     ], ids=["garbled-regressor", "missing-meta", "unparsable-sigma", "one-by-one-gain",
             "negative-candidate", "candidate-out-of-range", "missing-initial-state",
             "repeated-sigma", "nan-clip-radius", "negative-clip-radius",
             "infinite-clip-radius", "zero-sigma", "sigma-above-one",
-            "negative-trajectories-used", "nan-gain", "infinite-regressor"])
+            "negative-trajectories-used", "nan-gain", "infinite-regressor", "extra-row"])
     def test_damaged_saved_policy_for_eval_is_2(self, tmp_path, capsys, monkeypatch,
                                                 damage, named):
         import latentlqr.system as system
@@ -162,6 +176,90 @@ class TestExitCodes:
         assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
         assert str(out / "policy" / named) in capsys.readouterr().err
         assert not (out / "eval_report.csv").exists()
+
+    def test_missing_sysid_for_eval_is_2(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path / "run.cfg", instance="di-cubic-lift")
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        shutil.rmtree(out / "sysid")
+
+        def no_simulation(*args):
+            raise AssertionError("simulated before the saved sysid was checked")
+
+        monkeypatch.setattr(system, "_drive", no_simulation)
+        assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"no saved sysid under {out}; run phase2" in capsys.readouterr().err
+        assert not (out / "eval_report.csv").exists()
+
+    @pytest.mark.parametrize("damage, named", [
+        (lambda sysid: (sysid / "a_hat.csv").unlink(), "a_hat.csv"),
+        # b_hat is d_x x d_u = 2x2 on di-cubic-lift
+        (lambda sysid: (sysid / "b_hat.csv").write_text("2,1\n0.5\n0.25\n"), "b_hat.csv"),
+        (lambda sysid: (sysid / "q_hat.csv").write_text("1,1\n0.5\n"), "q_hat.csv"),
+        (lambda sysid: set_first_entry(sysid / "sigma_w_hat.csv", 1, "nan"), "sigma_w_hat.csv"),
+        (lambda sysid: append_last_row(sysid / "a_hat.csv"), "a_hat.csv"),
+    ], ids=["missing-file", "misshaped-b-hat", "one-by-one-q-hat", "nan-entry", "extra-row"])
+    def test_damaged_saved_sysid_for_eval_is_2(self, tmp_path, capsys, monkeypatch,
+                                               damage, named):
+        # eval acts with the saved policy on sysid/'s a_hat and b_hat, and
+        # checks all four estimates before anything is simulated
+        cfg = write_config(tmp_path / "run.cfg", instance="di-cubic-lift")
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        damage(out / "sysid")
+
+        def no_simulation(*args):
+            raise AssertionError("simulated before the saved sysid was checked")
+
+        monkeypatch.setattr(system, "_drive", no_simulation)
+        assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
+        assert str(out / "sysid" / named) in capsys.readouterr().err
+        assert not (out / "eval_report.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_saved_policy_is_3(self, tmp_path, capsys):
+        # 1e300 is finite, so the loader takes it; the costs it drives overflow
+        cfg = write_config(tmp_path / "run.cfg", instance="di-cubic-lift")
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+        set_first_entry(out / "policy" / "k_gain.csv", 1, "1e300")
+        assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "non-finite j_learned" in capsys.readouterr().err
+        assert not (out / "eval_report.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_learned_policy_is_3_from_pipeline(self, tmp_path, capsys,
+                                                           monkeypatch):
+        import latentlqr.pipeline as pipeline
+
+        compute_policy = pipeline.compute_policy
+
+        def overflowing(*args, **kwargs):
+            learned = compute_policy(*args, **kwargs)
+            learned.stack.k_gain = learned.stack.k_gain * 1e300
+            return learned
+
+        monkeypatch.setattr(pipeline, "compute_policy", overflowing)
+        cfg = write_config(tmp_path / "run.cfg", instance="di-cubic-lift")
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "stage=evaluate" in capsys.readouterr().err
+        assert (out / "policy" / "k_gain.csv").exists()
+        assert not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("command", ["pipeline", "phase1", "phase2", "phase3", "eval"])
+    def test_refused_config_creates_no_out(self, tmp_path, command):
+        cfg = write_config(tmp_path / "bad.cfg", seed=None)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_eval_creates_no_out(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.cfg")
+        out = tmp_path / "mistyped"
+        assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "no saved phase1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", ["v_id.csv", "h_id.csv"])
     def test_misshaped_phase1_for_eval_is_2(self, tmp_path, capsys, name):
@@ -313,6 +411,101 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "run.cfg", sigma=1e-6, n_op=60, n_init=60)
         code = main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 3
+
+
+def _set_last_value(path: Path, value) -> None:
+    """Rewrite the last comma-separated value of a saved file's last line;
+    value maps the old value to the new one."""
+    lines = path.read_text().splitlines()
+    head, _, old = lines[-1].rpartition(",")
+    lines[-1] = f"{head},{value(old)}"
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _rewrite(path: Path, edit) -> None:
+    path.write_text(edit(path.read_text()))
+
+
+def _replace_by_directory(path: Path) -> None:
+    path.unlink()
+    path.mkdir()
+
+
+# Damage to one saved file, each applied in place.
+MUTATIONS = {
+    "empty": lambda p: p.write_text(""),
+    "last-line-dropped": lambda p: _rewrite(p, lambda t: "\n".join(t.splitlines()[:-1]) + "\n"),
+    "extra-column": lambda p: _rewrite(p, lambda t: t.rstrip("\n") + ",0\n"),
+    "extra-row": append_last_row,
+    "duplicated-row": lambda p: _rewrite(p, lambda t: "\n".join(
+        t.splitlines()[:2] + t.splitlines()[1:]) + "\n"),
+    "word": lambda p: _set_last_value(p, lambda v: "abc"),
+    "binary": lambda p: p.write_bytes(b"\x00\xff\xfe\x80\n"),
+    "sign-flip": lambda p: _set_last_value(p, lambda v: v[1:] if v.startswith("-") else "-" + v),
+    "zero": lambda p: _set_last_value(p, lambda v: "0"),
+    "huge": lambda p: _set_last_value(p, lambda v: "1e300"),
+    "negative-zero": lambda p: _set_last_value(p, lambda v: "-0"),
+    "int-plus-half": lambda p: _set_last_value(p, lambda v: f"{int(float(v))}.5"),
+    "blank-lines": lambda p: _rewrite(p, lambda t: t.replace("\n", "\n\n")),
+    "spaces-around-commas": lambda p: _rewrite(p, lambda t: t.replace(",", " , ")),
+    "crlf": lambda p: _rewrite(p, lambda t: t.replace("\n", "\r\n")),
+    "directory": _replace_by_directory,
+}
+
+# What a di-cubic-lift run with t_horizon = 2 saves, and cli eval reads.
+SAVED_FILES = sorted(
+    [f"phase1/{n}.csv" for n in ("h_id", "v_id", "meta")]
+    + [f"sysid/{n}.csv" for n in ("a_hat", "b_hat", "sigma_w_hat", "q_hat")]
+    + [f"policy/{n}.csv" for n in ("k_gain", "h_0", "h_1", "init_h_ol1", "init_h_ol0",
+                                   "init_sigma_cov", "init_gain", "meta")])
+
+
+@pytest.fixture(scope="module")
+def tiny_saved_model(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    cfg = write_config(root / "run.cfg", instance="di-cubic-lift", metric_rollouts=50)
+    assert main(["pipeline", "--config", str(cfg), "--out", str(root / "run")]) == 0
+    saved = sorted(str(p.relative_to(root / "run")) for p in (root / "run").rglob("*.csv")
+                   if p.parent != root / "run")
+    assert saved == SAVED_FILES
+    return cfg, root / "run"
+
+
+class TestSavedModelBoundary:
+    # 100 evals of the tiny model take about 1.5 s on a 2-core VM; a damaged
+    # but finite model may overflow, which numpy warns about
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(rel=st.sampled_from(SAVED_FILES), mutation=st.sampled_from(sorted(MUTATIONS)))
+    def test_damaged_file_exits_0_2_or_3(self, tiny_saved_model, rel, mutation):
+        """Any one damaged file gives exit 2 naming it before anything is simulated,
+        exit 3, or exit 0 with an all-finite report."""
+        cfg, model = tiny_saved_model
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "run"
+            shutil.copytree(model, out)
+            MUTATIONS[mutation](out / rel)
+            drives = []
+            drive = system._drive
+
+            def counting_drive(*args):
+                drives.append(1)
+                return drive(*args)
+
+            err = io.StringIO()
+            with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+                mp.setattr(system, "_drive", counting_drive)
+                code = main(["eval", "--config", str(cfg), "--out", str(out)])
+            assert code in (0, 2, 3), err.getvalue()
+            if code == 2:
+                assert str(out / rel) in err.getvalue()
+                assert not drives
+            if code == 0:
+                for name in ("eval_report.csv", "eval_decoder_errors.csv"):
+                    rows = (out / name).read_text().splitlines()[1:]
+                    assert all(math.isfinite(float(r.split(",")[1])) for r in rows)
+            else:
+                assert not (out / "eval_report.csv").exists()
 
 
 class TestDeterminism:

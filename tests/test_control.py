@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from latentlqr import (UnstableMatrixError, ValidationError,
+from latentlqr import (ConvergenceError, UnstableMatrixError, ValidationError,
                        controllability, make_benchmark_instance, open_loop_state_cov,
                        optimal_policy, parameter_bounds, psd_project, rollout, solve_dare,
                        solve_lyapunov, strong_stability_cert)
@@ -54,6 +54,13 @@ class TestLyapunov:
     def test_unstable_rejected(self):
         with pytest.raises(UnstableMatrixError):
             solve_lyapunov(np.array([[1.1]]), np.array([[1.0]]))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_iterate_raises_at_once(self):
+        # 0.81e308 + 1e308 overflows on the first step; a nan iterate would
+        # otherwise be iterated up to the cap
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            solve_lyapunov(0.9 * np.eye(2), 1e308 * np.eye(2))
 
     def test_residual_bound_random(self):
         rng = np.random.default_rng(0)
@@ -166,6 +173,16 @@ class TestDare:
     def test_indefinite_rejected(self):
         with pytest.raises(ValidationError):
             solve_dare([[0.5]], [[1.0]], [[-1.0]], [[1.0]])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_iterate_raises_at_once(self):
+        # A'QA overflows on the first step; a nan iterate would otherwise be
+        # iterated up to the cap
+        spec, _, _ = make_benchmark_instance("di-cubic-lift")
+        a = spec.a.copy()
+        a[0, 0] = 1e155
+        with pytest.raises(ConvergenceError, match="non-finite at iteration 1"):
+            solve_dare(a, spec.b, spec.q, spec.r)
 
 
 class TestControllability:

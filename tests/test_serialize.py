@@ -54,8 +54,8 @@ class TestModelFolders:
                                   kappa0_override=4)
         result = run_pipeline(config, outdir=tmp_path)
         spec, emission, cls = make_benchmark_instance(name)
-        loaded = load_policy(tmp_path / "policy", cls, spec)
-        est = load_sysid(tmp_path / "sysid")
+        est = load_sysid(tmp_path / "sysid", spec)
+        loaded = load_policy(tmp_path / "policy", cls, spec, est)
         assert np.allclose(est.a_hat, result.estimates.a_hat)
 
         from latentlqr import rollout
@@ -84,7 +84,20 @@ class TestModelFolders:
         monkeypatch.setattr(Path, "read_text", recording_read_text)
         spec, _, cls = make_benchmark_instance(name)
         load_phase1(tmp_path / "phase1", cls, spec)
-        load_sysid(tmp_path / "sysid")
-        load_policy(tmp_path / "policy", cls, spec)
+        est = load_sysid(tmp_path / "sysid", spec)
+        load_policy(tmp_path / "policy", cls, spec, est)
         assert {p.parent.name for p in written} == {"phase1", "sysid", "policy"}
         assert sorted(str(p.relative_to(tmp_path)) for p in written - read) == []
+
+    @pytest.mark.parametrize("name", ["scalar-identity", "di-cubic-lift"])
+    def test_policy_holds_no_copy_of_sysid(self, tmp_path, name):
+        # the identified system has one home, sysid/; policy/ holds what
+        # phase 3 learned on top of it
+        config = ExperimentConfig(instance=name, n_id=1200, n_op=500,
+                                  t_horizon=2, n_eval=100, seed=9, sigma=0.3,
+                                  kappa0_override=4)
+        run_pipeline(config, outdir=tmp_path, stop_after="phase3")
+        sysid = {p.read_bytes(): p.name for p in (tmp_path / "sysid").iterdir()}
+        copies = sorted(f"policy/{p.name} = sysid/{sysid[p.read_bytes()]}"
+                        for p in (tmp_path / "policy").iterdir() if p.read_bytes() in sysid)
+        assert copies == []
