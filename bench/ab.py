@@ -14,6 +14,13 @@ tree's perfbench/compare.py prints both comparisons.
 OUTDIR/runner.json records whether PYTHONDONTWRITEBYTECODE was set, since
 bytecode compilation is about half of setup_s when it is. The exit code is
 1 if any invocation failed, and 2 if OUTDIR already holds records.
+
+Before claiming a speed change under about 10%, measure the sitting's own
+noise with an A/A session: run `bench/ab.py PARENT PARENT_COPY OUT` on two
+copies of the parent tree in the same sitting as the A/B session, and record
+that session beside the claim. Host speed drifts within a sitting, and one
+10-pair session has favoured one side by about 8% with no code on the path
+changed.
 """
 from __future__ import annotations
 

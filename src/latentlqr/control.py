@@ -195,6 +195,14 @@ class DareSolution:
     iterations: int
 
 
+def _riccati_solve(bpb: np.ndarray, bpa: np.ndarray, iteration: int) -> np.ndarray:
+    """(R + B'PB)^{-1} B'PA; a singular R + B'PB raises ConvergenceError."""
+    try:
+        return np.linalg.solve(bpb, bpa)
+    except np.linalg.LinAlgError:
+        raise ConvergenceError(f"DARE iteration went singular at iteration {iteration}") from None
+
+
 def solve_dare(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> DareSolution:
     """Riccati fixed point by value iteration from P0 = Q.
 
@@ -203,8 +211,9 @@ def solve_dare(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> Da
     (A, B) stabilizable, prechecked as rho(A) < 1 or full controllability.
     One Riccati step at the fixed point gives both the gain
     K = -(R + B'PB)^{-1} B'PA and the residual certificate. Raises
-    ConvergenceError at the first iterate with a non-finite entry, or at the
-    iteration cap.
+    ConvergenceError at the first iterate with a non-finite entry, when
+    R + B'PB is singular (in the iteration or the final gain solve), or at
+    the iteration cap.
     """
     a = _check_square(a, "A")
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -224,7 +233,7 @@ def solve_dare(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> Da
     for iterations in range(1, MAX_ITER + 1):
         bpb = r + b.T @ p @ b
         bpa = b.T @ p @ a
-        p_next = a.T @ p @ a + q - bpa.T @ np.linalg.solve(bpb, bpa)
+        p_next = a.T @ p @ a + q - bpa.T @ _riccati_solve(bpb, bpa, iterations)
         p_next = (p_next + p_next.T) / 2.0
         if not np.all(np.isfinite(p_next)):
             raise ConvergenceError(f"DARE iteration went non-finite at iteration {iterations}")
@@ -237,7 +246,7 @@ def solve_dare(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> Da
 
     bpb = r + b.T @ p @ b
     bpa = b.T @ p @ a
-    gain = np.linalg.solve(bpb, bpa)
+    gain = _riccati_solve(bpb, bpa, iterations)
     residual = float(np.linalg.norm(p - (a.T @ p @ a + q - bpa.T @ gain), "fro"))
     return DareSolution(p=p, k=-gain, residual=residual, iterations=iterations)
 

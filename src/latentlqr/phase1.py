@@ -55,6 +55,7 @@ class Phase1Config:
                                   f"span d_x = {self.d_x} states")
         if self.r_id is not None and self.r_id <= 0:
             raise ValidationError("r_id must be > 0")
+        burn_in_kappa0(self)  # a negative override or an infeasible burn-in is refused here
 
     @property
     def radius(self) -> float:

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng as rngmod
-from .control import psd_project, row_sq_norms, rowmap, solve_dare
+from .control import DareSolution, psd_project, row_sq_norms, rowmap, solve_dare
 from .errors import IllConditionedCovarianceError, NumericalError, ValidationError, tagged
 from .regression import DecoderClass, FittedRegressor, StructuredClass, erm_fit, erm_fit_increment
 from .system import EmissionModel, PolicyDef, SystemSpec, rollout_columns
@@ -89,7 +89,8 @@ class NoiseShaping:
 
 def build_noise_shaping(a: np.ndarray, b: np.ndarray, sigma_w: np.ndarray,
                         sigma: float, kappa: int) -> NoiseShaping:
-    """Shaping matrices from (possibly estimated) system matrices."""
+    """Shaping matrices from (possibly estimated) system matrices; a shaping
+    inverse that is singular in floating point raises NumericalError."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     sigma_w = np.atleast_2d(np.asarray(sigma_w, dtype=float))
@@ -105,10 +106,12 @@ def build_noise_shaping(a: np.ndarray, b: np.ndarray, sigma_w: np.ndarray,
     for k in range(1, kappa + 1):
         w_k = w_k + powers[k - 1] @ sigma_w @ powers[k - 1].T
         c_k = np.hstack([powers[k - 1 - j] @ b for j in range(k)])
-        inner = c_k @ c_k.T + w_k / sigma**2
-        m_k = np.linalg.solve(inner, c_k).T
+        try:
+            m_k = np.linalg.solve(c_k @ c_k.T + w_k / sigma**2, c_k).T
+            m_bar_k = np.linalg.solve(w_k, c_k).T
+        except np.linalg.LinAlgError:
+            raise NumericalError(f"shaping inverse at k = {k} is singular") from None
         m_list.append(m_k)
-        m_bar_k = np.linalg.solve(w_k, c_k).T
         bar_blocks.append(m_bar_k @ powers[k - 1])
     big_m = np.vstack([m_k @ a_km1 for m_k, a_km1 in zip(m_list, powers)])
     m_bar = np.vstack(bar_blocks)
@@ -187,6 +190,8 @@ class DecoderStack:
         return _StackState(value=np.zeros((n, self.d_x)), prev_obs=None)
 
     def step(self, state: _StackState, t: int, y: np.ndarray):
+        """One step (see above): a value whose norm exceeds b_bar, an infinite one
+        included, is clipped to zero; a nan norm raises NumericalError naming t."""
         n = y.shape[0]
         if t == 0 or t > len(self.residual_regressors):
             value, clipped, now = np.zeros((n, self.d_x)), None, None
@@ -199,7 +204,10 @@ class DecoderStack:
             else:
                 carry = rowmap(state.value, self.a_hat)
             value = base + carry
-            clipped = ~(np.sqrt(row_sq_norms(value)) <= self.b_bar)
+            norms = np.sqrt(row_sq_norms(value))
+            if np.isnan(norms).any():
+                raise NumericalError(f"decoder value at t={t} is not a number")
+            clipped = norms > self.b_bar
             value[clipped] = 0.0
         return value, clipped, _StackState(value=value, prev_obs=y, memo=now)
 
@@ -297,6 +305,17 @@ def fit_residual_regressors(halves: tuple[OnPolicyHalf, OnPolicyHalf],
     return first_stage, h_t
 
 
+def initial_gain(sigma_w_hat: np.ndarray, sigma_cov: np.ndarray) -> np.ndarray:
+    """Sigma_w Sigma_1^{-1}, the initial-state predictor's gain, for a symmetric Sigma_1 with
+    no eigenvalue below COV_GUARD (a hard guard: IllConditionedCovarianceError, no clipping)."""
+    eigvals, eigvecs = np.linalg.eigh(sigma_cov)
+    if np.min(eigvals) < COV_GUARD:
+        raise IllConditionedCovarianceError(
+            f"initial-state covariance has smallest eigenvalue {np.min(eigvals):.3e} "
+            f"below the {COV_GUARD:.0e} guard; increase n_init or sigma")
+    return sigma_w_hat @ ((eigvecs / eigvals) @ eigvecs.T)
+
+
 def learn_initial_state(y0: np.ndarray, y1: np.ndarray, nu0: np.ndarray,
                         h_0: FittedRegressor, estimates: SysIdEstimates,
                         config: Phase3Config, decoder_class: DecoderClass
@@ -307,8 +326,8 @@ def learn_initial_state(y0: np.ndarray, y1: np.ndarray, nu0: np.ndarray,
 
     h_ol1 learns the noise estimate h_0(y_1) - A h_0(y_0) - B nu_0 as a
     function of y_1; its second-moment matrix estimates
-    Sigma_w Sigma_1^{-1} Sigma_w, which is inverted (with a hard guard, no
-    eigenvalue clipping) to back the predictor of A x_0 out of h_ol0.
+    Sigma_w Sigma_1^{-1} Sigma_w, which initial_gain inverts to back the
+    predictor of A x_0 out of h_ol0.
     """
     a_hat, b_hat = estimates.a_hat, estimates.b_hat
     d_x = a_hat.shape[0]
@@ -323,14 +342,8 @@ def learn_initial_state(y0: np.ndarray, y1: np.ndarray, nu0: np.ndarray,
     vals = h_ol1.predict(y1[second])
     sigma_cov = vals.T @ vals / n
     sigma_cov = (sigma_cov + sigma_cov.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(sigma_cov)
-    if np.min(eigvals) < COV_GUARD:
-        raise IllConditionedCovarianceError(
-            f"initial-state covariance has smallest eigenvalue {np.min(eigvals):.3e} "
-            f"below the {COV_GUARD:.0e} guard; increase n_init or sigma")
-    inv_cov = (eigvecs / eigvals) @ eigvecs.T
+    gain = initial_gain(estimates.sigma_w_hat, sigma_cov)
     h_ol0 = erm_fit(h_op, y0[second], vals)
-    gain = estimates.sigma_w_hat @ inv_cov
     return InitialStatePieces(h_ol1=h_ol1, sigma_cov=sigma_cov, h_ol0=h_ol0, gain=gain)
 
 
@@ -363,6 +376,17 @@ class LearnedPolicy:
         return PolicyDef(gain=self.stack.k_gain, decoders=self.stack)
 
 
+def certainty_equivalent_dare(estimates: SysIdEstimates, r: np.ndarray) -> DareSolution:
+    """solve_dare on the identified system; .k is the learned gain. q_hat is symmetrized,
+    PSD-projected and lifted by Q_REG_EPS I below that eigenvalue. solve_dare rounds by
+    memory layout, so a_hat and b_hat enter in phase 2's Fortran order, as loaded copies do."""
+    q_hat = psd_project((estimates.q_hat + estimates.q_hat.T) / 2.0)
+    if np.min(np.linalg.eigvalsh(q_hat)) < Q_REG_EPS:
+        q_hat = q_hat + Q_REG_EPS * np.eye(q_hat.shape[0])
+    return solve_dare(np.asfortranarray(estimates.a_hat), np.asfortranarray(estimates.b_hat),
+                      q_hat, r)
+
+
 def compute_policy(spec: SystemSpec, emission: EmissionModel, estimates: SysIdEstimates,
                    decoder_class: DecoderClass, config: Phase3Config, seed: int
                    ) -> LearnedPolicy:
@@ -374,10 +398,7 @@ def compute_policy(spec: SystemSpec, emission: EmissionModel, estimates: SysIdEs
     and reads f_t and its clip masks from its own roll-in, so the learning
     clip counts count every on-policy trajectory once per decoder step.
     """
-    q_hat = psd_project((estimates.q_hat + estimates.q_hat.T) / 2.0)
-    if np.min(np.linalg.eigvalsh(q_hat)) < Q_REG_EPS:
-        q_hat = q_hat + Q_REG_EPS * np.eye(q_hat.shape[0])
-    sol = solve_dare(estimates.a_hat, estimates.b_hat, q_hat, spec.r)
+    sol = certainty_equivalent_dare(estimates, spec.r)
     shaping = build_noise_shaping(estimates.a_hat, estimates.b_hat,
                                   estimates.sigma_w_hat, config.sigma, config.kappa)
     b_bar = config.b_bar if config.b_bar is not None else default_clip_radius(

@@ -17,7 +17,8 @@ import numpy as np
 from .errors import ValidationError
 from .phase1 import Phase1Output
 from .phase2 import SysIdEstimates
-from .phase3 import DecoderStack, InitialStatePieces, LearnedPolicy
+from .phase3 import (DecoderStack, InitialStatePieces, LearnedPolicy,
+                     certainty_equivalent_dare, initial_gain)
 from .regression import DecoderClass, FittedRegressor
 from .system import SystemSpec
 
@@ -163,13 +164,11 @@ def save_policy(outdir: Path, learned: LearnedPolicy) -> None:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     stack = learned.stack
-    save_matrix(outdir / "k_gain.csv", stack.k_gain)
     for t, reg in enumerate(stack.residual_regressors):
         save_regressor(outdir / f"h_{t}.csv", reg)
     save_regressor(outdir / "init_h_ol1.csv", stack.initial.h_ol1)
     save_regressor(outdir / "init_h_ol0.csv", stack.initial.h_ol0)
     save_matrix(outdir / "init_sigma_cov.csv", stack.initial.sigma_cov)
-    save_matrix(outdir / "init_gain.csv", stack.initial.gain)
     save_key_values(outdir / "meta.csv", [
         ("sigma", float(learned.sigma)),
         ("b_bar", float(stack.b_bar)),
@@ -182,7 +181,9 @@ def load_policy(outdir: Path, decoder_class: DecoderClass, spec: SystemSpec,
                 estimates: SysIdEstimates) -> LearnedPolicy:
     """The saved policy, acting on the identified system of estimates (see load_sysid);
     every matrix must have the shape spec's d_x and d_u imply, and its meta.csv
-    values must be ones a run can produce."""
+    values must be ones a run can produce. The gain K and the initial-state gain
+    are not saved: phase 3's certainty_equivalent_dare and initial_gain rebuild
+    them from estimates and init_sigma_cov.csv, raising as they do in phase 3."""
     outdir = Path(outdir)
     meta = load_key_values(outdir / "meta.csv", {"sigma": float, "b_bar": float,
                                                  "t_horizon": int, "trajectories_used": int})
@@ -191,17 +192,18 @@ def load_policy(outdir: Path, decoder_class: DecoderClass, spec: SystemSpec,
         raise ValidationError(f"{outdir / 'meta.csv'}: needs sigma in (0, 1], a finite "
                               "b_bar > 0 and trajectories_used >= 0")
     square = (spec.d_x, spec.d_x)
-    stack = DecoderStack(a_hat=estimates.a_hat, b_hat=estimates.b_hat,
-                         k_gain=load_matrix(outdir / "k_gain.csv", (spec.d_u, spec.d_x)),
-                         b_bar=meta["b_bar"])
-    for t in range(meta["t_horizon"]):
-        stack.residual_regressors.append(
-            load_regressor(outdir / f"h_{t}.csv", decoder_class, square))
-    stack.initial = InitialStatePieces(
-        h_ol1=load_regressor(outdir / "init_h_ol1.csv", decoder_class, square),
-        sigma_cov=load_matrix(outdir / "init_sigma_cov.csv", square),
-        h_ol0=load_regressor(outdir / "init_h_ol0.csv", decoder_class, square),
-        gain=load_matrix(outdir / "init_gain.csv", square))
+    residual_regressors = [load_regressor(outdir / f"h_{t}.csv", decoder_class, square)
+                           for t in range(meta["t_horizon"])]
+    h_ol1 = load_regressor(outdir / "init_h_ol1.csv", decoder_class, square)
+    h_ol0 = load_regressor(outdir / "init_h_ol0.csv", decoder_class, square)
+    sigma_cov = load_matrix(outdir / "init_sigma_cov.csv", square)
+    if not np.array_equal(sigma_cov, sigma_cov.T):
+        raise ValidationError(f"{outdir / 'init_sigma_cov.csv'}: not symmetric")
+    dare = certainty_equivalent_dare(estimates, spec.r)
+    stack = DecoderStack(a_hat=estimates.a_hat, b_hat=estimates.b_hat, k_gain=dare.k,
+                         b_bar=meta["b_bar"], residual_regressors=residual_regressors)
+    stack.initial = InitialStatePieces(h_ol1=h_ol1, sigma_cov=sigma_cov, h_ol0=h_ol0,
+                                       gain=initial_gain(estimates.sigma_w_hat, sigma_cov))
     return LearnedPolicy(stack=stack, sigma=meta["sigma"],
                          trajectories_used=meta["trajectories_used"])
 

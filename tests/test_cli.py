@@ -41,6 +41,13 @@ def set_first_entry(path: Path, line: int, value: str) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def scale_first_entry(path: Path, factor: float) -> None:
+    """Multiply entry [0, 0] of a saved matrix or regressor by factor."""
+    lines = path.read_text().splitlines()
+    line = 2 if lines[0].startswith("candidate,") else 1
+    set_first_entry(path, line, repr(factor * float(lines[line].split(",")[0])))
+
+
 def append_last_row(path: Path) -> None:
     """Append a copy of the last line of a saved matrix or regressor."""
     text = path.read_text()
@@ -137,7 +144,8 @@ class TestExitCodes:
         (lambda policy: (policy / "meta.csv").write_text(re.sub(
             r"^sigma,.*$", "sigma,abc", (policy / "meta.csv").read_text(), flags=re.M)),
          "meta.csv"),
-        (lambda policy: (policy / "k_gain.csv").write_text("1,1\n0.5\n"), "k_gain.csv"),
+        (lambda policy: (policy / "init_sigma_cov.csv").write_text("1,1\n0.5\n"),
+         "init_sigma_cov.csv"),
         (lambda policy: set_candidate(policy / "h_1.csv", -1), "h_1.csv"),
         (lambda policy: set_candidate(policy / "h_1.csv", 99), "h_1.csv"),
         (lambda policy: (policy / "init_h_ol1.csv").unlink(), "init_h_ol1.csv"),
@@ -150,15 +158,20 @@ class TestExitCodes:
         (lambda policy: set_meta(policy / "meta.csv", "sigma", "5"), "meta.csv"),
         (lambda policy: set_meta(policy / "meta.csv", "trajectories_used", "-7"), "meta.csv"),
         # line 0 of a matrix is its "rows,cols" header; a regressor has a
-        # "candidate,<index>" line before that
-        (lambda policy: set_first_entry(policy / "k_gain.csv", 1, "nan"), "k_gain.csv"),
+        # "candidate,<index>" line before that. The initial-state gain is not
+        # saved; init_sigma_cov.csv is the input it is rebuilt from
+        (lambda policy: set_first_entry(policy / "init_sigma_cov.csv", 1, "nan"),
+         "init_sigma_cov.csv"),
         (lambda policy: set_first_entry(policy / "h_0.csv", 2, "inf"), "h_0.csv"),
         (lambda policy: append_last_row(policy / "h_0.csv"), "h_0.csv"),
+        (lambda policy: set_first_entry(policy / "init_sigma_cov.csv", 2, "12345"),
+         "init_sigma_cov.csv"),
     ], ids=["garbled-regressor", "missing-meta", "unparsable-sigma", "one-by-one-gain",
             "negative-candidate", "candidate-out-of-range", "missing-initial-state",
             "repeated-sigma", "nan-clip-radius", "negative-clip-radius",
             "infinite-clip-radius", "zero-sigma", "sigma-above-one",
-            "negative-trajectories-used", "nan-gain", "infinite-regressor", "extra-row"])
+            "negative-trajectories-used", "nan-gain", "infinite-regressor", "extra-row",
+            "asymmetric-initial-covariance"])
     def test_damaged_saved_policy_for_eval_is_2(self, tmp_path, capsys, monkeypatch,
                                                 damage, named):
         import latentlqr.system as system
@@ -218,11 +231,16 @@ class TestExitCodes:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_saved_policy_is_3(self, tmp_path, capsys):
-        # 1e300 is finite, so the loader takes it; the costs it drives overflow
+        # a clip radius of 1e300 and a first-row entry of 1e150 in h_1 are finite,
+        # so the loader takes them. h_1 defines the last decoder, f_2 of T = 2, so
+        # its values overflow the costs they drive and no later observation; an
+        # earlier decoder would overflow the observations, and the next decoder
+        # value would be nan
         cfg = write_config(tmp_path / "run.cfg", instance="di-cubic-lift")
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
-        set_first_entry(out / "policy" / "k_gain.csv", 1, "1e300")
+        set_meta(out / "policy" / "meta.csv", "b_bar", "1e300")
+        set_first_entry(out / "policy" / "h_1.csv", 2, "1e150")
         assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 3
         assert "non-finite j_learned" in capsys.readouterr().err
         assert not (out / "eval_report.csv").exists()
@@ -244,7 +262,7 @@ class TestExitCodes:
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 3
         assert "stage=evaluate" in capsys.readouterr().err
-        assert (out / "policy" / "k_gain.csv").exists()
+        assert (out / "policy" / "h_0.csv").exists()
         assert not (out / "report.csv").exists()
 
     @pytest.mark.parametrize("command", ["pipeline", "phase1", "phase2", "phase3", "eval"])
@@ -252,6 +270,18 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "bad.cfg", seed=None)
         out = tmp_path / "o"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, named", [
+        (dict(kappa0_override=-1), "kappa0 override"),
+        (dict(gamma_star=0.99999, kappa0_override=None), "burn-in"),
+    ], ids=["negative-kappa0-override", "burn-in-above-cap"])
+    def test_refused_burn_in_creates_no_out(self, tmp_path, capsys, overrides, named):
+        # the burn-in is a function of the config, refused with it
+        cfg = write_config(tmp_path / "bad.cfg", **overrides)
+        out = tmp_path / "o"
+        assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
     def test_eval_creates_no_out(self, tmp_path, capsys):
@@ -452,12 +482,12 @@ MUTATIONS = {
     "directory": _replace_by_directory,
 }
 
-# What a di-cubic-lift run with t_horizon = 2 saves, and cli eval reads.
+# What a di-cubic-lift run with t_horizon = 2 saves, and cli eval loads.
 SAVED_FILES = sorted(
     [f"phase1/{n}.csv" for n in ("h_id", "v_id", "meta")]
     + [f"sysid/{n}.csv" for n in ("a_hat", "b_hat", "sigma_w_hat", "q_hat")]
-    + [f"policy/{n}.csv" for n in ("k_gain", "h_0", "h_1", "init_h_ol1", "init_h_ol0",
-                                   "init_sigma_cov", "init_gain", "meta")])
+    + [f"policy/{n}.csv" for n in ("h_0", "h_1", "init_h_ol1", "init_h_ol0",
+                                   "init_sigma_cov", "meta")])
 
 
 @pytest.fixture(scope="module")
@@ -506,6 +536,115 @@ class TestSavedModelBoundary:
                     assert all(math.isfinite(float(r.split(",")[1])) for r in rows)
             else:
                 assert not (out / "eval_report.csv").exists()
+
+
+def copy_of(model: Path, tmp_path: Path) -> Path:
+    """A copy of a saved model's folders under tmp_path."""
+    shutil.copytree(model, tmp_path / "run")
+    return tmp_path / "run"
+
+
+class TestSavedModelIsRead:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_eval_reads_every_loaded_matrix_but_init_h_ol1(self, tiny_saved_model, tmp_path):
+        """Scaling entry [0, 0] of a saved matrix or regressor by 1.5 changes what eval
+        writes, or makes it exit 3, for every file but init_h_ol1.csv: phase 3 fit
+        init_h_ol0.csv and init_sigma_cov.csv from it, and eval reads those."""
+        cfg, model = tiny_saved_model
+        unread = []
+        for rel in SAVED_FILES:
+            if rel.endswith("meta.csv"):
+                continue
+            out = copy_of(model, tmp_path / rel.replace("/", "-"))
+            scale_first_entry(out / rel, 1.5)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(["eval", "--config", str(cfg), "--out", str(out)])
+            assert code in (0, 3), rel
+            if code == 0 and all((out / f"eval_{name}").read_bytes() == (out / name).read_bytes()
+                                 for name in ("report.csv", "decoder_errors.csv")):
+                unread.append(rel)
+        assert unread == ["policy/init_h_ol1.csv"]
+
+    def test_singular_riccati_step_on_saved_sysid_is_3(self, tiny_saved_model, tmp_path,
+                                                        capsys):
+        # eval solves the Riccati equation on the saved a_hat; 1e10 at [0, 0] makes
+        # R + B'PB singular in floating point
+        cfg, model = tiny_saved_model
+        out = copy_of(model, tmp_path)
+        set_first_entry(out / "sysid" / "a_hat.csv", 1, "1e10")
+        assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "DARE iteration went singular" in capsys.readouterr().err
+        assert not (out / "eval_report.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_decoder_value_is_3(self, tiny_saved_model, tmp_path, capsys):
+        # the first row of h_0 reads 1e308 and -1e308: f_1 sums inf and -inf
+        cfg, model = tiny_saved_model
+        out = copy_of(model, tmp_path)
+        lines = (out / "policy" / "h_0.csv").read_text().splitlines()
+        lines[2] = "1e308,-1e308"
+        (out / "policy" / "h_0.csv").write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "decoder value at t=1 is not a number" in capsys.readouterr().err
+        assert not (out / "eval_report.csv").exists()
+
+
+# Raw values a perturbed config key may take, by the key's kind; None drops the key.
+CONFIG_VALUES = {
+    "int": ["-1", "0", "1", "2", "3", "7", "2.5", "1e4", "abc"],
+    "float": ["nan", "inf", "-1", "0", "1e-12", "0.05", "0.5", "1", "3", "1e150", "1e300",
+              "abc"],
+    "instance": ["scalar-identity", "di-cubic-lift", "stable2x1-lift5", "nope"],
+    "stability_witness": ["lyapunov", "value", "nope"],
+    "export_trajectories": ["true", "false", "yes"],
+}
+CONFIG_KEYS = {**{k: "int" for k in ("n_id", "n_op", "n_init", "t_horizon", "kappa",
+                                     "kappa0_override", "n_eval", "seed", "eval_seed",
+                                     "metric_rollouts")},
+               **{k: "float" for k in ("sigma", "epsilon", "b_bar", "psi_star", "alpha_star",
+                                       "gamma_star", "r_id", "r_op")},
+               **{k: k for k in ("instance", "stability_witness", "export_trajectories")}}
+SMALL_STABLE = dict(instance="stable2x1-lift5", metric_rollouts=50)
+
+
+def perturbations():
+    """1-3 keys of the config, each dropped or set to a value of its kind."""
+    return st.lists(st.sampled_from(sorted(CONFIG_KEYS)), min_size=1, max_size=3,
+                    unique=True).flatmap(lambda keys: st.fixed_dictionaries(
+                        {k: st.sampled_from([None] + CONFIG_VALUES[CONFIG_KEYS[k]])
+                         for k in keys}))
+
+
+class TestConfigBoundary:
+    # 40 pipelines of a small stable2x1-lift5 config take about 0.6 s on a 2-core VM,
+    # most of them refused before phase 1; a perturbed but valid config may
+    # overflow, which numpy warns about
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(perturbation=perturbations())
+    def test_perturbed_config_exits_0_2_or_3(self, perturbation):
+        """A config with 1-3 keys dropped or changed gives exit 0, exit 3, or exit 2
+        before anything is simulated and with no --out created."""
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp) / "run.cfg", **{**SMALL_STABLE, **perturbation})
+            out = Path(tmp) / "run"
+            drives = []
+            drive = system._drive
+
+            def counting_drive(*args):
+                drives.append(1)
+                return drive(*args)
+
+            err = io.StringIO()
+            with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                mp.setattr(system, "_drive", counting_drive)
+                code = main(["pipeline", "--config", str(cfg), "--out", str(out)])
+            assert code in (0, 2, 3), err.getvalue()
+            if code == 2:
+                assert not out.exists(), err.getvalue()
+                assert not drives, err.getvalue()
 
 
 class TestDeterminism:

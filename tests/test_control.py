@@ -184,6 +184,12 @@ class TestDare:
         with pytest.raises(ConvergenceError, match="non-finite at iteration 1"):
             solve_dare(a, spec.b, spec.q, spec.r)
 
+    def test_singular_riccati_step_raises(self):
+        # A[0,0] = 1e10 drives P so large that R + B'PB is singular in floating point
+        with pytest.raises(ConvergenceError, match="went singular at iteration 3"):
+            solve_dare([[1e10, 0.2], [0.0, 0.45]], [[0.9, 0.1], [0.0, 0.9]],
+                       np.eye(2), np.eye(2))
+
 
 class TestControllability:
     def test_double_integrator(self):

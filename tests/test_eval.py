@@ -327,7 +327,7 @@ class TestPipeline:
     def test_artifacts_written(self, tmp_path):
         run_pipeline(self._config(), outdir=tmp_path)
         for rel in ("report.csv", "decoder_errors.csv", "phase1/h_id.csv",
-                    "phase1/v_id.csv", "sysid/a_hat.csv", "policy/k_gain.csv",
+                    "phase1/v_id.csv", "sysid/a_hat.csv", "policy/init_sigma_cov.csv",
                     "policy/h_0.csv", "policy/init_h_ol1.csv", "policy/meta.csv"):
             assert (tmp_path / rel).exists(), rel
 

@@ -8,6 +8,7 @@ from latentlqr import (Phase3Config, SystemSpec, SysIdEstimates, ValidationError
                        make_benchmark_instance, rollout, rollout_columns, solve_dare)
 from latentlqr import phase3
 from latentlqr.control import controllability_matrix, rowmap
+from latentlqr.errors import IllConditionedCovarianceError, NumericalError
 from latentlqr.phase3 import DecoderStack, InitialStatePieces, default_clip_radius
 from latentlqr.regression import (DecoderClass, FittedRegressor, StructuredClass,
                                   erm_fit_increment)
@@ -33,6 +34,17 @@ class TestNoiseShaping:
     def test_scalar_direct(self):
         shap = build_noise_shaping([[0.0]], [[1.0]], [[1.0]], sigma=1.0, kappa=1)
         assert abs(shap.m_k[0][0, 0] - 0.5) < 1e-12
+
+    def test_singular_inverse_raises(self):
+        # estimates of a stable2x1-lift5 run with n_id = 3: sigma_w_hat is positive
+        # definite, but of order 1e-19, and the solve at k = 1 finds it singular
+        a = [[-0.21282142866637849, -3.4828912154481992],
+             [0.26240121500141844, 1.2725288646717661]]
+        b = [[1.4135692388767893], [0.097963346865993756]]
+        sigma_w = [[7.1549915424857018e-19, -2.8242940237257592e-19],
+                   [-2.8242940237257592e-19, 1.1183751126070428e-19]]
+        with pytest.raises(NumericalError, match="shaping inverse at k = 1 is singular"):
+            build_noise_shaping(a, b, sigma_w, sigma=0.3, kappa=2)
 
     def test_scalar_limit(self):
         shap = build_noise_shaping([[0.0]], [[1.0]], [[1.0]], sigma=1e-4, kappa=1)
@@ -165,6 +177,20 @@ class TestDecoderStack:
         assert np.array_equal(zeroed, np.zeros((2, 1)))
         assert clipped.dtype == bool and int(clipped.sum()) == 2
         assert stack.step(state, 2, y1)[1] is None  # beyond the learned depth
+
+    def test_nan_value_raises_and_infinite_value_is_a_clip(self):
+        # with h = f_star, A-hat = 0.5 and y_0 = 0, f_1 is y_1: an infinite norm
+        # exceeds b_bar, a nan norm is not a clip
+        spec, emission, cls, est = scalar_pieces()
+        stack = stack_for(spec, est, b_bar=5.0)
+        decoder_update(FittedRegressor(candidate_index=0, m=np.eye(1), empirical_loss=0.0,
+                                       decoder_class=truth_only(cls)), stack)
+        _, _, state = stack.step(stack.begin(2), 0, np.zeros((2, 1)))
+        value, clipped, _ = stack.step(state, 1, np.array([[np.inf], [1.0]]))
+        assert clipped.tolist() == [True, False]
+        assert np.array_equal(value, [[0.0], [1.0]])
+        with pytest.raises(NumericalError, match="decoder value at t=1 is not a number"):
+            stack.step(state, 1, np.array([[np.nan], [1.0]]))
 
     def test_depth_zero_beyond_stack(self):
         spec, emission, cls, est = scalar_pieces()
@@ -369,6 +395,31 @@ class TestInitialState:
                                      est, cfg, truth_only(cls))
         fa0 = pieces.f_a0(cols["obs"][0])
         assert float(np.mean(fa0**2)) <= 0.05
+
+
+class TestSharedDerivations:
+    """The gain and the initial-state gain that load_policy rebuilds from saved files."""
+
+    def test_dare_gives_the_same_bits_in_either_memory_layout(self):
+        # estimates of a stable2x1-lift5 run (desk sizes, seed 2); phase 2 gives a_hat
+        # in Fortran order, and the C-ordered copy a loader reads rounds K apart in
+        # its last bit unless the function fixes the layout
+        a = np.array([[0.57625197100150338, -0.83780250267946887],
+                      [0.10921198821221206, 0.62038185756893438]])
+        est = dict(b_hat=[[0.3943760028399691], [-0.019042855715578438]],
+                   sigma_w_hat=np.eye(2), q_hat=[[7.9182400216001856, 1.5075377851667182],
+                                                 [1.5075377851667182, 58.946531946677617]])
+        gains = [phase3.certainty_equivalent_dare(SysIdEstimates(a_hat=layout(a), **est),
+                                                  np.eye(1)).k
+                 for layout in (np.ascontiguousarray, np.asfortranarray)]
+        assert gains[0].tobytes() == gains[1].tobytes()
+
+    def test_initial_gain_guards_the_covariance(self):
+        sigma_w = np.array([[2.0, 0.5], [0.5, 1.0]])
+        gain = phase3.initial_gain(sigma_w, np.diag([4.0, 0.5]))
+        assert np.allclose(gain, sigma_w @ np.diag([0.25, 2.0]), rtol=0, atol=1e-15)
+        with pytest.raises(IllConditionedCovarianceError, match="below the 1e-08 guard"):
+            phase3.initial_gain(sigma_w, np.diag([4.0, 1e-9]))
 
 
 def shaping_for(est, sigma=1.0, kappa=1):
