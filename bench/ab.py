@@ -11,6 +11,18 @@ seeds, the change on even ones. Then one --trace 1 pair per workload runs at
 the first seed (trace-parent.jsonl, trace-change.jsonl), and the change
 tree's perfbench/compare.py prints both comparisons.
 
+Two more readings follow. For each workload, the seeds on which both trees'
+report_sha256 match are counted: equal on every seed is the evidence that a
+refactor leaves report.csv byte-identical. Then an interleaved set-up A/B
+runs in this process, which has imported no package code before it: after
+one untimed warm-up of each tree, SETUP_PAIRS pairs alternate the trees'
+`import latentlqr` + `make_benchmark_instance` + `parameter_bounds` on the
+first workload's instance, in the order sides() gives, and the medians,
+quartiles and the change's win count are printed. Fresh-process set-up
+timings drift with the host by more than a change of set-up code moves
+them; pairs taken back to back in one process share that drift. Both
+readings go to OUTDIR/summary.json.
+
 OUTDIR/runner.json records whether PYTHONDONTWRITEBYTECODE was set, since
 bytecode compilation is about half of setup_s when it is. The exit code is
 1 if any invocation failed, and 2 if OUTDIR already holds records.
@@ -25,13 +37,17 @@ changed.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
+import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 RECORDS = ("parent.jsonl", "change.jsonl", "trace-parent.jsonl", "trace-change.jsonl")
+SETUP_PAIRS = 100
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -63,6 +79,68 @@ def run_one(tree: Path, workload: str, seed: int, seconds: float, trace: int,
     if proc.returncode != 0:
         print(proc.stderr, file=sys.stderr, flush=True)
     return proc.returncode == 0
+
+
+def equal_reports(out: Path, workloads: list[str]) -> dict:
+    """{workload: [seeds whose two report_sha256 values match, seeds run by both]}."""
+    shas = {}
+    for side in ("parent", "change"):
+        path = out / f"{side}.jsonl"
+        for line in (path.read_text().splitlines() if path.exists() else []):
+            record = json.loads(line)
+            shas.setdefault((record["workload"], record["seed"]), {})[side] = \
+                record["report_sha256"]
+    counts = {w: [0, 0] for w in workloads}
+    for (workload, _), pair in shas.items():
+        if len(pair) == 2:
+            counts[workload][1] += 1
+            counts[workload][0] += pair["parent"] is not None and pair["parent"] == pair["change"]
+    return counts
+
+
+def workload_instance(tree: Path, workload: str) -> tuple[str, str]:
+    """(instance, stability_witness) of a perfbench workload config."""
+    values = {"stability_witness": "lyapunov"}
+    for line in (tree / "perfbench" / "workloads" / f"{workload}.cfg").read_text().splitlines():
+        key, _, value = line.split("#", 1)[0].partition("=")
+        values[key.strip()] = value.strip()
+    return values["instance"], values["stability_witness"]
+
+
+def setup_once(tree: Path, instance: str, witness: str) -> float:
+    """Seconds to import latentlqr afresh from tree's src/, build the instance
+    and its parameter bounds, as perfbench's setup_s times them."""
+    src = str(tree / "src")
+    for name in [n for n in sys.modules if n == "latentlqr" or n.startswith("latentlqr.")]:
+        del sys.modules[name]
+    sys.path.insert(0, src)
+    try:
+        started = time.perf_counter()
+        lq = importlib.import_module("latentlqr")
+        spec, _, _ = lq.make_benchmark_instance(instance)
+        lq.parameter_bounds(spec, witness=witness)
+        elapsed = time.perf_counter() - started
+    finally:
+        sys.path.remove(src)
+    if not Path(lq.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"imported latentlqr from {lq.__file__}, not from {src}")
+    return elapsed
+
+
+def setup_ab(trees: dict, instance: str, witness: str) -> dict:
+    """Interleaved set-up timings of both trees after one untimed warm-up of each."""
+    for tree in trees.values():
+        setup_once(tree, instance, witness)
+    times = {"parent": [], "change": []}
+    for i in range(1, SETUP_PAIRS + 1):
+        for side in sides(i):
+            times[side].append(setup_once(trees[side], instance, witness))
+    summary = {side: {"median_s": statistics.median(t),
+                      "quartiles_s": statistics.quantiles(t, n=4)[::2]}
+               for side, t in times.items()}
+    wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
+    return {"instance": instance, "pairs": SETUP_PAIRS, "change_faster": wins, **summary,
+            "times_s": times}
 
 
 def main(argv=None) -> int:
@@ -102,6 +180,19 @@ def main(argv=None) -> int:
                                   str(out / f"{prefix}parent.jsonl"),
                                   str(out / f"{prefix}change.jsonl")], cwd=trees["change"])
         ok &= compare.returncode == 0
+
+    counts = equal_reports(out, workloads)
+    for workload, (equal, total) in counts.items():
+        print(f"report.csv bytes: {workload:13s} equal on {equal}/{total} seeds")
+    setup = setup_ab(trees, *workload_instance(trees["change"], workloads[0]))
+    print(f"set-up A/B ({setup['instance']}, {setup['pairs']} interleaved pairs, one process):")
+    for side in ("parent", "change"):
+        q1, q3 = setup[side]["quartiles_s"]
+        print(f"  {side:6s} median {setup[side]['median_s']:.4f} s  "
+              f"quartiles {q1:.4f}-{q3:.4f} s")
+    print(f"  change faster in {setup['change_faster']}/{setup['pairs']} pairs")
+    (out / "summary.json").write_text(json.dumps(
+        {"report_sha256_equal": counts, "setup_ab": setup}, indent=1) + "\n")
     return 0 if ok else 1
 
 

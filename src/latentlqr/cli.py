@@ -55,9 +55,14 @@ def _load(args) -> tuple:
 
 
 def _require_out(args) -> Path:
+    """--out, refused if it, or else its nearest existing ancestor or link, is not a directory."""
     if args.out is None:
         raise ValidationError("--out is required for this command")
-    return Path(args.out)
+    out = Path(args.out)
+    existing = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
+    if not existing.is_dir():
+        raise ValidationError(f"--out {out}: {existing} is not a directory")
+    return out
 
 
 def _cmd_simulate(args) -> None:

@@ -12,7 +12,7 @@ exact state marginal there and simulates only the steps its batch reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,8 @@ KAPPA0_CAP = 10_000
 
 @dataclass(frozen=True)
 class Phase1Config:
-    """Sample size, controllability bound, and the parameter upper bounds."""
+    """Sample size, controllability bound, and the parameter upper bounds; the window
+    kappa0..kappa1 is resolved once here, kappa0 by burn_in_kappa0."""
 
     n_id: int
     kappa: int
@@ -40,6 +41,8 @@ class Phase1Config:
     d_u: int
     r_id: float | None = None
     kappa0_override: int | None = None
+    kappa0: int = field(init=False)
+    kappa1: int = field(init=False)
 
     def __post_init__(self):
         if self.n_id < self.d_u * self.kappa:
@@ -55,7 +58,8 @@ class Phase1Config:
                                   f"span d_x = {self.d_x} states")
         if self.r_id is not None and self.r_id <= 0:
             raise ValidationError("r_id must be > 0")
-        burn_in_kappa0(self)  # a negative override or an infeasible burn-in is refused here
+        object.__setattr__(self, "kappa0", burn_in_kappa0(self))  # a bad burn-in raises here
+        object.__setattr__(self, "kappa1", self.kappa0 + self.kappa)
 
     @property
     def radius(self) -> float:
@@ -114,8 +118,6 @@ class IdData:
     batch1: IdBatch
     batch2: IdBatch
     batch3: IdBatch
-    kappa0: int
-    kappa1: int
 
 
 def collect_id_data(spec: SystemSpec, emission: EmissionModel, config: Phase1Config,
@@ -130,10 +132,9 @@ def collect_id_data(spec: SystemSpec, emission: EmissionModel, config: Phase1Con
     window v; batch 2 (the PCA) draws y_k1 and takes no step; batch 3 (system
     identification) takes the one step from kappa_1 for y_k1, y_k1+1, u_k1 and
     c_k1. Rollout k reads seed derive_seed(seed, k), so the batches are
-    independent.
+    independent. The window kappa_0..kappa_1 is config's.
     """
-    kappa0 = burn_in_kappa0(config)
-    kappa1 = kappa0 + config.kappa
+    kappa0, kappa1 = config.kappa0, config.kappa1
 
     def columns(k, start, horizon, **times):
         return rollout_columns(spec, emission, PolicyDef(sigma=1.0), horizon, config.n_id,
@@ -148,7 +149,7 @@ def collect_id_data(spec: SystemSpec, emission: EmissionModel, config: Phase1Con
                     costs=(kappa1,))
     batch3 = IdBatch(y_now=third["obs"][kappa1], y_next=third["obs"][kappa1 + 1],
                      u_now=third["inputs"][kappa1], cost_now=third["costs"][kappa1])
-    return IdData(batch1, batch2, batch3, kappa0=kappa0, kappa1=kappa1)
+    return IdData(batch1, batch2, batch3)
 
 
 @dataclass
@@ -181,7 +182,7 @@ def fit_coarse_decoder(batch1: IdBatch, batch2: IdBatch, decoder_class: DecoderC
 
     batch1 fits h_id over {M f : ||M||_op <= r_id}; batch2 estimates the
     second-moment matrix of h_id's outputs, whose top-d_x eigenvectors give
-    the reduction V_id. A degenerate eigen-gap raises with diagnostics.
+    the reduction V_id; the window is config's. A degenerate eigen-gap raises with diagnostics.
     """
     klass = StructuredClass(base=decoder_class, output_dim=config.kappa * config.d_u,
                             radius=config.radius)
@@ -201,9 +202,8 @@ def fit_coarse_decoder(batch1: IdBatch, batch2: IdBatch, decoder_class: DecoderC
                 f"eigen-gap {gap:.3e} below {EIGENGAP_TOL:.0e}; "
                 f"spectrum: {np.array2string(eigvals, precision=3)}")
     v_id = _sign_convention(eigvecs[:, :d_x])
-    kappa0 = burn_in_kappa0(config)
-    return Phase1Output(h_id=h_id, v_id=v_id, kappa0=kappa0,
-                        kappa1=kappa0 + config.kappa, eigenvalues=eigvals)
+    return Phase1Output(h_id=h_id, v_id=v_id, kappa0=config.kappa0, kappa1=config.kappa1,
+                        eigenvalues=eigvals)
 
 
 def bayes_map(spec: SystemSpec, kappa: int, kappa1: int) -> np.ndarray:

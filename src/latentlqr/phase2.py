@@ -6,7 +6,7 @@ basis. Only the cost fit touches the revealed costs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -19,7 +19,7 @@ from .regression import fit_linear_map
 
 @dataclass
 class SysIdEstimates:
-    """Estimated system in the identified basis."""
+    """Estimated system in the identified basis; sysid/ holds one <field>.csv per field."""
 
     a_hat: np.ndarray
     b_hat: np.ndarray
@@ -27,11 +27,11 @@ class SysIdEstimates:
     q_hat: np.ndarray
 
     def __post_init__(self):
-        for name in ("a_hat", "b_hat", "sigma_w_hat", "q_hat"):
-            m = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+        for f in fields(self):
+            m = np.atleast_2d(np.asarray(getattr(self, f.name), dtype=float))
             if not np.all(np.isfinite(m)):
-                raise ValidationError(f"{name} contains non-finite entries")
-            setattr(self, name, m)
+                raise ValidationError(f"{f.name} contains non-finite entries")
+            setattr(self, f.name, m)
 
 
 def fit_dynamics(batch3: IdBatch, x_now: np.ndarray, x_next: np.ndarray

@@ -4,16 +4,17 @@ Configs are flat key = value text with explicit seeds; unknown keys are
 errors. The pipeline runs the three learning phases, evaluates the learned
 policy against the ground-truth benchmark with paired seeds, and writes
 report CSVs plus serialized models. Identical configs produce byte-identical
-reports. run_pipeline alone sequences the stages and can stop after any of
-them; evaluate_policy is its evaluate stage, also run on saved policies.
+reports at a fixed BLAS thread count (ROADMAP item 7). run_pipeline alone
+sequences the stages and can stop after any of them; evaluate_policy is its
+evaluate stage, also run on saved policies.
 """
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -29,14 +30,6 @@ from .phase3 import (Phase3Config, compute_policy, default_clip_radius, sigma_fr
 from .serialize import (export_trajectories_csv, save_phase1, save_policy, save_sysid,
                         write_decoder_errors_csv, write_report_csv)
 from .system import PolicyDef, rollout, rollout_columns
-
-_INT_KEYS = {"n_id", "n_op", "n_init", "t_horizon", "kappa", "kappa0_override",
-             "n_eval", "seed", "eval_seed", "metric_rollouts"}
-_FLOAT_KEYS = {"sigma", "epsilon", "b_bar", "psi_star", "alpha_star", "gamma_star",
-               "r_id", "r_op"}
-_STR_KEYS = {"instance", "stability_witness"}
-_BOOL_KEYS = {"export_trajectories"}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -65,7 +58,7 @@ class ExperimentConfig:
     stability_witness: str = "lyapunov"
 
     def __post_init__(self):
-        for name in sorted(_FLOAT_KEYS):
+        for name in sorted(k for k, kind in _KINDS.items() if kind is float):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite, got {value}")
@@ -83,8 +76,13 @@ class ExperimentConfig:
             raise ValidationError("sigma must lie in (0, 1]")
 
 
+# Each config key's kind, read off ExperimentConfig's annotations (Optional[X] as X).
+_KINDS = {k: (get_args(hint) or (hint,))[0] for k, hint in get_type_hints(ExperimentConfig).items()}
+
+
 def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
-    """Parse flat 'key = value' lines; '#' starts a comment; fail on unknown or repeated keys."""
+    """Parse flat 'key = value' lines; '#' starts a comment; fail on unknown or repeated keys.
+    The keys are ExperimentConfig's fields, of their _KINDS, required if without a default."""
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -97,16 +95,16 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         val = val.strip()
         if key in values:
             raise ValidationError(f"config line {lineno}: duplicate key {key!r}")
-        if key in _INT_KEYS or key in _FLOAT_KEYS:
-            kind = int if key in _INT_KEYS else float
+        kind = _KINDS.get(key)
+        if kind in (int, float):
             try:
                 values[key] = kind(val)
             except ValueError:
                 raise ValidationError(f"config line {lineno}: {key} = {val!r} is not "
                                       f"a valid {kind.__name__}") from None
-        elif key in _STR_KEYS:
+        elif kind is str:
             values[key] = val
-        elif key in _BOOL_KEYS:
+        elif kind is bool:
             if val.lower() not in ("true", "false"):
                 raise ValidationError(f"config line {lineno}: {key} must be true or false")
             values[key] = val.lower() == "true"
@@ -114,7 +112,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
             raise ValidationError(f"config line {lineno}: unknown key {key!r}")
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
-    required = {"instance", "n_id", "n_op", "t_horizon", "n_eval", "seed"}
+    required = {f.name for f in fields(ExperimentConfig) if f.default is MISSING}
     missing = sorted(required - values.keys())
     if missing:
         raise ValidationError(f"config is missing required keys: {', '.join(missing)}")
@@ -122,7 +120,12 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
 
 
 def load_config(path: Path, overrides: dict | None = None) -> ExperimentConfig:
-    return parse_config(Path(path).read_text(), overrides)
+    """parse_config of a file; one not readable as text is a ValidationError naming it."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8, ...
+        raise ValidationError(f"cannot read config {path}: {exc}") from None
+    return parse_config(text, overrides)
 
 
 # Stage names in run order; run_pipeline stops after the one it is given.

@@ -92,12 +92,15 @@ def fit_linear_map(inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
         raise ValidationError(f"sample counts differ: {x.shape[0]} inputs vs {y.shape[0]} targets")
     if x.shape[0] < 1:
         raise ValidationError("at least one sample required")
-    gram = x.T @ x + RIDGE * np.eye(x.shape[1])
+    return _ridge_solve(x.T @ x, x.T @ y).T
+
+
+def _ridge_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The solution of (gram + RIDGE I) v = rhs, the one solve of every fit."""
     try:
-        sol = np.linalg.solve(gram, x.T @ y)
+        return np.linalg.solve(gram + RIDGE * np.eye(gram.shape[0]), rhs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - ridge keeps this rare
         raise NumericalError("rank-deficient design despite ridge") from exc
-    return sol.T
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -133,10 +136,7 @@ def _erm(klass: StructuredClass, terms: list[tuple[np.ndarray, np.ndarray]],
         gram = sum(_kron(fj.T @ fk, lj.T @ lk)
                    for (lj, _), fj in zip(terms, feats) for (lk, _), fk in zip(terms, feats))
         rhs = sum(lj.T @ resid.T @ fj for (lj, _), fj in zip(terms, feats)).flatten(order="F")
-        try:
-            vec = np.linalg.solve(gram + RIDGE * np.eye(gram.shape[0]), rhs)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - ridge keeps this rare
-            raise NumericalError("rank-deficient design despite ridge") from exc
+        vec = _ridge_solve(gram, rhs)
         m, clamped = _opnorm_clamp(vec.reshape((m_out, -1), order="F"), klass.radius)
         if clamped:
             logger.info("operator-norm clamp active for candidate %d (radius %.3g)",

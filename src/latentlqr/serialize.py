@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,14 @@ def load_key_values(path: Path, kinds: dict) -> dict:
         return {key: kind(raw[key]) for key, kind in kinds.items()}
 
 
+def _write_table(path: Path, header: list, rows) -> None:
+    """A CSV file of the header row, then each of rows."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def export_trajectories_csv(path: Path, batch) -> None:
     """Rows (traj, t, x_*, y_*, u_*, c); the cost column is blank at t = 0."""
     d_x = batch.states.shape[2]
@@ -106,16 +115,11 @@ def export_trajectories_csv(path: Path, batch) -> None:
     d_u = batch.inputs.shape[2]
     header = (["traj", "t"] + [f"x_{i}" for i in range(d_x)]
               + [f"y_{i}" for i in range(d_y)] + [f"u_{i}" for i in range(d_u)] + ["c"])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(batch.n_traj):
-            for t in range(batch.horizon + 1):
-                row = ([i, t] + [_fmt(v) for v in batch.states[i, t]]
-                       + [_fmt(v) for v in batch.observations[i, t]]
-                       + [_fmt(v) for v in batch.inputs[i, t]]
-                       + ([_fmt(batch.costs[i, t])] if t >= 1 else [""]))
-                writer.writerow(row)
+    _write_table(path, header, ([i, t] + [_fmt(v) for v in batch.states[i, t]]
+                                + [_fmt(v) for v in batch.observations[i, t]]
+                                + [_fmt(v) for v in batch.inputs[i, t]]
+                                + ([_fmt(batch.costs[i, t])] if t >= 1 else [""])
+                                for i in range(batch.n_traj) for t in range(batch.horizon + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -143,21 +147,18 @@ def load_phase1(outdir: Path, decoder_class: DecoderClass, spec: SystemSpec) -> 
                         eigenvalues=np.array([]))
 
 
-_ESTIMATES = ("a_hat", "b_hat", "sigma_w_hat", "q_hat")
-
-
 def save_sysid(outdir: Path, est: SysIdEstimates) -> None:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name in _ESTIMATES:
-        save_matrix(outdir / f"{name}.csv", getattr(est, name))
+    for f in fields(est):
+        save_matrix(outdir / f"{f.name}.csv", getattr(est, f.name))
 
 
 def load_sysid(outdir: Path, spec: SystemSpec) -> SysIdEstimates:
     """The saved estimates; b_hat must be d_x x d_u and the other three d_x x d_x."""
     outdir = Path(outdir)
-    return SysIdEstimates(**{name: load_matrix(outdir / f"{name}.csv", (
-        spec.d_x, spec.d_u if name == "b_hat" else spec.d_x)) for name in _ESTIMATES})
+    return SysIdEstimates(**{f.name: load_matrix(outdir / f"{f.name}.csv", (
+        spec.d_x, spec.d_u if f.name == "b_hat" else spec.d_x)) for f in fields(SysIdEstimates)})
 
 
 def save_policy(outdir: Path, learned: LearnedPolicy) -> None:
@@ -210,19 +211,9 @@ def load_policy(outdir: Path, decoder_class: DecoderClass, spec: SystemSpec,
 
 def write_report_csv(path: Path, report) -> None:
     """One row per metric; schema (column set and order) is fixed."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        for name, value in report.rows():
-            if isinstance(value, float):
-                writer.writerow([name, _fmt(value)])
-            else:
-                writer.writerow([name, value])
+    _write_table(path, ["metric", "value"], ([name, _fmt(value) if isinstance(value, float)
+                                              else value] for name, value in report.rows()))
 
 
 def write_decoder_errors_csv(path: Path, errors: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "mse"])
-        for t, e in enumerate(errors, start=1):
-            writer.writerow([t, _fmt(e)])
+    _write_table(path, ["t", "mse"], ([t, _fmt(e)] for t, e in enumerate(errors, start=1)))

@@ -54,6 +54,34 @@ def append_last_row(path: Path) -> None:
     path.write_text(text + text.splitlines()[-1] + "\n")
 
 
+def make_config(tmp: Path, kind: str) -> Path:
+    """A --config path under tmp: a valid small config, one that is missing, a
+    directory, a file that is not UTF-8, or an empty file."""
+    path = tmp / "run.cfg"
+    if kind == "valid":
+        write_config(path)
+    elif kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf-8":
+        path.write_bytes(b"instance = scalar-identity\nseed = \xff\n")
+    elif kind == "empty":
+        path.write_text("")
+    return path
+
+
+def make_out(tmp: Path, kind: str) -> Path:
+    """An --out path under tmp: fresh, an existing directory, an existing file, a
+    path under a file, or a link to nothing."""
+    path = tmp / "o"
+    if kind == "directory":
+        path.mkdir()
+    elif kind in ("file", "under-a-file"):
+        path.write_text("not a directory\n")
+    elif kind == "dangling-link":
+        path.symlink_to(tmp / "nowhere")
+    return path / "o" if kind == "under-a-file" else path
+
+
 def files_under(root: Path) -> dict:
     """Relative path -> bytes of every file below root."""
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
@@ -283,6 +311,28 @@ class TestExitCodes:
         assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("config_kind, out_kind, named", [
+        ("missing", "fresh", "--config"), ("directory", "fresh", "--config"),
+        ("not-utf-8", "fresh", "--config"), ("valid", "file", "--out"),
+        ("valid", "under-a-file", "--out"), ("valid", "dangling-link", "--out"),
+    ], ids=["missing-config", "config-is-a-directory", "config-not-utf-8", "out-is-a-file",
+            "out-under-a-file", "out-is-a-dangling-link"])
+    def test_unusable_path_is_2(self, tmp_path, capsys, monkeypatch, config_kind, out_kind,
+                                named):
+        """A --config that cannot be read, or an --out that cannot be a directory, is
+        refused naming it, before anything is simulated or created."""
+        def no_simulation(*args):
+            raise AssertionError("simulated before the paths were checked")
+
+        monkeypatch.setattr(system, "_drive", no_simulation)
+        cfg, out = make_config(tmp_path, config_kind), make_out(tmp_path, out_kind)
+        before = files_under(tmp_path)
+        for command in ("pipeline", "simulate"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+            assert str(cfg if named == "--config" else out) in capsys.readouterr().err
+            assert files_under(tmp_path) == before and out.exists() == (out_kind == "file")
+            assert out.is_symlink() == (out_kind == "dangling-link")
 
     def test_eval_creates_no_out(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.cfg")
@@ -645,6 +695,45 @@ class TestConfigBoundary:
             if code == 2:
                 assert not out.exists(), err.getvalue()
                 assert not drives, err.getvalue()
+
+
+class TestFlagsBoundary:
+    # 200 commands take about 1 s on a 2-core VM: most are refused at once, and the
+    # few that run do a tiny scalar-identity pipeline or simulation
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(command=st.sampled_from(["pipeline", "phase1", "simulate", "eval"]),
+           config_kind=st.sampled_from(["valid", "missing", "directory", "not-utf-8", "empty"]),
+           out_kind=st.sampled_from(["fresh", "directory", "file", "under-a-file",
+                                     "dangling-link"]),
+           seed=st.sampled_from([None, "7", "-1"]),
+           instance=st.sampled_from([None, "scalar-identity", "nope"]))
+    def test_flags_exit_0_2_or_3(self, command, config_kind, out_kind, seed, instance):
+        """Any mix of usable and unusable --config, --out, --seed and --instance gives
+        exit 0, exit 3, or exit 2 before anything is simulated and with no new --out;
+        never an uncaught exception."""
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = make_config(Path(tmp), config_kind), make_out(Path(tmp), out_kind)
+            argv = [command, "--config", str(cfg), "--out", str(out)]
+            for flag, value in (("--seed", seed), ("--instance", instance)):
+                if value is not None:
+                    argv += [flag, value]
+            existed = out.exists()
+            drives = []
+            drive = system._drive
+
+            def counting_drive(*args):
+                drives.append(1)
+                return drive(*args)
+
+            err = io.StringIO()
+            with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                mp.setattr(system, "_drive", counting_drive)
+                code = main(argv)
+            assert code in (0, 2, 3), err.getvalue()
+            if code == 2:
+                assert not drives, err.getvalue()
+                assert out.exists() == existed, err.getvalue()
 
 
 class TestDeterminism:

@@ -13,7 +13,7 @@ from latentlqr import (ExperimentConfig, PolicyDef, SystemSpec, ValidationError,
                        align_decoder, estimate_cost, estimate_gap,
                        make_benchmark_instance, optimal_policy, parameter_bounds, parse_config,
                        rollout, rollout_columns, run_pipeline, solve_dare, solve_lyapunov)
-from latentlqr import pipeline, system
+from latentlqr import phase1, pipeline, system
 from latentlqr import rng as rngmod
 from latentlqr.benchmarks import CATALOG
 from latentlqr.evaluate import estimate_gap, mean_stderr, trajectory_costs
@@ -146,8 +146,7 @@ class TestAlignDecoder:
             align_decoder(truth, truth, self._obs())
 
 
-CONFIG_KEYS = sorted(pipeline._INT_KEYS | pipeline._FLOAT_KEYS | pipeline._STR_KEYS
-                     | pipeline._BOOL_KEYS) + ["bogus"]
+CONFIG_KEYS = sorted(pipeline._KINDS) + ["bogus"]
 TRICKY_VALUES = ["0", "1", "-1", "2", "0.5", "1e4", "1e100", "1e400", "-1e400", "nan",
                  "-nan", "inf", "-inf", "true", "false", "TRUE", "", "abc", "=", "#",
                  "1_000", "0x10", "9" * 5000, "scalar-identity"]
@@ -257,6 +256,20 @@ class TestPipeline:
         assert rep.trajectories_eval == 3 * 400 + 2000 + 400
         assert sum(simulated) == (rep.trajectories_phase12 + rep.trajectories_phase3
                                   + rep.trajectories_eval)
+
+    def test_burn_in_is_computed_once(self, monkeypatch):
+        """Phase1Config resolves kappa0; collection and the fit read it from there."""
+        calls = []
+        burn_in = phase1.burn_in_kappa0
+
+        def counting(config):
+            calls.append(config)
+            return burn_in(config)
+
+        monkeypatch.setattr(phase1, "burn_in_kappa0", counting)
+        report = run_pipeline(self._config()).report
+        assert len(calls) == 1
+        assert report.kappa0 == calls[0].kappa0 == 5 and report.kappa1 == calls[0].kappa1
 
     def test_phase1_columns_are_released(self, monkeypatch):
         """Batches 1 and 2 are let go once the coarse decoder is fit, batch 3

@@ -72,10 +72,10 @@ class TestBurnIn:
 KEPT = ({"y_now", "v"}, {"y_now"}, {"y_now", "y_next", "u_now", "cost_now"})
 
 
-def reference_columns(spec, emission, data, n_traj, seed):
+def reference_columns(spec, emission, cfg, n_traj, seed):
     """Each batch's own rollout of n_traj rows: batch k reads seed derive_seed(seed, k)
     and starts at kappa0, kappa1, kappa1; each records every column through kappa1 + 1."""
-    k0, k1 = data.kappa0, data.kappa1
+    k0, k1 = cfg.kappa0, cfg.kappa1
     return [rollout_columns(spec, emission, PolicyDef(sigma=1.0), horizon=k1 + 1,
                             n_traj=n_traj, base_seed=rngmod.derive_seed(seed, k),
                             obs=(k1, k1 + 1), inputs=tuple(range(start, k1 + 1)),
@@ -83,10 +83,10 @@ def reference_columns(spec, emission, data, n_traj, seed):
             for k, start in ((1, k0), (2, k1), (3, k1))]
 
 
-def assert_batches_are_own_rollouts(data, references, n):
+def assert_batches_are_own_rollouts(data, cfg, references, n):
     """Batch k keeps the first n rows of each column its fit reads from its own
     rollout, in an array of its own; every other field is None."""
-    k0, k1 = data.kappa0, data.kappa1
+    k0, k1 = cfg.kappa0, cfg.kappa1
     for k, (batch, kept, ref) in enumerate(zip((data.batch1, data.batch2, data.batch3),
                                                KEPT, references)):
         columns = {"y_now": ref["obs"][k1], "y_next": ref["obs"][k1 + 1],
@@ -107,11 +107,11 @@ class TestCollect:
         spec, emission, _ = make_benchmark_instance("scalar-identity")
         cfg = config(n_id=50, kappa=1, kappa0_override=3, d_x=1, d_u=1)
         data = collect_id_data(spec, emission, cfg, seed=0)
-        assert data.kappa0 == 3 and data.kappa1 == 4
+        assert cfg.kappa0 == 3 and cfg.kappa1 == 4
         assert data.batch1.v.shape == (50, 1)
         for batch in (data.batch1, data.batch2, data.batch3):
             assert batch.y_now.shape == (50, 1) and batch.n == 50
-        assert_batches_are_own_rollouts(data, reference_columns(spec, emission, data, 150, 0),
+        assert_batches_are_own_rollouts(data, cfg, reference_columns(spec, emission, cfg, 150, 0),
                                         50)
 
     def test_batches_are_rollouts_of_their_own(self):
@@ -120,15 +120,15 @@ class TestCollect:
             spec, emission, _ = make_benchmark_instance(name)
             cfg = config(n_id=20, kappa=kappa, kappa0_override=2, d_x=spec.d_x, d_u=spec.d_u)
             data = collect_id_data(spec, emission, cfg, seed=5)
-            k1 = data.kappa1
+            k1 = cfg.kappa1
             # rows do not depend on n: each batch is the head of a longer run of its stream
-            first, second, third = reference_columns(spec, emission, data, 60, 5)
+            first, second, third = reference_columns(spec, emission, cfg, 60, 5)
             assert np.array_equal(data.batch1.y_now, first["obs"][k1][:20])
             assert np.array_equal(data.batch2.y_now, second["obs"][k1][:20])
             assert np.array_equal(data.batch3.y_next, third["obs"][k1 + 1][:20])
             assert np.array_equal(data.batch3.cost_now, third["costs"][k1][:20])
             assert data.batch1.v.shape == (20, kappa * spec.d_u)
-            assert_batches_are_own_rollouts(data, (first, second, third), 20)
+            assert_batches_are_own_rollouts(data, cfg, (first, second, third), 20)
             # three independent streams, not three views of one
             assert not np.array_equal(data.batch1.y_now, data.batch2.y_now)
             assert not np.array_equal(data.batch2.y_now, data.batch3.y_now)
@@ -144,7 +144,7 @@ class TestCollect:
                            alpha_star=bounds.alpha_star, gamma_star=bounds.gamma_star,
                            d_x=spec.d_x, d_u=spec.d_u)
         data = collect_id_data(spec, emission, cfg, seed=9)
-        k0, k1, n = data.kappa0, data.kappa1, 3 * cfg.n_id
+        k0, k1, n = cfg.kappa0, cfg.kappa1, 3 * cfg.n_id
         assert k0 == burn_in_kappa0(cfg) > 30
         window = tuple(range(k0, k1 + 1))
         policy = PolicyDef(sigma=1.0)
@@ -175,7 +175,7 @@ class TestCollect:
         cfg = config(n_id=20_000, kappa=1, kappa0_override=1)
         data = collect_id_data(spec, emission, cfg, seed=4)
         target = open_loop_state_cov(spec.a, spec.b, spec.sigma_w, spec.sigma_0,
-                                     data.kappa1)[0, 0]
+                                     cfg.kappa1)[0, 0]
         stderr = math.sqrt(2 * target**2 / cfg.n_id)
         for batch in (data.batch1, data.batch2, data.batch3):
             assert abs(float(batch.y_now[:, 0] @ batch.y_now[:, 0]) / cfg.n_id - target) \
@@ -186,8 +186,8 @@ class TestCollect:
         cfg = config(n_id=34000, kappa=2, kappa0_override=0, d_u=1)
         data = collect_id_data(spec, emission, cfg, seed=1)
         # 3 n_id window rows of batch 1's stream
-        first = reference_columns(spec, emission, data, 3 * cfg.n_id, 1)[0]
-        v = np.hstack([first["inputs"][t] for t in range(data.kappa0, data.kappa1)])
+        first = reference_columns(spec, emission, cfg, 3 * cfg.n_id, 1)[0]
+        v = np.hstack([first["inputs"][t] for t in range(cfg.kappa0, cfg.kappa1)])
         assert np.array_equal(data.batch1.v, v[:cfg.n_id])
         cov = v.T @ v / v.shape[0]
         assert np.linalg.norm(cov - np.eye(2), 2) <= 0.02
@@ -236,7 +236,7 @@ class TestFitCoarseDecoder:
                      psi_star=2.1, alpha_star=1.4, gamma_star=0.72)
         data = collect_id_data(spec, emission, cfg, seed=5)
         out = fit_coarse_decoder(data.batch1, data.batch2, truth_only(cls), cfg)
-        target = bayes_map(spec, kappa=2, kappa1=data.kappa1).T  # columns span the map
+        target = bayes_map(spec, kappa=2, kappa1=cfg.kappa1).T  # columns span the map
         angle = principal_angle(out.v_id, target.T)
         assert angle <= 0.1
 
