@@ -9,7 +9,12 @@ a fresh process for the benchmark's run_seconds and appends its record to
 OUTDIR/parent.jsonl or OUTDIR/change.jsonl; the parent runs first on odd
 seeds, the change on even ones. Then one --trace 1 pair per workload runs at
 the first seed (trace-parent.jsonl, trace-change.jsonl), and the change
-tree's perfbench/compare.py prints both comparisons.
+tree's perfbench/compare.py compares each pair of files. The end-to-end
+table is its own. In the trace table only the per-layer counts (unit
+`count`) keep compare.py's verdict: a count repeats exactly, so one pair
+decides it, while one pair of timings cannot tell a change from the host's
+drift (two copies of one tree have read 16 timings worse). Every other
+trace row prints its medians with "1 pair: no verdict".
 
 Two more readings follow. For each workload, the seeds on which both trees'
 report_sha256 match are counted: equal on every seed is the evidence that a
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import importlib.util
 import json
 import os
 import statistics
@@ -79,6 +85,23 @@ def run_one(tree: Path, workload: str, seed: int, seconds: float, trace: int,
     if proc.returncode != 0:
         print(proc.stderr, file=sys.stderr, flush=True)
     return proc.returncode == 0
+
+
+def trace_rows(tree: Path, out: Path, spec: dict) -> list[dict]:
+    """The trace pair's rows from tree's perfbench/compare.py, every verdict but a
+    count's replaced by "1 pair: no verdict"; none if a side wrote no record."""
+    files = [out / f"trace-{side}.jsonl" for side in ("parent", "change")]
+    if not all(f.exists() for f in files):
+        return []
+    loader = importlib.util.spec_from_file_location("perfbench_compare",
+                                                    tree / "perfbench" / "compare.py")
+    compare = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(compare)
+    rows = compare.compare(*map(compare.load_records, files), spec)
+    for row in rows:
+        if row["unit"] != "count":
+            row["verdict"] = "1 pair: no verdict"
+    return rows
 
 
 def equal_reports(out: Path, workloads: list[str]) -> dict:
@@ -175,11 +198,14 @@ def main(argv=None) -> int:
         seed = args.seeds[0]
         for side in sides(seed):
             ok &= run_one(trees[side], workload, seed, seconds, 1, out / f"trace-{side}.jsonl")
-    for prefix in ("", "trace-"):
-        compare = subprocess.run([sys.executable, "perfbench/compare.py",
-                                  str(out / f"{prefix}parent.jsonl"),
-                                  str(out / f"{prefix}change.jsonl")], cwd=trees["change"])
-        ok &= compare.returncode == 0
+    compare = subprocess.run([sys.executable, "perfbench/compare.py", str(out / "parent.jsonl"),
+                              str(out / "change.jsonl")], cwd=trees["change"])
+    ok &= compare.returncode == 0
+    print("trace pair (per-layer):")
+    for r in trace_rows(trees["change"], out, spec):
+        print(f"{r['workload']:13s} {r['metric']:32s} parent {r['parent'][1]:12.6g}  "
+              f"change {r['change'][1]:12.6g}  {r['wins']:d}/{r['pairs']:d}  "
+              f"{r['verdict']} ({r['unit']})")
 
     counts = equal_reports(out, workloads)
     for workload, (equal, total) in counts.items():

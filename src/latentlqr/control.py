@@ -35,6 +35,17 @@ def rowmap(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return x @ (m.T if x.shape[0] < 2 else np.ascontiguousarray(m.T))
 
 
+def cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x' y over the sample axis of two batches of rows. A one-column operand
+    takes plain einsum, which sums in one order on the calling thread: x.T @ y
+    would reach OpenBLAS's threaded dot or gemv, whose order depends on the
+    thread count and whose helper threads spin on the core the draw thread
+    needs. Otherwise x.T @ y (gemm), whose order does not."""
+    if x.shape[1] == 1 or y.shape[1] == 1:
+        return np.einsum("ni,nj->ij", x, y)
+    return x.T @ y
+
+
 def row_sq_norms(x: np.ndarray) -> np.ndarray:
     """Squared row norms of x: the squared columns summed in index order, off
     numpy's slow short-axis reduction. Bitwise np.sum(x * x, axis=1) for up

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import system
-from .control import row_sq_norms
+from .control import cross, row_sq_norms, rowmap
 from .errors import ValidationError
 from .phase1 import Phase1Output, bayes_map
 from .system import EmissionModel, PolicyDef, SystemSpec, rollout_columns
@@ -90,18 +90,19 @@ class AlignmentResult:
 
 
 def align_decoder(f_hat, f_star, observations: np.ndarray) -> AlignmentResult:
-    """S = argmin sum_i ||f_hat(y_i) - S f_star(y_i)||^2 in closed form."""
+    """S = argmin sum_i ||f_hat(y_i) - S f_star(y_i)||^2 in closed form, from the
+    control.cross reductions f_star'f_star and f_star'f_hat over the samples."""
     obs = np.atleast_2d(np.asarray(observations, dtype=float))
     pred = np.atleast_2d(np.asarray(f_hat(obs), dtype=float))
     truth = np.atleast_2d(np.asarray(f_star(obs), dtype=float))
     n, d = truth.shape
     if n < d:
         raise ValidationError(f"need at least {d} samples to align a {d}-dim decoder")
-    gram = truth.T @ truth / n
+    gram = cross(truth, truth) / n
     if np.min(np.linalg.eigvalsh((gram + gram.T) / 2.0)) < 1e-12:
         raise ValidationError("true-decoder sample covariance is degenerate")
-    s = np.linalg.solve(gram, truth.T @ pred / n).T
-    residual = float(np.mean(np.sum((pred - truth @ s.T) ** 2, axis=1)))
+    s = np.linalg.solve(gram, cross(truth, pred) / n).T
+    residual = float(np.mean(row_sq_norms(pred - rowmap(truth, s))))
     return AlignmentResult(s=s, residual=residual)
 
 
@@ -126,7 +127,7 @@ def decoder_errors_by_time(spec: SystemSpec, emission: EmissionModel, learned,
                            n_traj=n_eval, base_seed=seed, obs=times, decoded=times)
     errors = np.zeros(t_horizon)
     for t in times:
-        truth = emission.decode_batch(cols["obs"][t]) @ s_id.T
+        truth = rowmap(emission.decode_batch(cols["obs"][t]), s_id)
         errors[t - 1] = float(np.mean(row_sq_norms(cols["decoded"][t] - truth)))
     return errors
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .control import controllability_matrix, open_loop_state_cov
+from .control import controllability_matrix, cross, open_loop_state_cov, rowmap
 from .errors import DegenerateSpectrumError, InfeasibleBurnInError, ValidationError
 from .regression import DecoderClass, FittedRegressor, StructuredClass, erm_fit
 from .system import EmissionModel, PolicyDef, SystemSpec, rollout_columns
@@ -163,7 +163,7 @@ class Phase1Output:
     eigenvalues: np.ndarray
 
     def decode(self, observations: np.ndarray) -> np.ndarray:
-        return self.h_id.predict(observations) @ self.v_id
+        return rowmap(self.h_id.predict(observations), self.v_id.T)
 
 
 def _sign_convention(v: np.ndarray) -> np.ndarray:
@@ -181,15 +181,16 @@ def fit_coarse_decoder(batch1: IdBatch, batch2: IdBatch, decoder_class: DecoderC
     """Regress the input window onto the final observation, then PCA-reduce.
 
     batch1 fits h_id over {M f : ||M||_op <= r_id}; batch2 estimates the
-    second-moment matrix of h_id's outputs, whose top-d_x eigenvectors give
-    the reduction V_id; the window is config's. A degenerate eigen-gap raises with diagnostics.
+    second-moment matrix of h_id's outputs (a control.cross reduction), whose
+    top-d_x eigenvectors give the reduction V_id; the window is config's. A
+    degenerate eigen-gap raises with diagnostics.
     """
     klass = StructuredClass(base=decoder_class, output_dim=config.kappa * config.d_u,
                             radius=config.radius)
     h_id = erm_fit(klass, batch1.y_now, batch1.v)
 
     outputs = h_id.predict(batch2.y_now)
-    second_moment = outputs.T @ outputs / batch2.n
+    second_moment = cross(outputs, outputs) / batch2.n
     eigvals, eigvecs = np.linalg.eigh(second_moment)
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]

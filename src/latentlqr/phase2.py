@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .control import psd_project
+from .control import cross, psd_project, rowmap
 from .errors import ValidationError
 from .phase1 import IdBatch
 from .regression import fit_linear_map
@@ -45,9 +45,10 @@ def fit_dynamics(batch3: IdBatch, x_now: np.ndarray, x_next: np.ndarray
 
 def fit_noise_cov(batch3: IdBatch, x_now: np.ndarray, x_next: np.ndarray,
                   a_hat: np.ndarray, b_hat: np.ndarray) -> np.ndarray:
-    """Empirical second moment of the one-step residuals, PSD-projected."""
-    resid = x_next - x_now @ a_hat.T - batch3.u_now @ b_hat.T
-    sigma = resid.T @ resid / batch3.n
+    """Empirical second moment of the one-step residuals (a control.cross
+    reduction), PSD-projected."""
+    resid = x_next - rowmap(x_now, a_hat) - rowmap(batch3.u_now, b_hat)
+    sigma = cross(resid, resid) / batch3.n
     return psd_project(sigma)
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng as rngmod
-from .control import DareSolution, psd_project, row_sq_norms, rowmap, solve_dare
+from .control import DareSolution, cross, psd_project, row_sq_norms, rowmap, solve_dare
 from .errors import IllConditionedCovarianceError, NumericalError, ValidationError, tagged
 from .regression import DecoderClass, FittedRegressor, StructuredClass, erm_fit, erm_fit_increment
 from .system import EmissionModel, PolicyDef, SystemSpec, rollout_columns
@@ -293,15 +293,15 @@ def fit_residual_regressors(halves: tuple[OnPolicyHalf, OnPolicyHalf],
         targets = half1.injected[:, :k].reshape(half1.n_traj, -1)
         reg = erm_fit_increment(h_op, obs_now=half1.observations[:, 0],
                                 obs_next=half1.observations[:, k], left=m_k, shift=a_k,
-                                targets=targets, offsets=-(half1.f_t @ (m_k @ a_km1 @ bk).T))
+                                targets=targets, offsets=-rowmap(half1.f_t, m_k @ a_km1 @ bk))
         first_stage.append(reg)
-        phi_cols.append((reg.predict(half2.observations[:, k])
-                         - reg.predict(half2.observations[:, 0]) @ a_k.T
-                         - half2.f_t @ (a_km1 @ bk).T) @ m_k.T)
+        phi_cols.append(rowmap(reg.predict(half2.observations[:, k])
+                               - rowmap(reg.predict(half2.observations[:, 0]), a_k)
+                               - rowmap(half2.f_t, a_km1 @ bk), m_k))
     h_t = erm_fit_increment(h_op, obs_now=half2.observations[:, 0],
                             obs_next=half2.observations[:, 1], left=shaping.big_m,
                             shift=stack.a_hat, targets=np.hstack(phi_cols),
-                            offsets=-(half2.f_t @ (shaping.big_m @ bk).T))
+                            offsets=-rowmap(half2.f_t, shaping.big_m @ bk))
     return first_stage, h_t
 
 
@@ -325,9 +325,9 @@ def learn_initial_state(y0: np.ndarray, y1: np.ndarray, nu0: np.ndarray,
     then on the last n.
 
     h_ol1 learns the noise estimate h_0(y_1) - A h_0(y_0) - B nu_0 as a
-    function of y_1; its second-moment matrix estimates
-    Sigma_w Sigma_1^{-1} Sigma_w, which initial_gain inverts to back the
-    predictor of A x_0 out of h_ol0.
+    function of y_1; its second-moment matrix, a control.cross reduction,
+    estimates Sigma_w Sigma_1^{-1} Sigma_w, which initial_gain inverts to back
+    the predictor of A x_0 out of h_ol0.
     """
     a_hat, b_hat = estimates.a_hat, estimates.b_hat
     d_x = a_hat.shape[0]
@@ -335,12 +335,12 @@ def learn_initial_state(y0: np.ndarray, y1: np.ndarray, nu0: np.ndarray,
     n = y0.shape[0] // 2
     first, second = slice(0, n), slice(n, 2 * n)
 
-    noise_est = (h_0.predict(y1[first]) - h_0.predict(y0[first]) @ a_hat.T
-                 - nu0[first] @ b_hat.T)
+    noise_est = (h_0.predict(y1[first]) - rowmap(h_0.predict(y0[first]), a_hat)
+                 - rowmap(nu0[first], b_hat))
     h_ol1 = erm_fit(h_op, y1[first], noise_est)
 
     vals = h_ol1.predict(y1[second])
-    sigma_cov = vals.T @ vals / n
+    sigma_cov = cross(vals, vals) / n
     sigma_cov = (sigma_cov + sigma_cov.T) / 2.0
     gain = initial_gain(estimates.sigma_w_hat, sigma_cov)
     h_ol0 = erm_fit(h_op, y0[second], vals)

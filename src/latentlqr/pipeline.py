@@ -4,7 +4,8 @@ Configs are flat key = value text with explicit seeds; unknown keys are
 errors. The pipeline runs the three learning phases, evaluates the learned
 policy against the ground-truth benchmark with paired seeds, and writes
 report CSVs plus serialized models. Identical configs produce byte-identical
-reports at a fixed BLAS thread count (ROADMAP item 7). run_pipeline alone
+reports, also across BLAS thread counts: every product over the sample axis
+goes through control.cross or control.rowmap. run_pipeline alone
 sequences the stages and can stop after any of them; evaluate_policy is its
 evaluate stage, also run on saved policies.
 """

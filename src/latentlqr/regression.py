@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .control import rowmap
+from .control import cross, rowmap
 from .errors import NumericalError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -84,7 +84,8 @@ def _opnorm_clamp(m: np.ndarray, radius: float) -> tuple[np.ndarray, bool]:
 def fit_linear_map(inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Ordinary least squares min_M sum ||M x_i - y_i||^2 with ridge RIDGE.
 
-    Returns M of shape (m, d) operating on column vectors.
+    Returns M of shape (m, d) operating on column vectors. x'x and x'y are
+    control.cross reductions, summed in an order fixed by their shapes.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -92,7 +93,7 @@ def fit_linear_map(inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
         raise ValidationError(f"sample counts differ: {x.shape[0]} inputs vs {y.shape[0]} targets")
     if x.shape[0] < 1:
         raise ValidationError("at least one sample required")
-    return _ridge_solve(x.T @ x, x.T @ y).T
+    return _ridge_solve(cross(x, x), cross(x, y)).T
 
 
 def _ridge_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -116,7 +117,8 @@ def _erm(klass: StructuredClass, terms: list[tuple[np.ndarray, np.ndarray]],
     terms lists the pairs (L_j, y_j). With R = targets - offsets and F_j the
     feature rows of y_j, the normal equations of vec(M) are
     (G + RIDGE I) v = r with G = sum_jk kron(F_j'F_k, L_j'L_k) and
-    r = vec(sum_j L_j' R' F_j). The clamped v is scored as
+    r = vec(sum_j L_j' (R' F_j)), F_j'F_k and R'F_j being control.cross
+    reductions over the samples. The clamped v is scored as
     (v'Gv - 2v'r + ||R||^2) / n, floored at the 0 that roundoff can cross on
     exact fits; the lowest loss wins, ties to the lowest index. Both public
     fits rely on its refusal of empty or non-finite targets.
@@ -133,9 +135,9 @@ def _erm(klass: StructuredClass, terms: list[tuple[np.ndarray, np.ndarray]],
     losses = []
     for idx in range(len(klass.base)):
         feats = [np.ascontiguousarray(klass.base.features(idx, y)) for _, y in terms]
-        gram = sum(_kron(fj.T @ fk, lj.T @ lk)
+        gram = sum(_kron(cross(fj, fk), lj.T @ lk)
                    for (lj, _), fj in zip(terms, feats) for (lk, _), fk in zip(terms, feats))
-        rhs = sum(lj.T @ resid.T @ fj for (lj, _), fj in zip(terms, feats)).flatten(order="F")
+        rhs = sum(lj.T @ cross(resid, fj) for (lj, _), fj in zip(terms, feats)).flatten(order="F")
         vec = _ridge_solve(gram, rhs)
         m, clamped = _opnorm_clamp(vec.reshape((m_out, -1), order="F"), klass.radius)
         if clamped:

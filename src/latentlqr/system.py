@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng as rngmod
-from .control import controllability, open_loop_state_cov, psd_sqrt, rowmap, spectral_radius
+from .control import controllability, open_loop_state_cov, psd_sqrt, row_sq_norms, rowmap, spectral_radius
 from .errors import ValidationError
 
 # Largest decode(emit(x)) error check_decodable accepts.
@@ -98,7 +98,7 @@ class EmissionModel:
         g = rngmod.generator(seed, rngmod.TAG_INSTANCE)
         scale = np.sqrt(np.clip(np.diag(spec.sigma_w) + np.diag(spec.sigma_0), 0.1, None))
         x = g.standard_normal((n, spec.d_x)) * scale * 2.0
-        err = float(np.max(np.linalg.norm(self.decode_batch(self.emit_batch(x)) - x, axis=1)))
+        err = float(np.max(np.sqrt(row_sq_norms(self.decode_batch(self.emit_batch(x)) - x))))
         if err > DECODE_TOL:
             raise ValidationError(f"emission is not decodable: max error {err:.3g} > {DECODE_TOL}")
         return err

@@ -2,14 +2,18 @@
 import contextlib
 import io
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import latentlqr
 import latentlqr.system as system
 from latentlqr.cli import main
 
@@ -745,3 +749,23 @@ class TestDeterminism:
             a = (tmp_path / "r1" / name).read_bytes()
             b = (tmp_path / "r2" / name).read_bytes()
             assert a == b
+
+    def test_artifacts_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # 12,000 rows per fit is past the size at which OpenBLAS threads its
+        # one-column dot and gemv; each process runs at its own thread count
+        cfg = write_config(tmp_path / "run.cfg", n_id=12_000, n_op=6_000, t_horizon=1,
+                           n_eval=12_000, metric_rollouts=100, sigma=0.15, seed=1,
+                           kappa0_override=None)
+        src = str(Path(latentlqr.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-m", "latentlqr.cli", "pipeline",
+                                   "--config", str(cfg), "--out", str(out)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            runs.append(files_under(out))
+        assert "report.csv" in runs[0]
+        assert sorted(runs[0]) == sorted(runs[1])
+        assert [name for name in runs[0] if runs[0][name] != runs[1][name]] == []

@@ -2,13 +2,15 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from latentlqr import (ConvergenceError, UnstableMatrixError, ValidationError,
                        controllability, make_benchmark_instance, open_loop_state_cov,
                        optimal_policy, parameter_bounds, psd_project, rollout, solve_dare,
                        solve_lyapunov, strong_stability_cert)
 from latentlqr.benchmarks import CATALOG
-from latentlqr.control import controllability_matrix, row_sq_norms, rowmap
+from latentlqr.control import controllability_matrix, cross, row_sq_norms, rowmap
 from latentlqr.system import CHUNK_ROWS
 
 from helpers import random_spd, random_stable
@@ -25,6 +27,33 @@ class TestRowmap:
         # a contiguous batch and a strided column view, as decoders receive
         for x in (np.ascontiguousarray(wide[:, :d_in]), wide[:, 1:1 + d_in]):
             assert np.array_equal(rowmap(x, m), x @ m.T)
+
+
+@st.composite
+def row_batches(draw):
+    """Two batches of n rows, of up to 4 columns each, with entries of mixed scale."""
+    n = draw(st.integers(1, 300))
+    d_x, d_y = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    return (draw(arrays(np.float64, (n, d_x), elements=entries)),
+            draw(arrays(np.float64, (n, d_y), elements=entries)))
+
+
+class TestCross:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(row_batches())
+    @example((np.array([[3.0]]), np.array([[0.5, -2.0, 7.0]])))
+    @example((np.array([[1.5, -2.0]]), np.array([[4.0, 0.25]])))
+    def test_gemm_or_einsum_by_shape_and_close_to_the_product(self, batches):
+        x, y = batches
+        got = cross(x, y)
+        if x.shape[1] == 1 or y.shape[1] == 1:
+            assert np.array_equal(got, np.einsum("ni,nj->ij", x, y))
+        else:
+            assert np.array_equal(got, x.T @ y)
+        # the two orders agree to roundoff relative to the sum of |x_i y_j|
+        scale = np.abs(x).T @ np.abs(y)
+        assert np.all(np.abs(got - x.T @ y) <= 1e-12 * scale)
 
 
 class TestRowSqNorms:
