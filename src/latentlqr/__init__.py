@@ -14,11 +14,11 @@ from .control import (ControllabilityInfo, DareSolution, StabilityCert,
 from .errors import (ConvergenceError, DegenerateSpectrumError,
                      IllConditionedCovarianceError, InfeasibleBurnInError, LatentLqrError,
                      NumericalError, UnstableMatrixError, ValidationError)
-from .evaluate import (AlignmentResult, EvalReport, align_decoder, decoder_errors_by_time,
-                       estimate_cost, estimate_gap, mean_stderr, similarity_from_ground_truth,
-                       trajectory_costs)
+from .evaluate import (AlignmentResult, EvalReport, align_decoder, bayes_map,
+                       decoder_errors_by_time, estimate_cost, estimate_gap, mean_stderr,
+                       similarity_from_ground_truth, trajectory_costs)
 from .phase1 import (IdBatch, IdData, Phase1Config, Phase1Output, burn_in_kappa0,
-                     bayes_map, collect_id_data, fit_coarse_decoder)
+                     collect_id_data, fit_coarse_decoder)
 from .phase2 import SysIdEstimates, fit_cost, fit_dynamics, fit_noise_cov, run_sysid
 from .phase3 import (DecoderStack, LearnedPolicy, NoiseShaping, OnPolicyHalf, Phase3Config,
                      build_noise_shaping, collect_onpolicy, compute_policy,

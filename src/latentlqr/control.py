@@ -56,6 +56,22 @@ def row_sq_norms(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def quad_rows(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x_n' m x_n for every row, summed term by term in (i, j) order.
+
+    This is the order np.einsum("ni,ij,nj->n") takes on large batches, but
+    einsum picks another on some small ones (two rows of two columns), and
+    a row of the result must not depend on how many rows come with it.
+    """
+    d = m.shape[0]
+    total = None
+    for i in range(d):
+        for j in range(d):
+            term = x[:, i] * m[i, j] * x[:, j]
+            total = term if total is None else total + term
+    return np.zeros(x.shape[0]) if total is None else total
+
+
 def spectral_radius(x: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(x))))
 

@@ -12,30 +12,34 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import system
-from .control import cross, row_sq_norms, rowmap
+from .control import controllability_matrix, cross, open_loop_state_cov, row_sq_norms, rowmap
 from .errors import ValidationError
-from .phase1 import Phase1Output, bayes_map
-from .system import EmissionModel, PolicyDef, SystemSpec, rollout_columns
+from .phase1 import Phase1Output
+from .system import EmissionModel, PolicyDef, SystemSpec
 
 
 def trajectory_costs(spec: SystemSpec, emission: EmissionModel, policies,
-                     t_horizon: int, n_eval: int, seed: int):
-    """For each of a sequence of policies, a (costs, clipped, checked) triple:
-    the per-step cost (1/T) sum_{t=1..T} c_t of each of n_eval fresh
-    rollouts, and the number of decoder steps the pass clipped and checked.
+                     t_horizon: int, n_eval: int, seed: int, n_kept: tuple = ()):
+    """For each of a sequence of policies, a (costs, clipped, checked, kept)
+    tuple: the per-step cost (1/T) sum_{t=1..T} c_t of each of n_eval fresh
+    rollouts, the number of decoder steps the pass clipped and checked, and
+    kept["states"][t] = x_t and kept["decoded"][t] = f_t (t = 1..T) of the k-th
+    policy's first min(n_kept[k], n_eval) rows (none past the end of n_kept).
 
     The policies step together in one pass that draws each noise block once
-    for all, so cost differences are paired-seed gaps and each triple is
+    for all, so cost differences are paired-seed gaps and each tuple is
     bitwise that of a pass of its own. A chunk keeps a running sum of c_1..c_T
     per policy (bitwise numpy's row mean for T <= 7, a few ulp off beyond), so
     no (n_eval, T) matrix is held.
     """
     if n_eval < 2 or t_horizon < 1:
         raise ValidationError(f"need n_eval >= 2 and t_horizon >= 1, got {n_eval}, {t_horizon}")
+    n_kept = [min(n_kept[k], n_eval) if k < len(n_kept) else 0 for k in range(len(policies))]
     times = set(range(1, t_horizon + 1))
     costs = [np.empty(n_eval) for _ in policies]
     sums = [None] * len(policies)
     clips = [[0, 0] for _ in policies]
+    kept = [{"states": {}, "decoded": {}} for _ in policies]
 
     def keep(k, key, rows, t, part):
         if key == "costs":
@@ -45,14 +49,18 @@ def trajectory_costs(spec: SystemSpec, emission: EmissionModel, policies,
                 sums[k] += part
             if t == t_horizon:
                 costs[k][rows] = sums[k] / t_horizon
-        else:  # "clipped"
+        elif key == "clipped":
             clips[k][0] += int(part.sum())
             clips[k][1] += part.size
+        elif rows.start < n_kept[k]:  # a state or decoder value of the leading rows
+            if t not in kept[k][key]:
+                kept[k][key][t] = np.empty((n_kept[k], part.shape[1]))
+            kept[k][key][t][rows] = part[:n_kept[k] - rows.start]
 
     # looked up at call time, so that a wrapper of system._drive sees this pass
     system._drive(spec, emission, policies, t_horizon, n_eval, seed,
-                  {"costs": times, "clipped": times}, keep, 0)
-    return [(c, clipped, checked) for c, (clipped, checked) in zip(costs, clips)]
+                  dict.fromkeys(("costs", "clipped", "states", "decoded"), times), keep, 0)
+    return [(c, *clip, kept_k) for c, clip, kept_k in zip(costs, clips, kept)]
 
 
 def mean_stderr(per: np.ndarray) -> tuple[float, float]:
@@ -63,7 +71,7 @@ def mean_stderr(per: np.ndarray) -> tuple[float, float]:
 def estimate_cost(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef,
                   t_horizon: int, n_eval: int, seed: int) -> tuple[float, float]:
     """Mean per-step cost (1/T) sum_{t=1..T} c_t and its standard error."""
-    [(costs, _, _)] = trajectory_costs(spec, emission, (policy,), t_horizon, n_eval, seed)
+    [(costs, *_)] = trajectory_costs(spec, emission, (policy,), t_horizon, n_eval, seed)
     return mean_stderr(costs)
 
 
@@ -76,7 +84,7 @@ def estimate_gap(spec: SystemSpec, emission: EmissionModel, policy_a: PolicyDef,
     process noise and exploration noise, so comparing a policy against
     itself gives a gap of exactly zero.
     """
-    (costs_a, _, _), (costs_b, _, _) = trajectory_costs(
+    (costs_a, *_), (costs_b, *_) = trajectory_costs(
         spec, emission, (policy_a, policy_b), t_horizon, n_eval, seed)
     return mean_stderr(costs_a - costs_b)
 
@@ -106,6 +114,18 @@ def align_decoder(f_hat, f_star, observations: np.ndarray) -> AlignmentResult:
     return AlignmentResult(s=s, residual=residual)
 
 
+def bayes_map(spec: SystemSpec, kappa: int, kappa1: int) -> np.ndarray:
+    """Population regression target: C_kappa' Sigma_{kappa_1}^{-1}.
+
+    The stacked input window and the state at kappa_1 are jointly Gaussian,
+    so the conditional expectation of the window given the state is this
+    linear map applied to the state.
+    """
+    c_k = controllability_matrix(spec.a, spec.b, kappa)
+    sigma = open_loop_state_cov(spec.a, spec.b, spec.sigma_w, spec.sigma_0, kappa1)
+    return np.linalg.solve(sigma, c_k).T
+
+
 def similarity_from_ground_truth(phase1_out: Phase1Output, spec: SystemSpec) -> np.ndarray:
     """Exact similarity transform induced by the coarse decoder: V_id' applied
     to the Bayes map, S = V_id' C_kappa' Sigma_{kappa_1}^{-1}, kappa = kappa_1 - kappa_0."""
@@ -113,23 +133,15 @@ def similarity_from_ground_truth(phase1_out: Phase1Output, spec: SystemSpec) -> 
     return phase1_out.v_id.T @ bayes_map(spec, kappa, phase1_out.kappa1)
 
 
-def decoder_errors_by_time(spec: SystemSpec, emission: EmissionModel, learned,
-                           s_id: np.ndarray, n_eval: int, seed: int) -> np.ndarray:
-    """Mean squared error of each per-time decoder against S_id f_star.
-
-    Evaluated on fresh rollouts under the learned (exploring) policy, each
-    decoder value read from the rollout step that produced it; returns one
-    value per t = 1..T.
+def decoder_errors_by_time(kept: dict, s_id: np.ndarray) -> np.ndarray:
+    """Mean squared error of each per-time decoder value f_t against S_id x_t,
+    one value per t = 1..T, on the rows that trajectory_costs kept of the
+    learned policy's own pass. S_id x_t is S_id f_star(y_t) up to the decode
+    error of at most 1e-9 that check_decodable allows.
     """
-    t_horizon = learned.t_horizon
-    times = tuple(range(1, t_horizon + 1))
-    cols = rollout_columns(spec, emission, learned.policy(), horizon=t_horizon,
-                           n_traj=n_eval, base_seed=seed, obs=times, decoded=times)
-    errors = np.zeros(t_horizon)
-    for t in times:
-        truth = rowmap(emission.decode_batch(cols["obs"][t]), s_id)
-        errors[t - 1] = float(np.mean(row_sq_norms(cols["decoded"][t] - truth)))
-    return errors
+    states, decoded = kept["states"], kept["decoded"]
+    return np.array([float(np.mean(row_sq_norms(decoded[t] - rowmap(states[t], s_id))))
+                     for t in sorted(decoded)])
 
 
 @dataclass

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .control import controllability_matrix, cross, open_loop_state_cov, rowmap
+from .control import cross, rowmap
 from .errors import DegenerateSpectrumError, InfeasibleBurnInError, ValidationError
 from .regression import DecoderClass, FittedRegressor, StructuredClass, erm_fit
 from .system import EmissionModel, PolicyDef, SystemSpec, rollout_columns
@@ -205,15 +205,3 @@ def fit_coarse_decoder(batch1: IdBatch, batch2: IdBatch, decoder_class: DecoderC
     v_id = _sign_convention(eigvecs[:, :d_x])
     return Phase1Output(h_id=h_id, v_id=v_id, kappa0=config.kappa0, kappa1=config.kappa1,
                         eigenvalues=eigvals)
-
-
-def bayes_map(spec: SystemSpec, kappa: int, kappa1: int) -> np.ndarray:
-    """Population regression target: C_kappa' Sigma_{kappa_1}^{-1}.
-
-    The stacked input window and the state at kappa_1 are jointly Gaussian,
-    so the conditional expectation of the window given the state is this
-    linear map applied to the state.
-    """
-    c_k = controllability_matrix(spec.a, spec.b, kappa)
-    sigma = open_loop_state_cov(spec.a, spec.b, spec.sigma_w, spec.sigma_0, kappa1)
-    return np.linalg.solve(sigma, c_k).T

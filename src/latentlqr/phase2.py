@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .control import cross, psd_project, rowmap
+from .control import cross, psd_project, quad_rows, rowmap
 from .errors import ValidationError
 from .phase1 import IdBatch
 from .regression import fit_linear_map
@@ -77,7 +77,8 @@ def cost_fit_min_samples(d: int) -> int:
 
 
 def fit_cost(batch3: IdBatch, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Quadratic fit of the revealed costs minus the known input penalty.
+    """Quadratic fit of the revealed costs minus the known input penalty,
+    u'Ru as control.quad_rows sums it, so exactly what the simulator added.
 
     Solved on the d_x(d_x+1)/2-dimensional symmetric parameterization to
     avoid the null space of the full vectorization, then PSD-projected.
@@ -87,7 +88,7 @@ def fit_cost(batch3: IdBatch, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     if batch3.n < n_params:
         raise ValidationError(f"need at least {n_params} samples to fit a {d}x{d} cost")
     r = np.atleast_2d(np.asarray(r, dtype=float))
-    target = batch3.cost_now - np.einsum("ni,ij,nj->n", batch3.u_now, r, batch3.u_now)
+    target = batch3.cost_now - quad_rows(batch3.u_now, r)
     design, index = _sym_features(x)
     coef = fit_linear_map(design, target[:, None])[0]
     q = np.zeros((d, d))

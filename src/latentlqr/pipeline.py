@@ -243,23 +243,23 @@ def run_pipeline(config: ExperimentConfig, outdir: Path | None = None,
 def evaluate_policy(config: ExperimentConfig, spec, emission, learned, phase1_out) -> EvalReport:
     """Paired-seed evaluation of a learned policy on the config's eval streams.
 
-    The learned, optimal and zero policies step together in one cost-only
-    pass over n_eval rollouts, on draws made once and shared by all three,
-    with costs reduced chunk by chunk; the coarse decoder is aligned to the
-    true one on fresh open-loop observations y_{kappa_1}, drawn from their
-    exact marginal without simulating the steps before, and each per-step
-    decoder is scored against S_id f_star. The clip statistics are the masks
-    recorded by the learned policy's cost pass. A non-finite figure (a finite
-    model can overflow) raises NumericalError naming the first one.
+    The learned, optimal and zero policies step together in one pass over
+    n_eval rollouts, on draws made once and shared by all three, with costs
+    reduced chunk by chunk; the learned policy's per-step decoders are scored
+    against S_id x_t on the pass's first min(metric_rollouts, n_eval) rows.
+    The coarse decoder is aligned to the true one on fresh open-loop
+    observations y_{kappa_1}, drawn from their exact marginal without
+    simulating the steps before. The clip statistics are the masks recorded
+    by the learned policy's cost pass. A non-finite figure (a finite model
+    can overflow) raises NumericalError naming the first one.
     """
     pi_opt = optimal_policy(spec, emission)
     eval_seed = _eval_seed(config)
-    t_h = config.t_horizon
-    # one cost-only pass steps all three policies on the same draws; the gap
-    # pairs the learned and optimal per-trajectory costs of those streams
-    (costs_learned, clipped, checked), (costs_opt, _, _), (costs_zero, _, _) = trajectory_costs(
-        spec, emission, (learned.policy(), pi_opt, PolicyDef()), t_h,
-        config.n_eval, eval_seed)
+    # one pass steps all three policies on the same draws; the gap pairs the
+    # learned and optimal per-trajectory costs of those streams
+    (costs_learned, clipped, checked, kept), (costs_opt, *_), (costs_zero, *_) = trajectory_costs(
+        spec, emission, (learned.policy(), pi_opt, PolicyDef()), config.t_horizon,
+        config.n_eval, eval_seed, (config.metric_rollouts,))
     j_learned, j_learned_se = mean_stderr(costs_learned)
     j_opt, j_opt_se = mean_stderr(costs_opt)
     j_zero, j_zero_se = mean_stderr(costs_zero)
@@ -274,10 +274,7 @@ def evaluate_policy(config: ExperimentConfig, spec, emission, learned, phase1_ou
                                base_seed=rngmod.derive_seed(eval_seed, rngmod.TAG_EVAL, 1),
                                obs=(kappa1,), start=kappa1)["obs"][kappa1]
     alignment = align_decoder(phase1_out.decode, emission.decode_batch, align_obs)
-    n_metric = min(config.metric_rollouts, config.n_eval)
-    decoder_errors = decoder_errors_by_time(
-        spec, emission, learned, s_id, n_metric,
-        rngmod.derive_seed(eval_seed, rngmod.TAG_EVAL, 2))
+    decoder_errors = decoder_errors_by_time(kept, s_id)
 
     report = EvalReport(
         j_learned=j_learned, j_learned_stderr=j_learned_se,
@@ -291,7 +288,7 @@ def evaluate_policy(config: ExperimentConfig, spec, emission, learned, phase1_ou
         clip_fraction=clip_fraction, clip_events=clipped,
         trajectories_phase12=3 * config.n_id,
         trajectories_phase3=learned.trajectories_used,
-        trajectories_eval=3 * config.n_eval + n_align + n_metric,
+        trajectories_eval=3 * config.n_eval + n_align,
         kappa0=phase1_out.kappa0, kappa1=kappa1, s_id=s_id)
     errors = [(f"decoder_errors at t = {t}", e) for t, e in enumerate(decoder_errors, start=1)]
     for name, value in report.rows() + errors:

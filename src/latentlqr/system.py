@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng as rngmod
-from .control import controllability, open_loop_state_cov, psd_sqrt, row_sq_norms, rowmap, spectral_radius
+from .control import controllability, open_loop_state_cov, psd_sqrt, quad_rows, row_sq_norms, rowmap, spectral_radius
 from .errors import ValidationError
 
 # Largest decode(emit(x)) error check_decodable accepts.
@@ -193,22 +193,6 @@ class TrajectoryBatch:
     @property
     def horizon(self) -> int:
         return self.states.shape[1] - 1
-
-
-def _quad_rows(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x_n' m x_n for every row, summed term by term in (i, j) order.
-
-    This is the order np.einsum("ni,ij,nj->n") takes on large batches, but
-    einsum picks another on some small ones (two rows of two columns), and
-    a row of the result must not depend on how many rows come with it.
-    """
-    d = m.shape[0]
-    total = None
-    for i in range(d):
-        for j in range(d):
-            term = x[:, i] * m[i, j] * x[:, j]
-            total = term if total is None else total + term
-    return np.zeros(x.shape[0]) if total is None else total
 
 
 def rollout(spec: SystemSpec, emission: EmissionModel, policy: PolicyDef,
@@ -406,7 +390,7 @@ def _drive(spec, emission, policies, horizon, n, seed, times, keep, start) -> No
                 for k, policy in enumerate(policies):
                     u, value, clipped, states[k] = policy.act(states[k], t, ys[k], nus[k])
                     if t in cost_times:
-                        keep(k, "costs", rows, t, _quad_rows(xs[k], spec.q) + _quad_rows(u, spec.r))
+                        keep(k, "costs", rows, t, quad_rows(xs[k], spec.q) + quad_rows(u, spec.r))
                     for key, part in (("inputs", u), ("injected", nus[k]), ("decoded", value),
                                       ("clipped", clipped), ("noises", w)):
                         record(k, key, rows, t, part)

@@ -18,7 +18,7 @@ from latentlqr import (ExperimentConfig, Phase1Config, Phase3Config, SystemSpec,
                        rollout, rollout_columns, run_pipeline, run_sysid,
                        similarity_from_ground_truth,
                        solve_dare, strong_stability_cert)
-from latentlqr.phase1 import bayes_map
+from latentlqr.evaluate import bayes_map
 from latentlqr.phase3 import DecoderStack
 from latentlqr.system import PolicyDef
 

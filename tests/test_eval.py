@@ -62,8 +62,8 @@ class TestEstimateCost:
         for policy, gain, sigma in ((PolicyDef(gain=k, decoders=truth), k, 0.0),
                                     (PolicyDef(sigma=0.15, gain=k, decoders=truth), k, 0.15),
                                     (PolicyDef(), zero, 0.0)):
-            [(costs, _, _)] = trajectory_costs(spec, emission, (policy,), t_horizon=10,
-                                               n_eval=50_000, seed=4)
+            [(costs, *_)] = trajectory_costs(spec, emission, (policy,), t_horizon=10,
+                                             n_eval=50_000, seed=4)
             mean, stderr = mean_stderr(costs)
             assert abs(mean - closed_form_step_cost(spec, gain, sigma, 10)) <= 4 * stderr
 
@@ -250,10 +250,9 @@ class TestPipeline:
 
         monkeypatch.setattr(system, "_drive", counting_drive)
         rep = run_pipeline(self._config()).report
-        # one cost pass of three policies on n_eval = 400 rows, 2000
-        # alignment rollouts and min(metric_rollouts = 2000, n_eval)
-        # decoder-error rollouts
-        assert rep.trajectories_eval == 3 * 400 + 2000 + 400
+        # one cost pass of three policies on n_eval = 400 rows, whose leading
+        # rows the decoder errors are scored on, and 2000 alignment rollouts
+        assert rep.trajectories_eval == 3 * 400 + 2000
         assert sum(simulated) == (rep.trajectories_phase12 + rep.trajectories_phase3
                                   + rep.trajectories_eval)
 
@@ -380,8 +379,8 @@ class TestPipeline:
                                 lambda _, scaled=scaled: (scaled, emission, decoder_class))
             result = run_pipeline(config, stop_after="phase3")
             policies = (result.learned.policy(), optimal_policy(scaled, emission), PolicyDef())
-            costs = [c for c, _, _ in trajectory_costs(scaled, emission, policies,
-                                                       config.t_horizon, 1000, seed=11)]
+            costs = [c for c, *_ in trajectory_costs(scaled, emission, policies,
+                                                     config.t_horizon, 1000, seed=11)]
             runs.append((result.estimates, result.learned.stack.k_gain, costs))
         (est, k_gain, costs), (est2, k_gain2, costs2) = runs
         assert bitwise(est2.q_hat, 2 * est.q_hat)
@@ -409,12 +408,12 @@ class TestPipeline:
 class TestDecoderErrors:
     @pytest.mark.parametrize("name", ["di-cubic-lift", "stable2x1-lift5"])
     def test_match_values_all_replay(self, name):
-        # each step's value comes from the rollout that produced it; the
-        # reference replays the stack over a full rollout's observations.
+        # the errors are scored on the learned policy's first 500 of 700 rows
+        # in a three-policy cost pass, each step's value as that pass produced
+        # it; the reference replays the stack over a rollout of those rows.
         # A tight clip radius makes some steps clip.
         from latentlqr import (DecoderStack, FittedRegressor, LearnedPolicy,
-                               decoder_errors_by_time, decoder_update, rollout,
-                               rollout_columns)
+                               decoder_errors_by_time, decoder_update)
 
         from helpers import truth_only
 
@@ -427,16 +426,23 @@ class TestDecoderErrors:
                            stack)
         learned = LearnedPolicy(stack=stack, sigma=0.3, trajectories_used=0)
         s_id = np.random.default_rng(8).standard_normal((spec.d_x, spec.d_x))
-        errors = decoder_errors_by_time(spec, emission, learned, s_id, 500, seed=17)
+        policies = (learned.policy(), optimal_policy(spec, emission), PolicyDef())
+        (_, _, _, kept), *rest = trajectory_costs(spec, emission, policies, 3, 700, 17, (500,))
+        assert all(other == {"states": {}, "decoded": {}} for *_, other in rest)
+        errors = decoder_errors_by_time(kept, s_id)
         masks = rollout_columns(spec, emission, learned.policy(), horizon=3, n_traj=500,
                                 base_seed=17, clipped=(1, 2, 3))["clipped"]
         assert sum(int(m.sum()) for m in masks.values()) > 0
 
         batch = rollout(spec, emission, learned.policy(), horizon=3, n_traj=500, base_seed=17)
         values = stack.values_all(batch.observations, 3)
-        expected = [np.mean(np.sum((values[:, t] - emission.decode_batch(
-            batch.observations[:, t]) @ s_id.T) ** 2, axis=1)) for t in (1, 2, 3)]
+        expected = [np.mean(np.sum((values[:, t] - batch.states[:, t] @ s_id.T) ** 2, axis=1))
+                    for t in (1, 2, 3)]
         assert np.array_equal(errors, expected)
+        # the reference S_id x_t is S_id f_star(y_t) up to the decode error
+        decoded_truth = [np.mean(np.sum((values[:, t] - emission.decode_batch(
+            batch.observations[:, t]) @ s_id.T) ** 2, axis=1)) for t in (1, 2, 3)]
+        np.testing.assert_allclose(errors, decoded_truth, rtol=1e-8)
 
 
 @pytest.fixture(scope="class")
@@ -478,6 +484,22 @@ class TestPureDecoders:
         assert result.report.clip_fraction == by_hand / (len(times) * config.n_eval)
         for t in times:
             assert np.all(cols["decoded"][t][masks[t]] == 0.0)
+
+    def test_clipping_everything_is_the_open_loop_policy(self):
+        """A clip radius no decoder value fits in zeroes every value, so the
+        learned policy acts u = K 0 + sigma nu: its cost and gap are, bitwise,
+        those of PolicyDef(sigma) against the optimal policy on the eval seed."""
+        config = ExperimentConfig(instance="di-cubic-lift", n_id=4000, n_op=1000, t_horizon=4,
+                                  n_eval=2000, seed=3, sigma=0.15, b_bar=1e-9)
+        report = run_pipeline(config).report
+        spec, emission, _ = make_benchmark_instance(config.instance)
+        (open_loop, *_), (opt, *_) = trajectory_costs(
+            spec, emission, (PolicyDef(sigma=config.sigma), optimal_policy(spec, emission)),
+            config.t_horizon, config.n_eval, rngmod.derive_seed(config.seed, rngmod.TAG_EVAL))
+        assert report.clip_fraction == 1.0
+        assert report.clip_events == config.t_horizon * config.n_eval
+        assert (report.j_learned, report.j_learned_stderr) == mean_stderr(open_loop)
+        assert (report.gap, report.gap_stderr) == mean_stderr(open_loop - opt)
 
     def test_concurrent_rollouts_match_a_serial_one(self, clipping_run, monkeypatch):
         config, result = clipping_run
@@ -569,15 +591,19 @@ class TestSharedPass:
         config, result = clipping_run
         spec, emission, _ = make_benchmark_instance(config.instance)
         monkeypatch.setattr(system, "CHUNK_ROWS", 7)
+        n_kept = min(n, 10)  # past the first 7-row chunk once n > 7
         clipped_any = False
         for policies in policy_groups(result.learned, spec, emission):
             shared = trajectory_costs(spec, emission, policies, config.t_horizon, n,
-                                      config.eval_seed)
+                                      config.eval_seed, (n_kept,) * len(policies))
             assert len(shared) == len(policies)
-            for (costs, clipped, checked), policy in zip(shared, policies):
+            for (costs, clipped, checked, kept), policy in zip(shared, policies):
                 [alone] = trajectory_costs(spec, emission, (policy,), config.t_horizon, n,
-                                           config.eval_seed)
-                assert bitwise(costs, alone[0]) and (clipped, checked) == alone[1:]
+                                           config.eval_seed, (n_kept,))
+                assert bitwise(costs, alone[0]) and (clipped, checked) == alone[1:3]
+                for key, by_time in alone[3].items():
+                    assert kept[key].keys() == by_time.keys(), key
+                    assert all(bitwise(kept[key][t], by_time[t]) for t in by_time), key
                 clipped_any = clipped_any or clipped > 0
         # the clip radius b_bar = 1 clips some decoder steps once a pass has a few rows
         assert clipped_any or n == 2
@@ -588,7 +614,7 @@ class TestSharedPass:
         monkeypatch.setattr(system, "CHUNK_ROWS", 7)
         explore, opt, zero = policy_groups(result.learned, spec, emission)[0]
         for a, b in ((explore, opt), (opt, explore), (result.learned.greedy_policy(), zero)):
-            (costs_a, _, _), (costs_b, _, _) = (
+            (costs_a, *_), (costs_b, *_) = (
                 trajectory_costs(spec, emission, (policy,), config.t_horizon, 15,
                                  config.eval_seed)[0] for policy in (a, b))
             assert estimate_gap(spec, emission, a, b, config.t_horizon, 15,
@@ -625,7 +651,7 @@ class TestRunningCostSum:
         monkeypatch.setattr(system, "CHUNK_ROWS", 7)
         times = tuple(range(1, horizon + 1))
         passed = trajectory_costs(spec, emission, policies, horizon, 40, 5)
-        for (costs, _, _), policy in zip(passed, policies):
+        for (costs, *_), policy in zip(passed, policies):
             cols = rollout_columns(spec, emission, policy, horizon=horizon, n_traj=40,
                                    base_seed=5, costs=times)
             row_mean = np.stack([cols["costs"][t] for t in times], axis=1).mean(axis=1)

@@ -1,5 +1,6 @@
-"""Source hygiene: every module of the package uses each name it imports, and only
-the two recorders drive the simulator directly."""
+"""Source hygiene: every module of the package uses each name it imports, only
+the two recorders drive the simulator directly, and the learning modules read
+no ground truth."""
 import ast
 from pathlib import Path
 
@@ -71,3 +72,46 @@ def test_only_the_recorders_drive_the_simulator():
     users = set().union(*(drive_users(module, (PACKAGE / f"{module}.py").read_text())
                           for module in MODULES))
     assert users == DRIVE_CALLERS
+
+
+# The learner meets the system only through the simulator, as the paper's
+# does: of the spec it reads R and the dimensions (and hands spec on to
+# rollout_columns), and it never emits or decodes an observation itself or
+# asks a decoder class which candidate is the truth.
+LEARNING_MODULES = ("phase1", "phase2", "phase3", "regression")
+TRUTH_FIELDS = {"a", "b", "q", "sigma_w", "sigma_0"}
+TRUTH_MAPS = {"emit", "decode_batch", "true_decoder"}
+TRUTH_LABELS = {"contains_truth", "names"}
+
+
+def truth_reads(source: str) -> list[str]:
+    """'line: what' for each read of spec's truth fields, each use of an
+    emission or true-decoder map, and each attribute read of a class's truth
+    labels (a dataclass field declaring one is not a read)."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and (
+                node.attr in TRUTH_MAPS | TRUTH_LABELS
+                or (node.attr in TRUTH_FIELDS and isinstance(node.value, ast.Name)
+                    and node.value.id == "spec")):
+            hits.append(f"{node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in TRUTH_MAPS:
+            hits.append(f"{node.lineno}: {node.id}")
+    return sorted(hits)
+
+
+def test_the_guard_sees_every_read_of_the_truth():
+    source = ("class C:\n    names: tuple = None\n    contains_truth: int = None\n"
+              "def f(spec, emission, cls, y):\n"
+              "    rollout_columns(spec, emission)\n"
+              "    g = spec.r + spec.d_x + spec.d_u + other.a\n"
+              "    h = spec.a + spec.sigma_w\n"
+              "    return emission.decode_batch(y), true_decoder(y), cls.names, cls.contains_truth\n")
+    assert truth_reads(source) == ["7: .a", "7: .sigma_w", "8: .contains_truth",
+                                   "8: .decode_batch", "8: .names", "8: true_decoder"]
+
+
+@pytest.mark.parametrize("module", LEARNING_MODULES)
+def test_the_learner_reads_no_ground_truth(module):
+    assert truth_reads((PACKAGE / f"{module}.py").read_text()) == [], \
+        f"{module}.py reads the ground truth"

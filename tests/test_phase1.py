@@ -6,11 +6,12 @@ import pytest
 
 from latentlqr import rng as rngmod
 from latentlqr import (DegenerateSpectrumError, DecoderClass, Phase1Config, SystemSpec,
-                       ValidationError, align_decoder, bayes_map, burn_in_kappa0,
+                       ValidationError, align_decoder, burn_in_kappa0,
                        collect_id_data, fit_coarse_decoder, make_benchmark_instance,
                        open_loop_state_cov, parameter_bounds, rollout_columns,
                        similarity_from_ground_truth)
 from latentlqr.errors import InfeasibleBurnInError
+from latentlqr.evaluate import bayes_map
 from latentlqr.system import PolicyDef
 
 from helpers import principal_angle, truth_only

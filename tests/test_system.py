@@ -13,7 +13,7 @@ from latentlqr import (DecoderStack, EmissionModel, FittedRegressor, Phase1Confi
 from latentlqr import rng as rngmod
 from latentlqr import system
 from latentlqr.benchmarks import CATALOG, cubic_forward, cubic_inverse
-from latentlqr.control import psd_sqrt
+from latentlqr.control import psd_sqrt, quad_rows
 from latentlqr.evaluate import trajectory_costs
 from latentlqr.rng import ROLE_INIT_STATE, ROLE_INPUT, ROLE_PROCESS, noise_block
 from latentlqr.serialize import export_trajectories_csv
@@ -273,7 +273,7 @@ def reference_rollout(spec, emission, policy, horizon, n, seed, start=0) -> dict
     for t in range(start, horizon + 1):
         nu = policy.sigma * noise_block(seed, ROLE_INPUT, t, n, spec.d_u)
         u, value, _, state = policy.act(state, t, y, nu)
-        cost = system._quad_rows(x, spec.q) + system._quad_rows(u, spec.r)
+        cost = quad_rows(x, spec.q) + quad_rows(u, spec.r)
         for key, column in (("states", x), ("observations", y), ("inputs", u),
                             ("injected", nu), ("costs", cost), ("decoded", value)):
             cols[key].append(column)
@@ -446,9 +446,9 @@ class TestChunkedRollout:
             x = rng.standard_normal((1_000, d))
             g = rng.standard_normal((d, d))
             m = g @ g.T + np.eye(d)
-            rows = system._quad_rows(x, m)
+            rows = quad_rows(x, m)
             assert np.array_equal(rows, np.einsum("ni,ij,nj->n", x, m, x))
-            assert all(np.array_equal(system._quad_rows(x[i:i + 2], m), rows[i:i + 2])
+            assert all(np.array_equal(quad_rows(x[i:i + 2], m), rows[i:i + 2])
                        for i in range(0, 1_000, 2))
 
 
