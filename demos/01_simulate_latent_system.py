@@ -14,7 +14,7 @@ print("=" * 64)
 for name in ("scalar-identity", "di-cubic-lift", "stable2x1-lift5"):
     spec, emission, decoders = make_benchmark_instance(name)
     print(f"{name:18s}  d_x={spec.d_x}  d_u={spec.d_u}  d_y={emission.d_y}  "
-          f"|F|={len(decoders)}  emission={emission.family}")
+          f"|F|={len(decoders)}")
 
 spec, emission, decoders = make_benchmark_instance("di-cubic-lift")
 

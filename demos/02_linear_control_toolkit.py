@@ -40,7 +40,7 @@ for n, nm, bd in zip((1, 5, 20, 50), powers, bounds):
 print()
 print("Controllability matrices")
 a_di, b_di = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]])
-info = controllability(a_di, b_di, 3)
+info = controllability(a_di, b_di)
 print(f"double integrator: kappa_star = {info.kappa_star}, sigma_min = {info.sigma_min:.3f}")
 print(f"C_2 =\n{controllability_matrix(a_di, b_di, 2)}")
 

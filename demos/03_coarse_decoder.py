@@ -24,17 +24,17 @@ print(f"burn-in from the mixing formula: kappa_0 = {burn_in_kappa0(config)}")
 
 print()
 print("collecting 3 x 30000 excitation trajectories ...")
-data = collect_id_data(spec, emission, config, seed=11)
-print(f"recorded window v has dimension {data.batch1.v.shape[1]} = kappa * d_u")
+batch1, batch2, batch3 = collect_id_data(spec, emission, config, seed=11)
+print(f"recorded window v has dimension {batch1.v.shape[1]} = kappa * d_u")
 
-out = fit_coarse_decoder(data.batch1, data.batch2, decoders, config)
+out = fit_coarse_decoder(batch1, batch2, decoders, config)
 print()
 print("empirical losses per candidate decoder:")
 for name, loss in zip(decoders.names, out.h_id.all_losses):
     marker = "  <-- selected" if name == decoders.names[out.h_id.candidate_index] else ""
     print(f"  {name:14s} {loss:.6f}{marker}")
 
-alignment = align_decoder(out.decode, emission.decode_batch, data.batch3.y_now[:5000])
+alignment = align_decoder(out.decode, emission.decode_batch, batch3.y_now[:5000])
 s_id = similarity_from_ground_truth(out, spec)
 print()
 print(f"best linear alignment to the true decoder: residual {alignment.residual:.2e}")

@@ -19,9 +19,9 @@ for n_id in (2_000, 8_000, 32_000):
     config = Phase1Config(n_id=n_id, kappa=bounds.kappa, psi_star=bounds.psi_star,
                           alpha_star=bounds.alpha_star, gamma_star=bounds.gamma_star,
                           d_x=spec.d_x, d_u=spec.d_u, kappa0_override=20)
-    data = collect_id_data(spec, emission, config, seed=5)
-    phase1 = fit_coarse_decoder(data.batch1, data.batch2, decoders, config)
-    estimates = run_sysid(data.batch3, phase1.decode, spec.r)
+    batch1, batch2, batch3 = collect_id_data(spec, emission, config, seed=5)
+    phase1 = fit_coarse_decoder(batch1, batch2, decoders, config)
+    estimates = run_sysid(batch3, phase1.decode, spec.r)
 
     s_id = similarity_from_ground_truth(phase1, spec)
     s_inv = np.linalg.inv(s_id)

@@ -30,7 +30,7 @@ learned = compute_policy(spec, emission, estimates, decoders, config, seed=21)
 clipped = sum(c for c, _ in learned.learning_clip_counts.values())
 checked = sum(n for _, n in learned.learning_clip_counts.values())
 print(f"decoder stack depth {learned.stack.depth} (f_0..f_T), "
-      f"clip radius {learned.b_bar:.1f}, "
+      f"clip radius {learned.stack.b_bar:.1f}, "
       f"clips during learning: {clipped} of {checked} decoder steps")
 
 print()

@@ -17,7 +17,7 @@ from .errors import (ConvergenceError, DegenerateSpectrumError,
 from .evaluate import (AlignmentResult, EvalReport, align_decoder, bayes_map,
                        decoder_errors_by_time, estimate_cost, estimate_gap, mean_stderr,
                        similarity_from_ground_truth, trajectory_costs)
-from .phase1 import (IdBatch, IdData, Phase1Config, Phase1Output, burn_in_kappa0,
+from .phase1 import (IdBatch, Phase1Config, Phase1Output, burn_in_kappa0,
                      collect_id_data, fit_coarse_decoder)
 from .phase2 import SysIdEstimates, fit_cost, fit_dynamics, fit_noise_cov, run_sysid
 from .phase3 import (DecoderStack, LearnedPolicy, NoiseShaping, OnPolicyHalf, Phase3Config,

@@ -93,14 +93,12 @@ def cubic_lift_emission(d_x: int, d_y: int, c: float, seed: int) -> tuple[Emissi
     g = rngmod.generator(seed, rngmod.TAG_INSTANCE, 1)
     lift = g.standard_normal((d_y - d_x, d_x))
     fam = CubicLiftFamily(d_x=d_x, d_y=d_y, c=c, rot=_orthogonal(d_y, seed), lift=lift)
-    model = EmissionModel(d_y=d_y, emit=fam.emit, true_decoder=fam.decode,
-                          family="cubic-lift")
-    return model, fam
+    return EmissionModel(d_y=d_y, emit=fam.emit, true_decoder=fam.decode), fam
 
 
 def identity_emission(d_x: int) -> EmissionModel:
     return EmissionModel(d_y=d_x, emit=lambda x: np.atleast_2d(x),
-                         true_decoder=lambda y: np.atleast_2d(y), family="identity")
+                         true_decoder=lambda y: np.atleast_2d(y))
 
 
 def _cubic_decoder_class(fam: CubicLiftFamily, seed: int) -> DecoderClass:
@@ -190,7 +188,7 @@ def parameter_bounds(spec: SystemSpec, witness: str = "lyapunov") -> ParameterBo
         cert_cl = strong_stability_cert(a_cl)
     else:
         raise ValidationError(f"unknown stability witness {witness!r}")
-    info = controllability(spec.a, spec.b, spec.d_x)
+    info = controllability(spec.a, spec.b)
     if info.kappa_star is None:
         raise ValidationError("instance is not controllable")
     # the margin on gamma eats into the stability gap so the bound stays below 1

@@ -194,17 +194,15 @@ def controllability_matrix(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     return np.hstack([np.linalg.matrix_power(a, k - 1 - j) @ b for j in range(k)])
 
 
-def controllability(a: np.ndarray, b: np.ndarray, k_max: int) -> ControllabilityInfo:
-    """The smallest k <= k_max with rank(C_k) = d_x.
+def controllability(a: np.ndarray, b: np.ndarray) -> ControllabilityInfo:
+    """The smallest k with rank(C_k) = d_x; by Cayley-Hamilton none exceeds d_x.
 
     An uncontrollable pair is signalled by kappa_star = None, not an error.
     """
     a = _check_square(a, "A")
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    if k_max < 1:
-        raise ValidationError("k_max must be >= 1")
     d_x = a.shape[0]
-    for k in range(1, k_max + 1):
+    for k in range(1, d_x + 1):
         ck = controllability_matrix(a, b, k)
         svals = np.linalg.svd(ck, compute_uv=False)
         if len(svals) >= d_x and svals[d_x - 1] > d_x * max(ck.shape) * np.finfo(float).eps * (svals[0] if len(svals) else 1.0):
@@ -253,7 +251,7 @@ def solve_dare(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> Da
         raise ValidationError("Q must be positive semidefinite")
     if np.min(np.linalg.eigvalsh(r)) <= 0:
         raise ValidationError("R must be positive definite")
-    if spectral_radius(a) >= 1.0 and controllability(a, b, d_x).kappa_star is None:
+    if spectral_radius(a) >= 1.0 and controllability(a, b).kappa_star is None:
         raise UnstableMatrixError("(A, B) is neither stable nor controllable")
 
     p = q.copy()

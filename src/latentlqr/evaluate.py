@@ -157,6 +157,8 @@ class EvalReport:
     j_zero: float
     j_zero_stderr: float
     gap_zero: float
+    # roundoff (1e-33 to 1e-29) whenever phase 1 picks the true candidate, as at desk
+    # sizes on every catalog instance; there it does not measure alignment quality
     decoder_align_residual: float
     decoder_align_sigma_min: float
     decoder_errors: np.ndarray

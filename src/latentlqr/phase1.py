@@ -111,17 +111,8 @@ class IdBatch:
         return self.y_now.shape[0]
 
 
-@dataclass
-class IdData:
-    """Three independent batches: regression fit, PCA, and system identification."""
-
-    batch1: IdBatch
-    batch2: IdBatch
-    batch3: IdBatch
-
-
 def collect_id_data(spec: SystemSpec, emission: EmissionModel, config: Phase1Config,
-                    seed: int) -> IdData:
+                    seed: int) -> tuple[IdBatch, IdBatch, IdBatch]:
     """Three independent batches of n_id excitation trajectories, each from a
     rollout of its own that records only the columns its batch's fit reads.
 
@@ -149,7 +140,7 @@ def collect_id_data(spec: SystemSpec, emission: EmissionModel, config: Phase1Con
                     costs=(kappa1,))
     batch3 = IdBatch(y_now=third["obs"][kappa1], y_next=third["obs"][kappa1 + 1],
                      u_now=third["inputs"][kappa1], cost_now=third["costs"][kappa1])
-    return IdData(batch1, batch2, batch3)
+    return batch1, batch2, batch3
 
 
 @dataclass

@@ -134,9 +134,8 @@ def _features(h: FittedRegressor, y: np.ndarray, memo: Optional[tuple]) -> tuple
 
 @dataclass
 class InitialStatePieces:
-    """Regressors and covariance for predicting A x_0 from the first observation."""
+    """Regressor and covariance for predicting A x_0 from the first observation."""
 
-    h_ol1: FittedRegressor
     sigma_cov: np.ndarray
     h_ol0: FittedRegressor
     gain: np.ndarray  # sigma_w_hat @ sigma_cov^{-1}
@@ -327,7 +326,7 @@ def learn_initial_state(y0: np.ndarray, y1: np.ndarray, nu0: np.ndarray,
     h_ol1 learns the noise estimate h_0(y_1) - A h_0(y_0) - B nu_0 as a
     function of y_1; its second-moment matrix, a control.cross reduction,
     estimates Sigma_w Sigma_1^{-1} Sigma_w, which initial_gain inverts to back
-    the predictor of A x_0 out of h_ol0.
+    the predictor of A x_0 out of h_ol0; h_ol1 itself is not kept.
     """
     a_hat, b_hat = estimates.a_hat, estimates.b_hat
     d_x = a_hat.shape[0]
@@ -344,12 +343,12 @@ def learn_initial_state(y0: np.ndarray, y1: np.ndarray, nu0: np.ndarray,
     sigma_cov = (sigma_cov + sigma_cov.T) / 2.0
     gain = initial_gain(estimates.sigma_w_hat, sigma_cov)
     h_ol0 = erm_fit(h_op, y0[second], vals)
-    return InitialStatePieces(h_ol1=h_ol1, sigma_cov=sigma_cov, h_ol0=h_ol0, gain=gain)
+    return InitialStatePieces(sigma_cov=sigma_cov, h_ol0=h_ol0, gain=gain)
 
 
 @dataclass
 class LearnedPolicy:
-    """Gain, per-time decoders, exploration level, and clip radius.
+    """Gain, per-time decoders (with their clip radius) and exploration level.
 
     learning_clip_counts maps t to (clipped rows, checked rows), summed over
     the roll-ins of every phase-3 collection.
@@ -359,10 +358,6 @@ class LearnedPolicy:
     sigma: float
     trajectories_used: int
     learning_clip_counts: dict = field(default_factory=dict)
-
-    @property
-    def b_bar(self) -> float:
-        return self.stack.b_bar
 
     @property
     def t_horizon(self) -> int:

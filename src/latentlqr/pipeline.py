@@ -202,11 +202,10 @@ def run_pipeline(config: ExperimentConfig, outdir: Path | None = None,
         outdir.mkdir(parents=True, exist_ok=True)
 
     with tagged("pipeline stage=phase1"):
-        data = collect_id_data(spec, emission, p1_config,
-                               rngmod.derive_seed(config.seed, rngmod.TAG_PHASE1))
-        phase1_out = fit_coarse_decoder(data.batch1, data.batch2, decoder_class, p1_config)
-        batch3 = data.batch3
-        del data  # batches 1 and 2 have no reader left, and batch 3 none after sysid
+        batch1, batch2, batch3 = collect_id_data(
+            spec, emission, p1_config, rngmod.derive_seed(config.seed, rngmod.TAG_PHASE1))
+        phase1_out = fit_coarse_decoder(batch1, batch2, decoder_class, p1_config)
+        del batch1, batch2  # no reader left, and batch 3 has none after sysid
     if outdir is not None:
         save_phase1(outdir / "phase1", phase1_out)
     if stop_after == "phase1":

@@ -42,16 +42,16 @@ def _loading(path: Path):
         raise ValidationError(f"{path}: missing or malformed ({exc!r})") from None
 
 
-def _parse_matrix(lines: list[str], shape: tuple | None = None) -> np.ndarray:
-    """The finite matrix whose "rows,cols" header is lines[0] and counts every later
-    line, so a missing or an extra row is refused; of the given shape, if any."""
+def _parse_matrix(lines: list[str], shape: tuple) -> np.ndarray:
+    """The finite matrix of the given shape whose "rows,cols" header is lines[0] and
+    counts every later line, so a missing or an extra row is refused."""
     rows, cols = (int(v) for v in lines[0].split(","))
     if len(lines) != 1 + rows:
         raise ValueError(f"header says {rows} rows, {len(lines) - 1} follow")
     data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     if data.shape != (rows, cols):
         raise ValueError(f"header says {rows}x{cols}, data is {data.shape}")
-    if shape is not None and data.shape != shape:
+    if data.shape != shape:
         raise ValueError(f"shape {data.shape}, expected {shape}")
     if not np.all(np.isfinite(data)):
         raise ValueError("non-finite entry")
@@ -62,7 +62,7 @@ def save_matrix(path: Path, m: np.ndarray) -> None:
     Path(path).write_text("\n".join(_matrix_lines(m)) + "\n")
 
 
-def load_matrix(path: Path, shape: tuple | None = None) -> np.ndarray:
+def load_matrix(path: Path, shape: tuple) -> np.ndarray:
     with _loading(path):
         return _parse_matrix(Path(path).read_text().strip().splitlines(), shape)
 
@@ -72,8 +72,7 @@ def save_regressor(path: Path, reg: FittedRegressor) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_regressor(path: Path, decoder_class: DecoderClass,
-                   shape: tuple | None = None) -> FittedRegressor:
+def load_regressor(path: Path, decoder_class: DecoderClass, shape: tuple) -> FittedRegressor:
     with _loading(path):
         lines = Path(path).read_text().strip().splitlines()
         tag, idx = lines[0].split(",")
@@ -167,7 +166,6 @@ def save_policy(outdir: Path, learned: LearnedPolicy) -> None:
     stack = learned.stack
     for t, reg in enumerate(stack.residual_regressors):
         save_regressor(outdir / f"h_{t}.csv", reg)
-    save_regressor(outdir / "init_h_ol1.csv", stack.initial.h_ol1)
     save_regressor(outdir / "init_h_ol0.csv", stack.initial.h_ol0)
     save_matrix(outdir / "init_sigma_cov.csv", stack.initial.sigma_cov)
     save_key_values(outdir / "meta.csv", [
@@ -195,7 +193,6 @@ def load_policy(outdir: Path, decoder_class: DecoderClass, spec: SystemSpec,
     square = (spec.d_x, spec.d_x)
     residual_regressors = [load_regressor(outdir / f"h_{t}.csv", decoder_class, square)
                            for t in range(meta["t_horizon"])]
-    h_ol1 = load_regressor(outdir / "init_h_ol1.csv", decoder_class, square)
     h_ol0 = load_regressor(outdir / "init_h_ol0.csv", decoder_class, square)
     sigma_cov = load_matrix(outdir / "init_sigma_cov.csv", square)
     if not np.array_equal(sigma_cov, sigma_cov.T):
@@ -203,7 +200,7 @@ def load_policy(outdir: Path, decoder_class: DecoderClass, spec: SystemSpec,
     dare = certainty_equivalent_dare(estimates, spec.r)
     stack = DecoderStack(a_hat=estimates.a_hat, b_hat=estimates.b_hat, k_gain=dare.k,
                          b_bar=meta["b_bar"], residual_regressors=residual_regressors)
-    stack.initial = InitialStatePieces(h_ol1=h_ol1, sigma_cov=sigma_cov, h_ol0=h_ol0,
+    stack.initial = InitialStatePieces(sigma_cov=sigma_cov, h_ol0=h_ol0,
                                        gain=initial_gain(estimates.sigma_w_hat, sigma_cov))
     return LearnedPolicy(stack=stack, sigma=meta["sigma"],
                          trajectories_used=meta["trajectories_used"])

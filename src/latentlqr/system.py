@@ -73,7 +73,7 @@ class SystemSpec:
         rho = spectral_radius(self.a)
         if rho >= 1.0:
             raise ValidationError(f"A must be stable, spectral radius = {rho:.4f}")
-        if controllability(self.a, self.b, self.d_x).kappa_star is None:
+        if controllability(self.a, self.b).kappa_star is None:
             raise ValidationError("(A, B) must be controllable")
 
 
@@ -84,7 +84,6 @@ class EmissionModel:
     d_y: int
     emit: Callable[[np.ndarray], np.ndarray]
     true_decoder: Callable[[np.ndarray], np.ndarray]
-    family: str = "custom"
 
     def emit_batch(self, x: np.ndarray) -> np.ndarray:
         y = self.emit(np.atleast_2d(x))

@@ -8,7 +8,8 @@ them with
 
     PYTHONPATH=src python tests/goldens.py
 
-and lists the moved lines in CHANGES.md; a pure refactor moves none.
+which prints each golden file it added, removed or changed, and lists the
+moved lines in CHANGES.md; a pure refactor moves none.
 """
 from __future__ import annotations
 
@@ -63,13 +64,26 @@ def recorded_fingerprint() -> dict:
     return json.loads(PLATFORM.read_text())
 
 
+def changes(before: dict[str, bytes], after: dict[str, bytes]) -> list[str]:
+    """'added', 'removed' or 'changed', then the path, for each file that differs."""
+    lines = []
+    for path in sorted(before.keys() | after.keys()):
+        if before.get(path) != after.get(path):
+            kind = "added" if path not in before else "removed" if path not in after else "changed"
+            lines.append(f"{kind} {path}")
+    return lines
+
+
 def regenerate() -> None:
-    """Rerun every config into its golden directory and record the platform."""
+    """Rerun every config into its golden directory and record the platform,
+    printing each golden file that the rerun added, removed or changed."""
+    before = artifacts(GOLDEN)
     for name in names():
         shutil.rmtree(GOLDEN / name, ignore_errors=True)
         run(name, GOLDEN / name)
-        print(f"wrote {GOLDEN / name}")
     PLATFORM.write_text(json.dumps(fingerprint(), indent=1) + "\n")
+    for line in changes(before, artifacts(GOLDEN)) or ["no golden file changed"]:
+        print(line)
 
 
 if __name__ == "__main__":

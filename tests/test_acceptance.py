@@ -95,8 +95,8 @@ def test_criterion_3_gaussian_conditional_expectation_oracle():
         config = Phase1Config(n_id=100_000, kappa=1, psi_star=bounds.psi_star,
                               alpha_star=bounds.alpha_star, gamma_star=bounds.gamma_star,
                               d_x=2, d_u=2, kappa0_override=0)
-        data = collect_id_data(spec, emission, config, seed=31)
-        out = fit_coarse_decoder(data.batch1, data.batch2, truth_only(cls), config)
+        batch1, batch2, _ = collect_id_data(spec, emission, config, seed=31)
+        out = fit_coarse_decoder(batch1, batch2, truth_only(cls), config)
         target = bayes_map(spec, kappa=1, kappa1=1)
         rel = (np.linalg.norm(out.h_id.m - target, "fro")
                / np.linalg.norm(target, "fro"))
@@ -120,8 +120,8 @@ def test_criterion_4_phase1_recovery():
             config = Phase1Config(n_id=n_id, kappa=bounds.kappa, psi_star=bounds.psi_star,
                                   alpha_star=bounds.alpha_star, gamma_star=bounds.gamma_star,
                                   d_x=2, d_u=2, kappa0_override=20)
-            data = collect_id_data(spec, emission, config, seed=seed)
-            out = fit_coarse_decoder(data.batch1, data.batch2, cls, config)
+            batch1, batch2, _ = collect_id_data(spec, emission, config, seed=seed)
+            out = fit_coarse_decoder(batch1, batch2, cls, config)
             s_id = similarity_from_ground_truth(out, spec)
             recovery = float(np.mean(np.sum(
                 (out.decode(eval_obs) - truth_states @ s_id.T) ** 2, axis=1)))
@@ -149,10 +149,10 @@ def test_criterion_5_phase2_recovery_in_identified_basis():
         config = Phase1Config(n_id=50_000, kappa=bounds.kappa, psi_star=bounds.psi_star,
                               alpha_star=bounds.alpha_star, gamma_star=bounds.gamma_star,
                               d_x=2, d_u=2, kappa0_override=20)
-        data = collect_id_data(spec, emission, config, seed=51)
-        out = fit_coarse_decoder(data.batch1, data.batch2, cls, config)
+        batch1, batch2, batch3 = collect_id_data(spec, emission, config, seed=51)
+        out = fit_coarse_decoder(batch1, batch2, cls, config)
         s_id = similarity_from_ground_truth(out, spec)
-        est = run_sysid(data.batch3, out.decode, spec.r)
+        est = run_sysid(batch3, out.decode, spec.r)
         s_inv = np.linalg.inv(s_id)
         errors = {
             "A": np.linalg.norm(est.a_hat - s_id @ spec.a @ s_inv, 2),

@@ -180,7 +180,7 @@ class TestExitCodes:
          "init_sigma_cov.csv"),
         (lambda policy: set_candidate(policy / "h_1.csv", -1), "h_1.csv"),
         (lambda policy: set_candidate(policy / "h_1.csv", 99), "h_1.csv"),
-        (lambda policy: (policy / "init_h_ol1.csv").unlink(), "init_h_ol1.csv"),
+        (lambda policy: (policy / "init_h_ol0.csv").unlink(), "init_h_ol0.csv"),
         (lambda policy: (policy / "meta.csv").write_text(
             (policy / "meta.csv").read_text() + "sigma,0.9\n"), "meta.csv"),
         (lambda policy: set_meta(policy / "meta.csv", "b_bar", "nan"), "meta.csv"),
@@ -540,8 +540,7 @@ MUTATIONS = {
 SAVED_FILES = sorted(
     [f"phase1/{n}.csv" for n in ("h_id", "v_id", "meta")]
     + [f"sysid/{n}.csv" for n in ("a_hat", "b_hat", "sigma_w_hat", "q_hat")]
-    + [f"policy/{n}.csv" for n in ("h_0", "h_1", "init_h_ol1", "init_h_ol0",
-                                   "init_sigma_cov", "meta")])
+    + [f"policy/{n}.csv" for n in ("h_0", "h_1", "init_h_ol0", "init_sigma_cov", "meta")])
 
 
 @pytest.fixture(scope="module")
@@ -600,10 +599,9 @@ def copy_of(model: Path, tmp_path: Path) -> Path:
 
 class TestSavedModelIsRead:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_eval_reads_every_loaded_matrix_but_init_h_ol1(self, tiny_saved_model, tmp_path):
-        """Scaling entry [0, 0] of a saved matrix or regressor by 1.5 changes what eval
-        writes, or makes it exit 3, for every file but init_h_ol1.csv: phase 3 fit
-        init_h_ol0.csv and init_sigma_cov.csv from it, and eval reads those."""
+    def test_eval_reads_every_saved_matrix(self, tiny_saved_model, tmp_path):
+        """Scaling entry [0, 0] of any saved matrix or regressor by 1.5 changes what
+        eval writes, or makes it exit 3."""
         cfg, model = tiny_saved_model
         unread = []
         for rel in SAVED_FILES:
@@ -618,7 +616,20 @@ class TestSavedModelIsRead:
             if code == 0 and all((out / f"eval_{name}").read_bytes() == (out / name).read_bytes()
                                  for name in ("report.csv", "decoder_errors.csv")):
                 unread.append(rel)
-        assert unread == ["policy/init_h_ol1.csv"]
+        assert unread == []
+
+    def test_a_left_over_init_h_ol1_is_ignored(self, tiny_saved_model, tmp_path):
+        """Older runs also saved init_h_ol1.csv, the regressor that init_h_ol0.csv and
+        init_sigma_cov.csv were fit from; a folder that still holds one evaluates to
+        the same bytes as one without it."""
+        cfg, model = tiny_saved_model
+        outs = [copy_of(model, tmp_path / side) for side in ("without", "with")]
+        shutil.copy(outs[1] / "policy" / "init_h_ol0.csv", outs[1] / "policy" / "init_h_ol1.csv")
+        scale_first_entry(outs[1] / "policy" / "init_h_ol1.csv", 1.5)
+        for out in outs:
+            assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 0
+        for name in ("eval_report.csv", "eval_decoder_errors.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_singular_riccati_step_on_saved_sysid_is_3(self, tiny_saved_model, tmp_path,
                                                         capsys):

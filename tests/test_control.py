@@ -223,18 +223,18 @@ class TestDare:
 class TestControllability:
     def test_double_integrator(self):
         a, b = np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]])
-        info = controllability(a, b, 3)
+        info = controllability(a, b)
         assert np.allclose(controllability_matrix(a, b, 2), np.eye(2))
         assert info.kappa_star == 2
 
     def test_full_row_rank_input(self):
         rng = np.random.default_rng(3)
         b = rng.standard_normal((3, 3)) + 3 * np.eye(3)
-        info = controllability(0.5 * np.eye(3), b, 2)
+        info = controllability(0.5 * np.eye(3), b)
         assert info.kappa_star == 1
 
     def test_uncontrollable(self):
-        info = controllability(np.eye(2), np.zeros((2, 1)), 4)
+        info = controllability(np.eye(2), np.zeros((2, 1)))
         assert info.kappa_star is None
         assert info.sigma_min is None
 

@@ -280,7 +280,7 @@ class TestPipeline:
 
         def collecting(*args):
             data = collect(*args)
-            for batch in (data.batch1, data.batch2, data.batch3):
+            for batch in data:
                 refs.append([weakref.ref(column) for column in vars(batch).values()
                              if column is not None])
             return data
@@ -340,7 +340,7 @@ class TestPipeline:
         run_pipeline(self._config(), outdir=tmp_path)
         for rel in ("report.csv", "decoder_errors.csv", "phase1/h_id.csv",
                     "phase1/v_id.csv", "sysid/a_hat.csv", "policy/init_sigma_cov.csv",
-                    "policy/h_0.csv", "policy/init_h_ol1.csv", "policy/meta.csv"):
+                    "policy/h_0.csv", "policy/init_h_ol0.csv", "policy/meta.csv"):
             assert (tmp_path / rel).exists(), rel
 
     def test_export_trajectories(self, tmp_path):

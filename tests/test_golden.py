@@ -5,12 +5,15 @@ files must match byte for byte. Elsewhere the last bits may differ with the
 BLAS kernels and SIMD paths, so the files are compared field by field, to a
 relative 1e-6, and a warning says that the bytes were not compared.
 """
+import dataclasses
 import math
 import warnings
 
+import numpy as np
 import pytest
 
-from goldens import GOLDEN, artifacts, fingerprint, names, recorded_fingerprint, run
+from goldens import GOLDEN, artifacts, changes, fingerprint, names, recorded_fingerprint, run
+from latentlqr import EmissionModel, make_benchmark_instance, pipeline
 
 RTOL, ATOL = 1e-6, 1e-12
 
@@ -101,3 +104,47 @@ def test_a_moved_report_line_shows_its_move_and_stderr():
     assert moved_lines("report.csv", want, got) == [
         "report.csv: gap,0.1 -> gap,0.2 (relative move 1, stderr 0.01)",
         "report.csv: gap_zero,0.5 -> gap_zero,0.25 (relative move 0.5)"]
+
+
+def test_regeneration_lists_each_added_removed_and_changed_file():
+    before = {"a/report.csv": b"1", "a/policy/old.csv": b"2", "b/report.csv": b"3"}
+    after = {"a/report.csv": b"1", "a/policy/new.csv": b"2", "b/report.csv": b"4"}
+    assert changes(before, after) == ["added a/policy/new.csv", "removed a/policy/old.csv",
+                                      "changed b/report.csv"]
+
+
+# A signed permutation P of the five observation coordinates: (P y)_i = SIGNS_i y_PERM_i.
+PERM, SIGNS = np.array([3, 0, 4, 2, 1]), np.array([1.0, -1.0, 1.0, 1.0, -1.0])
+
+
+def relabeled(instance: str):
+    """make_benchmark_instance(instance) observed as y' = P y, with the true decoder
+    and every candidate composed with P^-1; indexing and sign flips are exact."""
+    spec, emission, cls = make_benchmark_instance(instance)
+    back = np.argsort(PERM)
+
+    def unlabel(f):
+        return lambda y: f((SIGNS * y)[:, back])
+
+    relabeled_emission = EmissionModel(d_y=emission.d_y,
+                                       emit=lambda x: SIGNS * emission.emit(x)[:, PERM],
+                                       true_decoder=unlabel(emission.true_decoder))
+    return spec, relabeled_emission, dataclasses.replace(
+        cls, candidates=tuple(unlabel(f) for f in cls.candidates))
+
+
+@pytest.mark.parametrize("name", ["di-cubic-lift", "stable2x1-lift5"])
+def test_relabeling_the_observations_changes_no_artifact(name, tmp_path, monkeypatch):
+    """The learner reaches y only through the candidates, so observing P y through
+    candidates composed with P^-1 must leave every artifact's bytes as they were."""
+    x = np.random.default_rng(0).standard_normal((3, 2))
+    emission, moved = make_benchmark_instance(name)[1], relabeled(name)[1]
+    assert not np.array_equal(moved.emit_batch(x), emission.emit_batch(x))
+    assert np.array_equal(moved.decode_batch(moved.emit_batch(x)),
+                          emission.decode_batch(emission.emit_batch(x)))
+    run(name, tmp_path / "plain")
+    monkeypatch.setattr(pipeline, "make_benchmark_instance", relabeled)
+    run(name, tmp_path / "relabeled")
+    want, got = artifacts(tmp_path / "plain"), artifacts(tmp_path / "relabeled")
+    assert sorted(got) == sorted(want)
+    assert [path for path in want if got[path] != want[path]] == []

@@ -88,8 +88,7 @@ def assert_batches_are_own_rollouts(data, cfg, references, n):
     """Batch k keeps the first n rows of each column its fit reads from its own
     rollout, in an array of its own; every other field is None."""
     k0, k1 = cfg.kappa0, cfg.kappa1
-    for k, (batch, kept, ref) in enumerate(zip((data.batch1, data.batch2, data.batch3),
-                                               KEPT, references)):
+    for k, (batch, kept, ref) in enumerate(zip(data, KEPT, references)):
         columns = {"y_now": ref["obs"][k1], "y_next": ref["obs"][k1 + 1],
                    "u_now": ref["inputs"][k1], "cost_now": ref["costs"][k1]}
         if k == 0:  # only batch 1's rollout starts before kappa1
@@ -109,8 +108,8 @@ class TestCollect:
         cfg = config(n_id=50, kappa=1, kappa0_override=3, d_x=1, d_u=1)
         data = collect_id_data(spec, emission, cfg, seed=0)
         assert cfg.kappa0 == 3 and cfg.kappa1 == 4
-        assert data.batch1.v.shape == (50, 1)
-        for batch in (data.batch1, data.batch2, data.batch3):
+        assert data[0].v.shape == (50, 1)
+        for batch in data:
             assert batch.y_now.shape == (50, 1) and batch.n == 50
         assert_batches_are_own_rollouts(data, cfg, reference_columns(spec, emission, cfg, 150, 0),
                                         50)
@@ -120,19 +119,19 @@ class TestCollect:
         for name, kappa in (("scalar-identity", 1), ("di-cubic-lift", 2)):
             spec, emission, _ = make_benchmark_instance(name)
             cfg = config(n_id=20, kappa=kappa, kappa0_override=2, d_x=spec.d_x, d_u=spec.d_u)
-            data = collect_id_data(spec, emission, cfg, seed=5)
+            data = batch1, batch2, batch3 = collect_id_data(spec, emission, cfg, seed=5)
             k1 = cfg.kappa1
             # rows do not depend on n: each batch is the head of a longer run of its stream
             first, second, third = reference_columns(spec, emission, cfg, 60, 5)
-            assert np.array_equal(data.batch1.y_now, first["obs"][k1][:20])
-            assert np.array_equal(data.batch2.y_now, second["obs"][k1][:20])
-            assert np.array_equal(data.batch3.y_next, third["obs"][k1 + 1][:20])
-            assert np.array_equal(data.batch3.cost_now, third["costs"][k1][:20])
-            assert data.batch1.v.shape == (20, kappa * spec.d_u)
+            assert np.array_equal(batch1.y_now, first["obs"][k1][:20])
+            assert np.array_equal(batch2.y_now, second["obs"][k1][:20])
+            assert np.array_equal(batch3.y_next, third["obs"][k1 + 1][:20])
+            assert np.array_equal(batch3.cost_now, third["costs"][k1][:20])
+            assert batch1.v.shape == (20, kappa * spec.d_u)
             assert_batches_are_own_rollouts(data, cfg, (first, second, third), 20)
             # three independent streams, not three views of one
-            assert not np.array_equal(data.batch1.y_now, data.batch2.y_now)
-            assert not np.array_equal(data.batch2.y_now, data.batch3.y_now)
+            assert not np.array_equal(batch1.y_now, batch2.y_now)
+            assert not np.array_equal(batch2.y_now, batch3.y_now)
 
     @pytest.mark.parametrize("name", ["di-cubic-lift", "stable2x1-lift5"])
     def test_window_has_the_law_of_a_full_run(self, name):
@@ -144,7 +143,7 @@ class TestCollect:
         cfg = Phase1Config(n_id=20_000, kappa=bounds.kappa, psi_star=bounds.psi_star,
                            alpha_star=bounds.alpha_star, gamma_star=bounds.gamma_star,
                            d_x=spec.d_x, d_u=spec.d_u)
-        data = collect_id_data(spec, emission, cfg, seed=9)
+        batch1, _, batch3 = collect_id_data(spec, emission, cfg, seed=9)
         k0, k1, n = cfg.kappa0, cfg.kappa1, 3 * cfg.n_id
         assert k0 == burn_in_kappa0(cfg) > 30
         window = tuple(range(k0, k1 + 1))
@@ -155,10 +154,10 @@ class TestCollect:
                                       inputs=window, start=start)
                       for start in (0, k0))
         v = np.hstack([full["inputs"][t] for t in window[:-1]])
-        assert np.array_equal(data.batch1.v, v[:cfg.n_id])
+        assert np.array_equal(batch1.v, v[:cfg.n_id])
         third = rollout_columns(spec, emission, policy, horizon=k1 + 1, n_traj=cfg.n_id,
                                 base_seed=rngmod.derive_seed(9, 3), inputs=(k1,))
-        assert np.array_equal(data.batch3.u_now, third["inputs"][k1])
+        assert np.array_equal(batch3.u_now, third["inputs"][k1])
         for t in window:
             assert np.array_equal(part["inputs"][t], full["inputs"][t])
         target = open_loop_state_cov(spec.a, spec.b, spec.sigma_w, spec.sigma_0, k1)
@@ -174,22 +173,22 @@ class TestCollect:
         kappa0, batches 2 and 3 draw it from N(0, Sigma_kappa1) directly."""
         spec, emission, _ = make_benchmark_instance("scalar-identity")
         cfg = config(n_id=20_000, kappa=1, kappa0_override=1)
-        data = collect_id_data(spec, emission, cfg, seed=4)
+        batch1, batch2, batch3 = collect_id_data(spec, emission, cfg, seed=4)
         target = open_loop_state_cov(spec.a, spec.b, spec.sigma_w, spec.sigma_0,
                                      cfg.kappa1)[0, 0]
         stderr = math.sqrt(2 * target**2 / cfg.n_id)
-        for batch in (data.batch1, data.batch2, data.batch3):
+        for batch in (batch1, batch2, batch3):
             assert abs(float(batch.y_now[:, 0] @ batch.y_now[:, 0]) / cfg.n_id - target) \
                 <= 4 * stderr
 
     def test_window_covariance_is_identity(self):
         spec, emission, _ = make_benchmark_instance("scalar-identity")
         cfg = config(n_id=34000, kappa=2, kappa0_override=0, d_u=1)
-        data = collect_id_data(spec, emission, cfg, seed=1)
+        batch1, _, _ = collect_id_data(spec, emission, cfg, seed=1)
         # 3 n_id window rows of batch 1's stream
         first = reference_columns(spec, emission, cfg, 3 * cfg.n_id, 1)[0]
         v = np.hstack([first["inputs"][t] for t in range(cfg.kappa0, cfg.kappa1)])
-        assert np.array_equal(data.batch1.v, v[:cfg.n_id])
+        assert np.array_equal(batch1.v, v[:cfg.n_id])
         cov = v.T @ v / v.shape[0]
         assert np.linalg.norm(cov - np.eye(2), 2) <= 0.02
 
@@ -206,8 +205,8 @@ class TestBayesMap:
                           sigma_w=[[1.0]], sigma_0=[[1.0]])
         _, emission, cls = make_benchmark_instance("scalar-identity")
         cfg = config(n_id=100_000, kappa=1, kappa0_override=0)
-        data = collect_id_data(spec, emission, cfg, seed=2)
-        out = fit_coarse_decoder(data.batch1, data.batch2, cls, cfg)
+        batch1, batch2, _ = collect_id_data(spec, emission, cfg, seed=2)
+        out = fit_coarse_decoder(batch1, batch2, cls, cfg)
         assert abs(out.h_id.m[0, 0] - 0.5) <= 0.05
 
 
@@ -216,17 +215,17 @@ class TestFitCoarseDecoder:
         spec, emission, cls = make_benchmark_instance("di-cubic-lift")
         cfg = config(n_id=20_000, kappa=1, kappa0_override=10, d_x=2, d_u=2,
                      psi_star=2.1, alpha_star=1.4, gamma_star=0.72)
-        data = collect_id_data(spec, emission, cfg, seed=3)
-        out = fit_coarse_decoder(data.batch1, data.batch2, truth_only(cls), cfg)
-        res = align_decoder(out.decode, emission.decode_batch, data.batch3.y_now)
+        batch1, batch2, batch3 = collect_id_data(spec, emission, cfg, seed=3)
+        out = fit_coarse_decoder(batch1, batch2, truth_only(cls), cfg)
+        res = align_decoder(out.decode, emission.decode_batch, batch3.y_now)
         assert res.residual <= 1e-3
 
     def test_full_square_pca_is_rotation(self):
         spec, emission, cls = make_benchmark_instance("di-cubic-lift")
         cfg = config(n_id=2_000, kappa=1, kappa0_override=5, d_x=2, d_u=2,
                      psi_star=2.1, alpha_star=1.4, gamma_star=0.72)
-        data = collect_id_data(spec, emission, cfg, seed=4)
-        out = fit_coarse_decoder(data.batch1, data.batch2, truth_only(cls), cfg)
+        batch1, batch2, _ = collect_id_data(spec, emission, cfg, seed=4)
+        out = fit_coarse_decoder(batch1, batch2, truth_only(cls), cfg)
         assert out.v_id.shape == (2, 2)
         assert np.allclose(out.v_id.T @ out.v_id, np.eye(2), atol=1e-9)
 
@@ -235,8 +234,8 @@ class TestFitCoarseDecoder:
         spec, emission, cls = make_benchmark_instance("di-cubic-lift")
         cfg = config(n_id=100_000, kappa=2, kappa0_override=5, d_x=2, d_u=2,
                      psi_star=2.1, alpha_star=1.4, gamma_star=0.72)
-        data = collect_id_data(spec, emission, cfg, seed=5)
-        out = fit_coarse_decoder(data.batch1, data.batch2, truth_only(cls), cfg)
+        batch1, batch2, _ = collect_id_data(spec, emission, cfg, seed=5)
+        out = fit_coarse_decoder(batch1, batch2, truth_only(cls), cfg)
         target = bayes_map(spec, kappa=2, kappa1=cfg.kappa1).T  # columns span the map
         angle = principal_angle(out.v_id, target.T)
         assert angle <= 0.1
@@ -245,16 +244,16 @@ class TestFitCoarseDecoder:
         spec, emission, _ = make_benchmark_instance("di-cubic-lift")
         zero_class = DecoderClass(candidates=(lambda y: np.zeros((np.atleast_2d(y).shape[0], 2)),))
         cfg = config(n_id=200, kappa=2, kappa0_override=0, d_x=2, d_u=2)
-        data = collect_id_data(spec, emission, cfg, seed=6)
+        batch1, batch2, _ = collect_id_data(spec, emission, cfg, seed=6)
         with pytest.raises(DegenerateSpectrumError):
-            fit_coarse_decoder(data.batch1, data.batch2, zero_class, cfg)
+            fit_coarse_decoder(batch1, batch2, zero_class, cfg)
 
     def test_orthonormal_columns(self):
         spec, emission, cls = make_benchmark_instance("di-cubic-lift")
         cfg = config(n_id=3_000, kappa=2, kappa0_override=5, d_x=2, d_u=2,
                      psi_star=2.1, alpha_star=1.4, gamma_star=0.72)
-        data = collect_id_data(spec, emission, cfg, seed=7)
-        out = fit_coarse_decoder(data.batch1, data.batch2, truth_only(cls), cfg)
+        batch1, batch2, _ = collect_id_data(spec, emission, cfg, seed=7)
+        out = fit_coarse_decoder(batch1, batch2, truth_only(cls), cfg)
         assert np.allclose(out.v_id.T @ out.v_id, np.eye(2), atol=1e-9)
         # sign convention: largest-magnitude entry of each column is positive
         for j in range(out.v_id.shape[1]):
@@ -270,13 +269,13 @@ class TestFitCoarseDecoder:
             cfg = config(n_id=5_000, kappa=bounds.kappa, kappa0_override=8,
                          d_x=spec.d_x, d_u=spec.d_u, psi_star=bounds.psi_star,
                          alpha_star=bounds.alpha_star, gamma_star=bounds.gamma_star)
-            data = collect_id_data(spec, emission, cfg, seed=8)
-            out = fit_coarse_decoder(data.batch1, data.batch2, truth_only(cls), cfg)
+            batch1, batch2, _ = collect_id_data(spec, emission, cfg, seed=8)
+            out = fit_coarse_decoder(batch1, batch2, truth_only(cls), cfg)
             s_id = similarity_from_ground_truth(out, spec)
             sigma_min = np.linalg.svd(s_id, compute_uv=False)[-1]
             assert sigma_min > 0
             # analysis lower bound, recorded for reference (loose by design)
-            info = controllability(spec.a, spec.b, spec.d_x)
+            info = controllability(spec.a, spec.b)
             bound = (info.sigma_min * (1 - bounds.gamma_star)
                      / (4 * bounds.psi_star**2 * bounds.alpha_star**2))
             assert bound > 0

@@ -254,8 +254,7 @@ def memo_stack(picks, initial, b_bar=3.0):
     for cls, idx in picks:
         decoder_update(reg(cls, idx), stack)
     if initial is not None:
-        stack.initial = InitialStatePieces(h_ol1=reg(*initial), sigma_cov=np.eye(2),
-                                           h_ol0=reg(*initial),
+        stack.initial = InitialStatePieces(sigma_cov=np.eye(2), h_ol0=reg(*initial),
                                            gain=rng.standard_normal((2, 2)))
     return stack
 

@@ -16,7 +16,7 @@ class TestMatrixCsv:
         rng = np.random.default_rng(0)
         m = rng.standard_normal((3, 5))
         save_matrix(tmp_path / "m.csv", m)
-        assert np.array_equal(load_matrix(tmp_path / "m.csv"), m)
+        assert np.array_equal(load_matrix(tmp_path / "m.csv", (3, 5)), m)
 
     def test_header(self, tmp_path):
         save_matrix(tmp_path / "m.csv", np.zeros((2, 4)))
@@ -28,7 +28,7 @@ class TestMatrixCsv:
         reg = FittedRegressor(candidate_index=0, m=np.array([[1.5, -2.0]]),
                               empirical_loss=0.0, decoder_class=cls)
         save_regressor(tmp_path / "r.csv", reg)
-        loaded = load_regressor(tmp_path / "r.csv", cls)
+        loaded = load_regressor(tmp_path / "r.csv", cls, (1, 2))
         assert loaded.candidate_index == 0
         assert np.array_equal(loaded.m, reg.m)
         obs = np.array([[1.0, 2.0], [3.0, 4.0]])

@@ -390,7 +390,7 @@ class TestChunkedRollout:
         created = count_substreams(monkeypatch)
         config = Phase1Config(n_id=20, kappa=2, psi_star=1.0, alpha_star=1.0, gamma_star=0.5,
                               d_x=spec.d_x, d_u=spec.d_u, kappa0_override=3)
-        data = collect_id_data(spec, emission, config, seed=0)
+        collect_id_data(spec, emission, config, seed=0)
         assert config.kappa1 == 5
         assert sorted(t for role, t in created if role == ROLE_INPUT) == [3, 4, 5]
         created.clear()
