@@ -25,8 +25,9 @@ one untimed warm-up of each tree, SETUP_PAIRS pairs alternate the trees'
 first workload's instance, in the order sides() gives, and the medians,
 quartiles and the change's win count are printed. Fresh-process set-up
 timings drift with the host by more than a change of set-up code moves
-them; pairs taken back to back in one process share that drift. Both
-readings go to OUTDIR/summary.json.
+them; pairs taken back to back in one process share that drift. Last, the
+line count of each tree's src/latentlqr modules and the net change are
+printed. All three readings go to OUTDIR/summary.json.
 
 OUTDIR/runner.json records whether PYTHONDONTWRITEBYTECODE was set, since
 bytecode compilation is about half of setup_s when it is. The exit code is
@@ -119,6 +120,15 @@ def equal_reports(out: Path, workloads: list[str]) -> dict:
             counts[workload][1] += 1
             counts[workload][0] += pair["parent"] is not None and pair["parent"] == pair["change"]
     return counts
+
+
+def src_lines(trees: dict) -> dict:
+    """{side: {module: lines}} of each tree's src/latentlqr/*.py, and the net
+    change in lines from the parent to the change."""
+    lines = {side: {path.name: len(path.read_text().splitlines())
+                    for path in sorted((tree / "src" / "latentlqr").glob("*.py"))}
+             for side, tree in trees.items()}
+    return {**lines, "net": sum(lines["change"].values()) - sum(lines["parent"].values())}
 
 
 def workload_instance(tree: Path, workload: str) -> tuple[str, str]:
@@ -217,8 +227,15 @@ def main(argv=None) -> int:
         print(f"  {side:6s} median {setup[side]['median_s']:.4f} s  "
               f"quartiles {q1:.4f}-{q3:.4f} s")
     print(f"  change faster in {setup['change_faster']}/{setup['pairs']} pairs")
+    lines = src_lines(trees)
+    print("src/latentlqr lines (parent -> change):")
+    for module in sorted(lines["parent"].keys() | lines["change"].keys()):
+        before, after = lines["parent"].get(module, 0), lines["change"].get(module, 0)
+        print(f"  {module:16s} {before:5d} -> {after:5d}  ({after - before:+d})")
+    print(f"  {'total':16s} {sum(lines['parent'].values()):5d} -> "
+          f"{sum(lines['change'].values()):5d}  ({lines['net']:+d})")
     (out / "summary.json").write_text(json.dumps(
-        {"report_sha256_equal": counts, "setup_ab": setup}, indent=1) + "\n")
+        {"report_sha256_equal": counts, "setup_ab": setup, "src_lines": lines}, indent=1) + "\n")
     return 0 if ok else 1
 
 

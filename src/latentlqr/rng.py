@@ -35,8 +35,6 @@ def noise_block(base_seed: int, role: int, time: int, n: int, dim: int) -> np.nd
 
     Row i depends only on (base_seed, role, time, i), never on n.
     """
-    if dim == 0:
-        return np.zeros((n, 0))
     return substream(base_seed, role, time).standard_normal((n, dim))
 
 

@@ -310,10 +310,10 @@ def _drive(spec, emission, policies, horizon, n, seed, times, keep, start) -> No
     by its own sigma, and a policy with sigma = 0 acts on zero noise.
 
     The draws run on a one-thread executor, DRAW_AHEAD blocks ahead of this
-    thread, each into the next of DRAW_AHEAD + 1 preallocated buffers; a
-    block that take() returns stays valid until the next take(). A failed
-    draw re-raises here, and leaving the executor joins its thread, so no
-    draw runs past the rollout, whichever side raised.
+    thread, each into a fresh array allocated on this thread (allocating on
+    the draw thread raised peak RSS). A failed draw re-raises here, and
+    leaving the executor joins its thread, so no draw runs past the rollout,
+    whichever side raised.
 
     times maps a name in COLUMNS to the times that column is recorded at; a
     missing name records nothing. keep sees only the (key, t) pairs in times,
@@ -348,17 +348,13 @@ def _drive(spec, emission, policies, horizon, n, seed, times, keep, start) -> No
                 plan.append((inputs[t], hi - lo, spec.d_u))
             if t < horizon:
                 plan.append((process[t], hi - lo, spec.d_x))
-    size = max((rows * dim for _, rows, dim in plan), default=0)
-    ring = [np.empty(size) for _ in range(DRAW_AHEAD + 1)]
-    queued = iter(enumerate(plan))
+    queued = iter(plan)
     pending = collections.deque()
     pool = ThreadPoolExecutor(1, thread_name_prefix="latentlqr-draws")
 
     def take() -> np.ndarray:
-        # block i + DRAW_AHEAD reuses the buffer of block i - 1, released by this call
-        for i, (gen, rows, dim) in itertools.islice(queued, DRAW_AHEAD + 1 - len(pending)):
-            block = ring[i % len(ring)][: rows * dim].reshape(rows, dim)
-            pending.append(pool.submit(gen.standard_normal, out=block))
+        for gen, rows, dim in itertools.islice(queued, DRAW_AHEAD + 1 - len(pending)):
+            pending.append(pool.submit(gen.standard_normal, out=np.empty((rows, dim))))
         return pending.popleft().result()
 
     def record(k, key, rows, t, part):
@@ -382,7 +378,6 @@ def _drive(spec, emission, policies, horizon, n, seed, times, keep, start) -> No
             states = [policy.begin(hi - lo) for policy in policies]
             for t in acts:
                 drawn = take() if inputs else None
-                # every policy scales the input block before the next take() recycles it
                 nus = [policy.sigma * drawn if policy.sigma > 0 else np.zeros((hi - lo, spec.d_u))
                        for policy in policies]
                 w = rowmap(take(), l_w) if t < horizon else None

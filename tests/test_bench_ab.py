@@ -1,4 +1,5 @@
-"""bench/ab.py: the trace pair's table gives a verdict to counts alone."""
+"""bench/ab.py: the trace pair's table gives a verdict to counts alone, and the
+src line counts are read per module."""
 import importlib.util
 import json
 from pathlib import Path
@@ -37,3 +38,15 @@ def test_a_side_without_trace_records_gives_no_rows(tmp_path):
     write_trace(tmp_path / "trace-parent.jsonl", {"system.rollout_calls": 7})
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert load_ab().trace_rows(ROOT, tmp_path, spec) == []
+
+
+def test_src_lines_per_module_and_net(tmp_path):
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for tree, modules in ((trees["parent"], {"a.py": "1\n2\n3\n", "b.py": "1\n"}),
+                          (trees["change"], {"a.py": "1\n", "c.py": "1\n2\n"})):
+        (tree / "src" / "latentlqr").mkdir(parents=True)
+        for name, text in modules.items():
+            (tree / "src" / "latentlqr" / name).write_text(text)
+    (trees["change"] / "src" / "latentlqr" / "notes.txt").write_text("1\n2\n3\n")
+    assert load_ab().src_lines(trees) == {"parent": {"a.py": 3, "b.py": 1},
+                                          "change": {"a.py": 1, "c.py": 2}, "net": -1}

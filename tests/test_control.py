@@ -1,4 +1,6 @@
 """Linear-control numerics: Lyapunov, DARE, certificates, controllability, PSD."""
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -86,8 +88,8 @@ class TestLyapunov:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_iterate_raises_at_once(self):
-        # 0.81e308 + 1e308 overflows on the first step; a nan iterate would
-        # otherwise be iterated up to the cap
+        # P = 1e308 / 0.19 overflows; an inf P must raise, not reach the
+        # certificates as a witness
         with pytest.raises(ConvergenceError, match="non-finite"):
             solve_lyapunov(0.9 * np.eye(2), 1e308 * np.eye(2))
 
@@ -100,6 +102,36 @@ class TestLyapunov:
             p = solve_lyapunov(x, y)
             resid = np.linalg.norm(p - x.T @ p @ x - y, "fro")
             assert resid <= 1e-10 * (1 + np.linalg.norm(p, "fro"))
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        # a linear solve that returns a wrong P must not pass as a solution
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1 + 1e-6))
+        with pytest.raises(ConvergenceError, match="residual"):
+            solve_lyapunov(np.array([[0.5]]), np.array([[1.0]]))
+
+    @pytest.mark.parametrize("rho", [0.999, 0.9999, 0.99999])
+    def test_near_unit_radius_solves_quickly(self, rho):
+        # a fixed-point iteration needs ~1/(1 - rho) steps here and gave up at 0.99999
+        x = np.array([[rho, 1.0], [0.0, rho / 2]])
+        seconds = []
+        for _ in range(3):
+            started = time.perf_counter()
+            p = solve_lyapunov(x, np.eye(2))
+            seconds.append(time.perf_counter() - started)
+        assert min(seconds) < 0.01
+        resid = np.linalg.norm(p - x.T @ p @ x - np.eye(2), "fro")
+        assert resid <= 1e-10 * (1 + np.linalg.norm(p, "fro"))
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_agrees_with_scipy(self, d):
+        rng = np.random.default_rng(40 + d)
+        for rho in (0.3, 0.9, 0.99):
+            x = random_stable(rng, d, rho=rho)
+            y = random_spd(rng, d, floor=0.5)
+            want = scipy.linalg.solve_discrete_lyapunov(x.T, y)
+            got = solve_lyapunov(x, y)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 class TestStrongStability:

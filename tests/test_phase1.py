@@ -56,6 +56,22 @@ class TestBurnIn:
     def test_override(self):
         assert burn_in_kappa0(config(kappa0_override=0)) == 0
 
+    # kappa0 at the perfbench workloads' n_id: a flip would move every artifact
+    @pytest.mark.parametrize("name,witness,n_id,kappa0", [
+        ("scalar-identity", "lyapunov", 20_000, 21), ("scalar-identity", "lyapunov", 500_000, 22),
+        ("scalar-identity", "value", 20_000, 21), ("scalar-identity", "value", 500_000, 22),
+        ("di-cubic-lift", "lyapunov", 20_000, 37), ("di-cubic-lift", "lyapunov", 500_000, 37),
+        ("di-cubic-lift", "value", 20_000, 37), ("di-cubic-lift", "value", 500_000, 37),
+        ("stable2x1-lift5", "lyapunov", 20_000, 46), ("stable2x1-lift5", "lyapunov", 500_000, 47),
+        ("stable2x1-lift5", "value", 20_000, 45), ("stable2x1-lift5", "value", 500_000, 46),
+    ])
+    def test_catalog_kappa0_pinned(self, name, witness, n_id, kappa0):
+        spec, _, _ = make_benchmark_instance(name)
+        b = parameter_bounds(spec, witness=witness)
+        assert burn_in_kappa0(config(n_id=n_id, kappa=b.kappa, psi_star=b.psi_star,
+                                     alpha_star=b.alpha_star, gamma_star=b.gamma_star,
+                                     d_x=spec.d_x, d_u=spec.d_u)) == kappa0
+
     def test_invalid_config(self):
         with pytest.raises(ValidationError):
             config(gamma_star=1.0)

@@ -529,6 +529,12 @@ class TestNoiseStreams:
         b = noise_block(123, ROLE_PROCESS, 1, 4, 2)
         assert not np.allclose(a, b)
 
+    def test_zero_width_block_draws_nothing(self):
+        assert noise_block(123, ROLE_PROCESS, 0, 4, 0).shape == (4, 0)
+        gen = rngmod.substream(123, ROLE_PROCESS, 0)
+        gen.standard_normal((4, 0))
+        assert np.array_equal(gen.standard_normal((4, 2)), noise_block(123, ROLE_PROCESS, 0, 4, 2))
+
 
 class TestEmissions:
     @pytest.mark.parametrize("name", CATALOG)
